@@ -27,8 +27,7 @@ __all__ = [
     "direct_sum", "canonical_pairing", "degenerate_pairing",
     "annihilator", "membership", "complement", "perp_under_gram",
     "rref", "nullspace", "matrix_rank", "det", "solve_with_witness",
-    "random_section", "apply_matrix", "concat_sections", "split_section",
-    "FrameError",
+    "random_section", "apply_matrix", "FrameError",
 ]
 
 
@@ -351,14 +350,6 @@ def direct_sum(b1, b2):
         raise ValueError("direct sum needs bundles over the same patch")
     return TrivialBundle(b1.patch, b1.rank + b2.rank,
                          "%s+%s" % (b1.name, b2.name))
-
-
-def concat_sections(bundle, s1, s2):
-    return Section(bundle, list(s1.components) + list(s2.components))
-
-
-def split_section(s, r1, b1, b2):
-    return (Section(b1, s.components[:r1]), Section(b2, s.components[r1:]))
 
 
 def canonical_pairing(u, t):

@@ -4,13 +4,29 @@ Every certification in this package bottoms out here: a geometric identity
 holds iff some rational function in the patch coordinates is the zero
 function, and zero-testing rational functions over Q is decidable.  So the
 coefficient "field of functions" is the field Q(x_1, ..., x_n) of rational
-functions, kept in canonical form (reduced fraction, graded-lex monomial
-order, positive leading coefficient in the denominator) after every
-operation.  No floating point anywhere.
+functions.  Every stored value is in sympy's canonical form: numerator and
+denominator with integer coefficients and no common factor (content
+included), graded-lex monomial order, positive leading coefficient in the
+denominator.  Equality and is_zero() are therefore tests on the stored
+polynomials.  No floating point anywhere.
 
-The heavy lifting (gcd cancellation, multivariate polynomial arithmetic) is
-delegated to sympy's sparse polynomial fields; this module owns the patch
-bookkeeping, the expression grammar, and the printer.
+Multivariate polynomial arithmetic and the gcd cancellation that restores
+the canonical form are delegated to sympy's sparse polynomial fields; this
+module owns the patch bookkeeping, the expression grammar, the printer, and
+a fast path that skips the cancellation where it cannot change anything:
+
+* A canonical value whose denominator is the polynomial 1 has integer
+  coefficients, so +, -, * and d/dx of two such values are again integer
+  polynomials over 1: already reduced, with a positive leading coefficient
+  in the denominator.  They are built without a gcd.
+* The test is "denominator == 1", not "denominator is constant": x/2 is
+  stored as x over 2, and x/2 + x/2 must cancel the 2.
+* Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
+  operand, its negation, or 0, which are canonical already.
+* Everything else (a genuinely rational operand, a constant denominator
+  other than 1, any other division) takes sympy's general path, which
+  cancels: the sum or product of two reduced fractions need not be
+  reduced.
 
 Grammar accepted by parse_scalar (whitespace insignificant)::
 
@@ -68,7 +84,7 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "field", "_gens")
+    __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -81,6 +97,16 @@ class Patch:
                 raise ValueError("bad coordinate name %r" % (name,))
         self.coords = coords
         self.field = FracField(list(coords), QQ, order="grlex")
+        ring = self.field.ring
+        # _axes[i] is coordinate i as a non-negative int, with the list
+        # semantics of field.gens[i]; PolyElement.diff takes ints without
+        # the ring-membership test it makes on generator polynomials
+        self._axes = tuple(range(len(coords)))
+        # ring.one builds a new polynomial on every read, so the fast path
+        # keeps one.  Every fast-path result shares it as its denominator;
+        # that is safe because nothing mutates a denominator in place.
+        self._one = ring.one
+        self._mone = -self._one
         self._gens = tuple(ScalarField(self, g) for g in self.field.gens)
 
     @property
@@ -108,8 +134,21 @@ class Patch:
         if isinstance(value, str):
             return parse_scalar(value, self)
         if isinstance(value, (int, Fraction)):
-            return ScalarField(self, self.field.ground_new(QQ(Fraction(value))))
+            return ScalarField(self, self._ground(value))
         raise TypeError("cannot coerce %r to a scalar" % (value,))
+
+    def _ground(self, value):
+        """The canonical constant FracElement of an int or Fraction.
+
+        A Fraction is already reduced with a positive denominator, so its
+        numerator and denominator are the canonical pair and no gcd is
+        needed.
+        """
+        ring = self.field.ring
+        if isinstance(value, int):
+            return self.field.raw_new(ring.ground_new(value), self._one)
+        return self.field.raw_new(ring.ground_new(value.numerator),
+                                  ring.ground_new(value.denominator))
 
     def __eq__(self, other):
         if isinstance(other, Patch):
@@ -126,8 +165,11 @@ class Patch:
 class ScalarField:
     """A rational function of the patch coordinates in canonical form.
 
-    Wraps a sympy FracElement; construction and every arithmetic operation
-    re-canonicalize, so is_zero() is just a test on the stored numerator.
+    Wraps a sympy FracElement.  Every operation returns the canonical form
+    (see the module docstring), so equality and is_zero() are tests on the
+    stored numerator and denominator.  Polynomial operands (denominator 1)
+    and 0/+-1 operands take a fast path that skips sympy's gcd
+    cancellation; the others go through sympy, which cancels.
     """
 
     __slots__ = ("patch", "fe")
@@ -140,18 +182,18 @@ class ScalarField:
 
     def _operand(self, other):
         if isinstance(other, ScalarField):
-            if other.patch != self.patch:
+            if other.patch is not self.patch and other.patch != self.patch:
                 raise ValueError("scalars from different patches")
             return other.fe
         if isinstance(other, (int, Fraction)):
-            return self.patch.field.ground_new(QQ(Fraction(other)))
+            return self.patch._ground(other)
         return None
 
     def __add__(self, other):
         fe = self._operand(other)
         if fe is None:
             return NotImplemented
-        return ScalarField(self.patch, self.fe + fe)
+        return ScalarField(self.patch, _add(self.fe, fe, self.patch._one))
 
     __radd__ = __add__
 
@@ -159,19 +201,20 @@ class ScalarField:
         fe = self._operand(other)
         if fe is None:
             return NotImplemented
-        return ScalarField(self.patch, self.fe - fe)
+        return ScalarField(self.patch, _sub(self.fe, fe, self.patch._one))
 
     def __rsub__(self, other):
         fe = self._operand(other)
         if fe is None:
             return NotImplemented
-        return ScalarField(self.patch, fe - self.fe)
+        return ScalarField(self.patch, _sub(fe, self.fe, self.patch._one))
 
     def __mul__(self, other):
         fe = self._operand(other)
         if fe is None:
             return NotImplemented
-        return ScalarField(self.patch, self.fe * fe)
+        patch = self.patch
+        return ScalarField(patch, _mul(self.fe, fe, patch._one, patch._mone))
 
     __rmul__ = __mul__
 
@@ -181,7 +224,8 @@ class ScalarField:
             return NotImplemented
         if not fe:
             raise ZeroDivisionError("division by the zero polynomial")
-        return ScalarField(self.patch, self.fe / fe)
+        patch = self.patch
+        return ScalarField(patch, _div(self.fe, fe, patch._one, patch._mone))
 
     def __rtruediv__(self, other):
         fe = self._operand(other)
@@ -189,7 +233,8 @@ class ScalarField:
             return NotImplemented
         if not self.fe:
             raise ZeroDivisionError("division by the zero polynomial")
-        return ScalarField(self.patch, fe / self.fe)
+        patch = self.patch
+        return ScalarField(patch, _div(fe, self.fe, patch._one, patch._mone))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -198,7 +243,7 @@ class ScalarField:
             return self.patch.one  # 0^0 = 1, as for Fraction
         if n < 0 and not self.fe:
             raise ZeroDivisionError("division by the zero polynomial")
-        return ScalarField(self.patch, self.fe ** n)
+        return ScalarField(self.patch, _power(self.fe, n))
 
     def __neg__(self):
         return ScalarField(self.patch, -self.fe)
@@ -216,10 +261,16 @@ class ScalarField:
 
     def __eq__(self, other):
         if isinstance(other, ScalarField):
-            return self.patch == other.patch and self.fe == other.fe
-        if isinstance(other, (int, Fraction)):
-            return self.fe == self.patch.field.ground_new(QQ(Fraction(other)))
-        return NotImplemented
+            if other.patch is not self.patch and other.patch != self.patch:
+                return False
+            g = other.fe
+        elif isinstance(other, (int, Fraction)):
+            g = self.patch._ground(other)
+        else:
+            return NotImplemented
+        # both sides are canonical, so equal values have equal polynomials
+        f = self.fe
+        return dict.__eq__(f.numer, g.numer) and dict.__eq__(f.denom, g.denom)
 
     def __hash__(self):
         return hash((self.patch.coords, self.fe))
@@ -228,8 +279,12 @@ class ScalarField:
 
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
-        gen = self.patch.field.gens[coord]
-        return ScalarField(self.patch, self.fe.diff(gen))
+        patch, fe = self.patch, self.fe
+        one = patch._one
+        if dict.__eq__(fe.denom, one):
+            return ScalarField(
+                patch, fe.raw_new(fe.numer.diff(patch._axes[coord]), one))
+        return ScalarField(patch, fe.diff(patch.field.gens[coord]))
 
     def evaluate(self, point):
         """Exact value at a point of rationals; raises PoleError on poles."""
@@ -249,6 +304,74 @@ class ScalarField:
 
     def __repr__(self):
         return "ScalarField(%s)" % (self,)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on canonical FracElements
+#
+# The arguments are canonical; "one" and "mone" are the patch's shared
+# polynomials 1 and -1.  Denominators are compared with dict.__eq__, which
+# is what PolyElement.__eq__ does after its ring checks.
+
+
+def _add(f, g, one):
+    if not g.numer:
+        return f
+    if not f.numer:
+        return g
+    if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
+        return f.raw_new(f.numer + g.numer, one)
+    return f + g
+
+
+def _sub(f, g, one):
+    if not g.numer:
+        return f
+    if not f.numer:
+        return -g
+    if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
+        return f.raw_new(f.numer - g.numer, one)
+    return f - g
+
+
+def _mul(f, g, one, mone):
+    fn, gn = f.numer, g.numer
+    if not fn:
+        return f
+    if not gn:
+        return g
+    g_poly = dict.__eq__(g.denom, one)
+    if g_poly:
+        if dict.__eq__(gn, one):
+            return f
+        if dict.__eq__(gn, mone):
+            return -f
+    if dict.__eq__(f.denom, one):
+        if dict.__eq__(fn, one):
+            return g
+        if dict.__eq__(fn, mone):
+            return -g
+        if g_poly:
+            return f.raw_new(fn * gn, one)
+    return f * g
+
+
+def _div(f, g, one, mone):
+    if dict.__eq__(g.denom, one):
+        if dict.__eq__(g.numer, one):
+            return f
+        if dict.__eq__(g.numer, mone):
+            return -f
+    return f / g
+
+
+def _power(f, n):
+    # sympy's FracElement.__pow__ swaps numerator and denominator for n < 0
+    # without a sign fix, so (-x)^-1 would come out as 1 over -x.
+    p = f ** n
+    if p.denom.LC < 0:
+        p = p.raw_new(-p.numer, -p.denom)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +460,7 @@ class _Parser:
             if n < 0 and not fe:
                 raise ZeroDivisionError(
                     "division by the zero polynomial (at position %d)" % pos)
-            fe = fe ** n
+            fe = _power(fe, n)
         return fe
 
     def base(self):
@@ -469,4 +592,5 @@ def random_scalar(patch, rng, max_degree=2):
             d[monom] = QQ(c)
     if not d:
         return patch.zero
-    return ScalarField(patch, patch.field.new(ring.from_dict(d), ring.one))
+    # integer coefficients over 1: canonical already, no gcd needed
+    return ScalarField(patch, patch.field.raw_new(ring.from_dict(d), patch._one))

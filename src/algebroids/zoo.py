@@ -40,7 +40,7 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig
-from .scalars import Patch, parse_scalar, random_scalar
+from .scalars import Patch, _coeff_fraction, parse_scalar, random_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +708,6 @@ def _matrix_inverse(rows, patch):
     return T
 
 
-def _qq_fraction(c):
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
 def parallel_frame_search(iis, degree=2):
     """Sections of a complement of J whose classes in A/J are parallel
     along every F_M frame, found exactly by a polynomial coefficient
@@ -801,7 +797,7 @@ def parallel_frame_search(iis, degree=2):
                 idx = cexps.index(1)
                 key = exps[:dim]
                 row = equations.setdefault(key, [Fraction(0)] * nunk)
-                row[idx] += _qq_fraction(coeff)
+                row[idx] += _coeff_fraction(coeff)
 
     rows = [equations[k] for k in sorted(equations)]
     solutions = _fraction_nullspace(rows, nunk) if rows else [

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
 
 from algebroids.scalars import (
-    Patch, PoleError, ScalarParseError,
+    Patch, PoleError, ScalarField, ScalarParseError,
     evaluate, parse_scalar, partial_derivative, random_scalar,
 )
 
@@ -259,6 +260,126 @@ def test_parser_against_fraction_oracle(ast):
         except ZeroDivisionError:
             continue
         assert f.evaluate([px, py]) == expected
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: every operation returns sympy's canonical form
+#
+# The oracle is FracField.new, which always cancels.  Operands are built
+# through it too, so they are canonical whatever ScalarField does; results
+# are compared on the stored (numerator, denominator) pair, which is what
+# the cancel-free fast path must get exactly right.
+
+def _qq(v):
+    v = Fraction(v)
+    return QQ(v.numerator, v.denominator)
+
+
+small_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-4, 4))
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+frac_dicts = st.dictionaries(monoms, fractions, max_size=4)
+
+scalar_specs = st.one_of(
+    st.tuples(st.just("const"), st.one_of(small_ints, fractions)),
+    st.tuples(st.just("poly"), poly_dicts),    # integer coefficients
+    st.tuples(st.just("poly"), frac_dicts),    # rational coefficients
+    st.tuples(st.just("ratfn"), poly_dicts, poly_dicts),
+)
+operand_specs = st.one_of(
+    scalar_specs,
+    st.tuples(st.just("int"), small_ints),
+    st.tuples(st.just("fraction"), fractions),
+)
+
+
+def build(patch, spec):
+    """The operand for an operator, and its canonical FracElement."""
+    field, ring = patch.field, patch.field.ring
+    kind = spec[0]
+    if kind in ("int", "fraction"):
+        return spec[1], field.new(ring.ground_new(_qq(spec[1])))
+    if kind == "const":
+        fe = field.new(ring.ground_new(_qq(spec[1])))
+    elif kind == "poly":
+        fe = field.new(ring.from_dict({m: _qq(c) for m, c in spec[1].items()}))
+    else:
+        num = ring.from_dict({m: _qq(c) for m, c in spec[1].items()})
+        den = ring.from_dict({m: _qq(c) for m, c in spec[2].items()})
+        fe = field.new(num, den or ring.gens[0] + 1)
+    return ScalarField(patch, fe), fe
+
+
+def assert_canonical(patch, got, num, den):
+    ring = patch.field.ring
+    want = patch.field.new(ring(num), ring(den))
+    assert (got.fe.numer, got.fe.denom) == (want.numer, want.denom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_specs, operand_specs)
+def test_arithmetic_matches_sympy_canonical_form(spec_f, spec_g):
+    patch = Patch(["x", "y"])
+    f, F = build(patch, spec_f)
+    g, G = build(patch, spec_g)
+    sum_num = F.numer * G.denom + G.numer * F.denom
+    diff_num = F.numer * G.denom - G.numer * F.denom
+    den = F.denom * G.denom
+    assert_canonical(patch, f + g, sum_num, den)
+    assert_canonical(patch, g + f, sum_num, den)
+    assert_canonical(patch, f - g, diff_num, den)
+    assert_canonical(patch, g - f, -diff_num, den)   # reflected for int/Fraction g
+    assert_canonical(patch, f * g, F.numer * G.numer, den)
+    assert_canonical(patch, g * f, F.numer * G.numer, den)
+    if G:
+        assert_canonical(patch, f / g, F.numer * G.denom, F.denom * G.numer)
+    if F:
+        assert_canonical(patch, g / f, G.numer * F.denom, G.denom * F.numer)
+        assert_canonical(patch, f ** -1, F.denom, F.numer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_specs)
+def test_diff_matches_sympy_canonical_form(spec):
+    patch = Patch(["x", "y"])
+    f, F = build(patch, spec)
+    for i, x in enumerate(patch.field.ring.gens):
+        assert_canonical(patch, f.diff(i),
+                         F.numer.diff(x) * F.denom - F.numer * F.denom.diff(x),
+                         F.denom ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalar_specs, st.sampled_from([1, -1]), st.booleans())
+def test_unit_operands(spec, u, wrapped):
+    patch = Patch(["x", "y"])
+    f, F = build(patch, spec)
+    unit = patch.scalar(u) if wrapped else u
+    assert_canonical(patch, 1 / patch.scalar(u), u, 1)
+    assert_canonical(patch, f / unit, F.numer * u, F.denom)
+    assert_canonical(patch, f * unit, F.numer * u, F.denom)
+    assert_canonical(patch, unit * f, F.numer * u, F.denom)
+    assert_canonical(patch, f * 0, 0, 1)
+    assert_canonical(patch, f + 0, F.numer, F.denom)
+    assert_canonical(patch, 0 - f, -F.numer, F.denom)
+
+
+def test_constant_denominator_is_not_one(patch):
+    # x/2 is stored as x over 2; a fast path that tests for a constant
+    # denominator instead of the denominator 1 gets these sums wrong
+    x = patch.coordinate(0)
+    half = x / 2
+    assert (half.fe.numer, half.fe.denom) == (x.fe.numer, 2 * patch.field.ring.one)
+    for total in (half + half, 2 * half, half * 2, (x + x) / 2):
+        assert total == x
+        assert (total.fe.numer, total.fe.denom) == (x.fe.numer, x.fe.denom)
+    assert half - half == 0 and (half * half).fe.denom == 4
+
+
+def test_negative_power_is_canonical(patch):
+    # sympy's own FracElement.__pow__ would leave 1 over -x here
+    assert parse_scalar("(-x)^-1", patch) == parse_scalar("-1/x", patch)
+    assert patch.scalar(-1) ** -1 == -1
+    assert patch.scalar(Fraction(-2, 3)) ** -3 == Fraction(-27, 8)
 
 
 # ---------------------------------------------------------------------------
