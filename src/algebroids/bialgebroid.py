@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 from .algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
                         check_algebroid, rho_rhot, side_B, side_Q)
-from .bundles import (Frame, FrameError, Section, Subbundle, TrivialBundle,
-                      annihilator, apply_matrix, canonical_pairing,
-                      complement, degenerate_pairing, matrix_rank, membership,
-                      nullspace, random_section, solve_with_witness)
+from .bundles import (Frame, FrameError, Section, Solver, Subbundle,
+                      TrivialBundle, annihilator, apply_matrix,
+                      canonical_pairing, complement, degenerate_pairing,
+                      matrix_rank, membership, nullspace, random_section)
 from .cartan import tangent
 from .courant import check_courant_morphism, degenerate_courant
 from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
@@ -465,8 +465,8 @@ class QuotientCourant:
         self.W = complement(K)
         # columns of the K-frame followed by the complement, for reduction
         mixed = list(K.frame.sections) + list(self.W.sections)
-        self._tau_cols = [[m.components[r] for m in mixed]
-                          for r in range(self.B.rank)]
+        self._tau = Solver([[m.components[r] for m in mixed]
+                            for r in range(self.B.rank)], patch)
         self.axioms_checked = False
         self._graph = None
 
@@ -528,9 +528,7 @@ class QuotientCourant:
 
     def coordinates(self, c):
         """Coefficients of the class of c over frame_sections()."""
-        patch = self.patch
-        status, data = solve_with_witness(
-            self._tau_cols, list(c.components[self.rU:]), patch)
+        status, data = self._tau.solve(c.components[self.rU:])
         if status != "solution":
             raise RuntimeError("K-frame and complement failed to span")
         k = self.B.zero_section()
@@ -683,12 +681,6 @@ def build_courant_C(triple, config=None, verify=True):
                       alg_U=alg_U, triple=triple)
 
 
-def _coordinate_membership(coords, basis_coords, patch):
-    cols = [[b[i] for b in basis_coords] for i in range(len(coords))]
-    status, data = solve_with_witness(cols, list(coords), patch)
-    return (status == "solution"), data
-
-
 def check_manin_pair(mp, config=None, prefix="manin"):
     """Certify the Manin-pair conditions: the distinguished subbundle is
     Dirac in the carrier with induced bracket the one of alg_U, Phi is a
@@ -700,6 +692,7 @@ def check_manin_pair(mp, config=None, prefix="manin"):
     results = []
 
     ucoords = [C.coordinates(u) for u in U_in_C.frame]
+    usolver = Solver([[u[i] for u in ucoords] for i in range(n)], patch)
 
     check = Check("%s.isotropic" % prefix, config)
     for p, u1 in enumerate(U_in_C.frame):
@@ -726,8 +719,7 @@ def check_manin_pair(mp, config=None, prefix="manin"):
         frames = C.frame_sections()
         rows = [[C.pairing(u, fj) for fj in frames] for u in U_in_C.frame]
         for v in nullspace(rows, patch, ncols=n):
-            inside, _ = _coordinate_membership(v, ucoords, patch)
-            if not inside:
+            if usolver.solve(v)[0] != "solution":
                 check.witness(v, perp="basis vector")
         results.append(check.result())
 
@@ -736,9 +728,8 @@ def check_manin_pair(mp, config=None, prefix="manin"):
     for p, u1 in enumerate(U_in_C.frame):
         for q, u2 in enumerate(U_in_C.frame):
             value = C.bracket(u1, u2)
-            inside, coeffs = _coordinate_membership(C.coordinates(value),
-                                                    ucoords, patch)
-            if not inside:
+            status, coeffs = usolver.solve(C.coordinates(value))
+            if status != "solution":
                 closed.witness(value, u1="u%d" % p, u2="u%d" % q)
                 continue
             expected = alg_U.bracket[p][q]
@@ -754,9 +745,7 @@ def check_manin_pair(mp, config=None, prefix="manin"):
         d1 = _u_combination(U_in_C, rng, closed.config.max_degree)
         d2 = _u_combination(U_in_C, rng, closed.config.max_degree)
         value = C.bracket(d1, d2)
-        inside, _ = _coordinate_membership(C.coordinates(value), ucoords,
-                                           patch)
-        if not inside:
+        if usolver.solve(C.coordinates(value))[0] != "solution":
             closed.witness(value, d1="random#%d.1" % t, d2="random#%d.2" % t)
     results.append(closed.result())
     results.append(induced.result())

@@ -10,6 +10,19 @@ determinant is a nonzero rational function; everything downstream is valid
 on the Zariski-open locus where that minor does not vanish, and the minor
 itself is available for reporting (certificate_minor).
 
+Frames and sections are never mutated after construction.  That is what
+lets each Frame keep one Solver, built on its first membership test: the
+Solver eliminates the column matrix once with a tracked rref, keeping the
+transform T (T*A = R) and the pivots, and every later right-hand side b is
+answered from y = T*b.  This gives the same solution and the same witness
+as eliminating the augmented matrix [A | b] afresh.  The row swaps and
+eliminations in columns 0..k-1 depend only on those columns, so after them
+the augmented column is exactly T*b.  A pivot in column k is then the
+lowest row i >= rank with y[i] != 0, and its witness row is T[i] scaled by
+1/y[i]; otherwise the solution is y read off at the pivots.  Scalars are
+canonical, so equal values print identically and witnesses stay
+byte-for-byte the same.
+
 Matrix convention used across the package: a bundle map acts by ordinary
 matrix-vector multiplication, so column j holds the components of the image
 of the j-th standard basis section.  An anchor rho on A has shape
@@ -26,7 +39,7 @@ __all__ = [
     "TrivialBundle", "Section", "Frame", "Subbundle",
     "direct_sum", "canonical_pairing", "degenerate_pairing",
     "annihilator", "membership", "complement", "perp_under_gram",
-    "rref", "nullspace", "matrix_rank", "det", "solve_with_witness",
+    "rref", "nullspace", "matrix_rank", "det", "Solver", "solve_with_witness",
     "random_section", "apply_matrix", "FrameError",
 ]
 
@@ -151,7 +164,7 @@ class Frame:
     with lowest-index pivoting, so it is deterministic).
     """
 
-    __slots__ = ("bundle", "sections", "rank_certificate")
+    __slots__ = ("bundle", "sections", "rank_certificate", "_solver")
 
     def __init__(self, bundle, sections):
         sections = tuple(sections)
@@ -166,10 +179,20 @@ class Frame:
         self.bundle = bundle
         self.sections = sections
         self.rank_certificate = tuple(pivots)
+        self._solver = None
 
     @property
     def rank(self):
         return len(self.sections)
+
+    def solver(self):
+        """Solver over the frame's columns, built on first use and kept
+        (a frame is never mutated)."""
+        if self._solver is None:
+            cols = [[s.components[i] for s in self.sections]
+                    for i in range(self.bundle.rank)]
+            self._solver = Solver(cols, self.bundle.patch)
+        return self._solver
 
     def certificate_minor(self):
         """Determinant of the certified maximal minor (nonzero by construction)."""
@@ -319,24 +342,44 @@ def det(rows, patch):
     return result if sign == 1 else -result
 
 
-def solve_with_witness(columns_matrix, rhs, patch):
-    """Solve A x = rhs exactly, or produce a left witness of inconsistency.
+class Solver:
+    """A x = b for one fixed A and any number of right-hand sides.
 
-    A is given as a list of rows (shape n x k).  Returns ("solution", x)
-    with x of length k, or ("witness", w) with w a covector of length n
-    satisfying w*A = 0 and w*rhs != 0.
+    A is given as a list of rows (shape n x k) and eliminated once, with
+    the transform kept; solve(b) then costs one matrix-vector product.
+    The answers equal those of eliminating [A | b] each time (see the
+    module docstring).
     """
-    n = len(columns_matrix)
-    k = len(columns_matrix[0]) if n else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(columns_matrix)]
-    R, T, pivots = rref(aug, patch, track=True)
-    if k in pivots:
-        row = pivots.index(k)
-        return "witness", T[row]
-    x = [patch.zero] * k
-    for j, c in enumerate(pivots):
-        x[c] = R[j][k]
-    return "solution", x
+
+    __slots__ = ("patch", "ncols", "pivots", "T")
+
+    def __init__(self, columns_matrix, patch):
+        _, T, pivots = rref(columns_matrix, patch, track=True)
+        self.patch = patch
+        self.ncols = len(columns_matrix[0]) if columns_matrix else 0
+        self.pivots = pivots
+        self.T = T
+
+    def solve(self, rhs):
+        """("solution", x) with x of length k, or ("witness", w) with w a
+        covector of length n satisfying w*A = 0 and w*rhs != 0."""
+        patch, T = self.patch, self.T
+        rank = len(self.pivots)
+        for i in range(rank, len(T)):
+            y = _dot(patch, T[i], rhs)
+            if not y.is_zero():
+                inv = 1 / y
+                return "witness", [inv * t for t in T[i]]
+        x = [patch.zero] * self.ncols
+        for j, c in enumerate(self.pivots):
+            x[c] = _dot(patch, T[j], rhs)
+        return "solution", x
+
+
+def solve_with_witness(columns_matrix, rhs, patch):
+    """Solve A x = rhs exactly, or produce a left witness of inconsistency
+    (Solver.solve for a one-off A)."""
+    return Solver(columns_matrix, patch).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +480,8 @@ def perp_under_gram(U, gram, twin):
 def _dot(patch, xs, ys):
     total = patch.zero
     for a, b in zip(xs, ys):
-        total = total + a * b
+        if a and b:
+            total = total + a * b
     return total
 
 
@@ -465,13 +509,8 @@ def membership(s, U):
     """
     if s.bundle != U.ambient:
         raise ValueError("section and subbundle have different ambient bundles")
-    patch = s.bundle.patch
-    n = U.ambient.rank
-    cols = [[u.components[i] for u in U.frame] for i in range(n)]
-    status, data = solve_with_witness(cols, list(s.components), patch)
-    if status == "solution":
-        return True, data
-    return False, data
+    status, data = U.frame.solver().solve(s.components)
+    return status == "solution", data
 
 
 def complement(U):

@@ -19,9 +19,9 @@ carriers can reuse it.
 from __future__ import annotations
 
 from .algebroid import DullAlgebroid, AnchoredBundle, side_B
-from .bundles import (Frame, Section, Subbundle, TrivialBundle, apply_matrix,
-                      complement, det, direct_sum, membership, nullspace,
-                      random_section, solve_with_witness)
+from .bundles import (Frame, Section, Solver, Subbundle, TrivialBundle,
+                      apply_matrix, complement, det, direct_sum, membership,
+                      nullspace, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check
 from .scalars import random_scalar
@@ -532,15 +532,13 @@ class BottDorfman:
         self.quotient = TrivialBundle(patch, len(self.W),
                                       "%s/D" % C.bundle.name)
         mixed = list(D.frame.sections) + list(self.W.sections)
-        self._cols = [[m.components[r] for m in mixed]
-                      for r in range(C.rank)]
+        self._solver = Solver([[m.components[r] for m in mixed]
+                               for r in range(C.rank)], patch)
         self.table = [[self.eval(d, w) for w in self.W] for d in D.frame]
 
     def reduce(self, c):
         """Class of c in C/D: the complement coefficients of c."""
-        patch = self.C.patch
-        status, data = solve_with_witness(self._cols, list(c.components),
-                                          patch)
+        status, data = self._solver.solve(c.components)
         if status != "solution":
             raise RuntimeError("complement failed to span the carrier")
         return Section(self.quotient, data[self.D.rank:])

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
                         check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import (Section, annihilator, canonical_pairing, complement,
-                      membership, solve_with_witness)
+from .bundles import (Section, Solver, annihilator, canonical_pairing,
+                      complement, membership)
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
 from .scalars import random_scalar
@@ -365,11 +365,11 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
             else:
                 g[p][q] = lift_vf(lie_bracket_vf(pr(mixed[p]), pr(mixed[q])))
 
-    cols = [[m.components[r] for m in mixed] for r in range(n)]
+    solver = Solver([[m.components[r] for m in mixed] for r in range(n)],
+                    patch)
     coeffs = []
     for i in range(n):
-        status, data = solve_with_witness(
-            cols, list(Q.basis_section(i).components), patch)
+        status, data = solver.solve(Q.basis_section(i).components)
         if status != "solution":
             raise RuntimeError("mixed frame failed to span the ambient bundle")
         coeffs.append(data)

@@ -84,7 +84,8 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone")
+    __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone",
+                 "zero", "one")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -108,6 +109,11 @@ class Patch:
         self._one = ring.one
         self._mone = -self._one
         self._gens = tuple(ScalarField(self, g) for g in self.field.gens)
+        # the kernels read zero and one as the start of every sum and in
+        # every basis section; one shared object each is safe because no
+        # ScalarField is ever mutated
+        self.zero = ScalarField(self, self.field.zero)
+        self.one = ScalarField(self, self.field.one)
 
     @property
     def dim(self):
@@ -116,14 +122,6 @@ class Patch:
     def coordinate(self, i):
         """The i-th coordinate function as a ScalarField."""
         return self._gens[i]
-
-    @property
-    def zero(self):
-        return ScalarField(self, self.field.zero)
-
-    @property
-    def one(self):
-        return ScalarField(self, self.field.one)
 
     def scalar(self, value):
         """Coerce an int, Fraction, str or ScalarField to a ScalarField."""
@@ -273,6 +271,13 @@ class ScalarField:
         return dict.__eq__(f.numer, g.numer) and dict.__eq__(f.denom, g.denom)
 
     def __hash__(self):
+        # equal values must hash equally, and a constant equals its int or
+        # Fraction (patch.scalar(3) == 3), so a constant hashes as one
+        num, den = self.fe.numer, self.fe.denom
+        if num.is_ground and den.is_ground:
+            n, d = num.LC, den.LC
+            return hash(Fraction(n.numerator * d.denominator,
+                                 n.denominator * d.numerator))
         return hash((self.patch.coords, self.fe))
 
     # -- calculus -----------------------------------------------------

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from algebroids import bundles
 from algebroids.scalars import Patch, parse_scalar
 from algebroids.bundles import (
-    Frame, FrameError, Section, Subbundle, TrivialBundle,
+    Frame, FrameError, Section, Solver, Subbundle, TrivialBundle,
     annihilator, canonical_pairing, complement, degenerate_pairing,
     det, direct_sum, matrix_rank, membership, nullspace, random_section,
     rref, solve_with_witness,
@@ -286,3 +288,111 @@ def test_solve_with_witness_consistency(patch):
                 assert val.is_zero()
             val = sum((w * rhs[i] for i, w in enumerate(data)), patch.zero)
             assert not val.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Solver: one elimination per column matrix, same answers as the augmented
+# elimination it replaced
+
+def augmented_solve(cols, rhs, patch):
+    """Reference: eliminate [A | rhs] afresh and read the answer off it."""
+    n = len(cols)
+    k = len(cols[0]) if n else 0
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(cols)]
+    R, T, pivots = rref(aug, patch, track=True)
+    if k in pivots:
+        return "witness", T[pivots.index(k)]
+    x = [patch.zero] * k
+    for j, c in enumerate(pivots):
+        x[c] = R[j][k]
+    return "solution", x
+
+
+def assert_same_as_augmented(cols, rhs, patch):
+    status, data = Solver(cols, patch).solve(rhs)
+    want_status, want = augmented_solve(cols, rhs, patch)
+    assert status == want_status
+    assert [str(v) for v in data] == [str(v) for v in want]
+    return status
+
+
+SOLVER_PATCH = Patch(["x", "y"])
+ENTRIES = ["0", "0", "0", "1", "-2", "3/4", "x", "x*y - 1", "x^2 + y",
+           "1/x", "(x + 1)/(y - 2)", "y/(x^2 + 1)"]
+entries = st.sampled_from(ENTRIES).map(
+    lambda e: parse_scalar(e, SOLVER_PATCH))
+
+
+@st.composite
+def solver_cases(draw):
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 3)) if n else 0
+    cols = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    if k >= 2 and draw(st.booleans()):
+        # last column a multiple of the first: rank-deficient
+        f = draw(entries)
+        for row in cols:
+            row[-1] = f * row[0]
+    if draw(st.booleans()):
+        # rhs in the column span: the solution branch with real values
+        c = [draw(entries) for _ in range(k)]
+        rhs = [sum((a * b for a, b in zip(row, c)), SOLVER_PATCH.zero)
+               for row in cols]
+    else:
+        rhs = [draw(entries) for _ in range(n)]
+    return cols, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(solver_cases())
+def test_solver_matches_augmented_elimination(case):
+    cols, rhs = case
+    assert_same_as_augmented(cols, rhs, SOLVER_PATCH)
+
+
+def test_solver_edge_cases(patch):
+    def p(text):
+        return parse_scalar(text, patch)
+
+    zero, one, x = patch.zero, patch.one, patch.coordinate(0)
+    # no rows
+    assert assert_same_as_augmented([], [], patch) == "solution"
+    # no columns: any nonzero rhs is inconsistent
+    assert assert_same_as_augmented([[], []], [zero, zero],
+                                    patch) == "solution"
+    assert assert_same_as_augmented([[], [], []], [zero, p("1/x"), x],
+                                    patch) == "witness"
+    # rank-deficient, rhs inside and outside the span
+    cols = [[x, x * x], [one, x], [p("1/y"), p("x/y")]]
+    assert assert_same_as_augmented(cols, [x, one, p("1/y")],
+                                    patch) == "solution"
+    assert assert_same_as_augmented(cols, [x, zero, p("1/y")],
+                                    patch) == "witness"
+    # full rank: every rhs has a solution
+    assert assert_same_as_augmented([[x, one], [zero, p("y/(x+1)")]],
+                                    [p("x^2"), p("1/y")],
+                                    patch) == "solution"
+
+
+def test_frame_eliminates_once(patch, monkeypatch):
+    tracked = []
+    real_rref = bundles.rref
+
+    def counting_rref(rows, patch, track=False):
+        if track:
+            tracked.append(len(rows))
+        return real_rref(rows, patch, track)
+
+    monkeypatch.setattr(bundles, "rref", counting_rref)
+    TM = TrivialBundle(patch, 3, "TM")
+    sections = [TM.section(["1", "x", "0"]), TM.section(["0", "y", "1/x"])]
+    U = Subbundle(TM, Frame(TM, sections))
+    inside = TM.section(["x", "x*x + y", "1/x"])
+    outside = TM.basis_section(2)
+    assert membership(inside, U)[0]
+    assert not membership(outside, U)[0]
+    assert len(tracked) == 1
+    # an equal frame is a new object and builds its own solver
+    V = Subbundle(TM, Frame(TM, sections))
+    assert membership(inside, V) == membership(inside, U)
+    assert len(tracked) == 2

@@ -405,3 +405,17 @@ def test_cross_patch_rejected():
     p1, p2 = Patch(["x", "y"]), Patch(["u", "v"])
     with pytest.raises(ValueError):
         p1.coordinate(0) + p2.coordinate(0)
+
+
+def test_constant_hash_agrees_with_equality(patch):
+    for value in (3, -7, Fraction(3, 4), Fraction(-5, 2), 0):
+        c = patch.scalar(value)
+        assert c == value
+        assert hash(c) == hash(value)
+        assert {value: "a"}[c] == "a"
+        assert len({c, value}) == 1
+    assert patch.zero == 0 and hash(patch.zero) == hash(0)
+    assert hash(parse_scalar("6/8", patch)) == hash(Fraction(3, 4))
+    x = patch.coordinate(0)
+    assert hash(x) == hash(parse_scalar("x", patch))
+    assert (x - x) == 0 and hash(x - x) == hash(0)
