@@ -12,7 +12,10 @@ def main():
     code = cli.main(["check", "im2form", "nonclosed-zdxdy", "--seed", "1",
                      "--format", "text"])
     print()
-    print("exit status %d, as expected for a failing instance" % code)
+    if code != 1:
+        print("exit status %d, but a failing instance should exit 1" % code)
+        return 1
+    print("exit status 1, as expected for a failing instance")
     return 0
 
 

@@ -40,7 +40,8 @@ from .algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
 from .bundles import (Frame, FrameError, Section, Solver, Subbundle,
                       TrivialBundle, annihilator, apply_matrix,
                       canonical_pairing, complement, degenerate_pairing,
-                      matrix_rank, membership, nullspace, random_section)
+                      matrix_rank, membership, nullspace, random_combination,
+                      random_section)
 from .cartan import tangent
 from .courant import check_courant_morphism, degenerate_courant
 from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
@@ -94,13 +95,6 @@ class LADiracTriple:
 
 def _a_section(alg, comps):
     return Section(alg.bundle, list(comps))
-
-
-def _u_combination(U, rng, max_degree):
-    out = U.ambient.zero_section()
-    for s in U.frame:
-        out = out + random_scalar(U.patch, rng, max_degree) * s
-    return out
 
 
 def _labelled_frames(bundle, tag):
@@ -202,9 +196,9 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
         for t in range(check.config.trials):
             pairs.append((
                 ("random#%d.1" % t,
-                 _u_combination(U, rng, check.config.max_degree)),
+                 random_combination(U, rng, check.config.max_degree)),
                 ("random#%d.2" % t,
-                 _u_combination(U, rng, check.config.max_degree))))
+                 random_combination(U, rng, check.config.max_degree))))
         taus = _labelled_frames(B, "e")
         for (l1, u1), (l2, u2) in pairs:
             for lt, tau in taus:
@@ -363,7 +357,7 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
         for s in K.frame:
             k = k + random_scalar(patch, rng, check.config.max_degree) * s
         pairs.append((("random#%d.u" % t,
-                       _u_combination(U, rng, check.config.max_degree)),
+                       random_combination(U, rng, check.config.max_degree)),
                       ("random#%d.k" % t, k)))
     for (lu, u), (lk, k) in pairs:
         residual = rho_rhot(alg, dorfman_eval(D, u, k), target=Q) \
@@ -380,10 +374,10 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
                for p in range(U.rank) for q in range(U.rank)]
     for t in range(check.config.trials):
         u_pairs.append((
-            ("random#%d.1" % t, _u_combination(U, rng,
-                                               check.config.max_degree)),
-            ("random#%d.2" % t, _u_combination(U, rng,
-                                               check.config.max_degree))))
+            ("random#%d.1" % t, random_combination(U, rng,
+                                                   check.config.max_degree)),
+            ("random#%d.2" % t, random_combination(U, rng,
+                                                   check.config.max_degree))))
     taus = _b_elements(B, flipped, 1)
     for (l1, u), (l2, v) in u_pairs:
         for lt, tau in taus:
@@ -742,8 +736,8 @@ def check_manin_pair(mp, config=None, prefix="manin"):
                     break
     rng = closed.rng()
     for t in range(closed.config.trials):
-        d1 = _u_combination(U_in_C, rng, closed.config.max_degree)
-        d2 = _u_combination(U_in_C, rng, closed.config.max_degree)
+        d1 = random_combination(U_in_C, rng, closed.config.max_degree)
+        d2 = random_combination(U_in_C, rng, closed.config.max_degree)
         value = C.bracket(d1, d2)
         if usolver.solve(C.coordinates(value))[0] != "solution":
             closed.witness(value, d1="random#%d.1" % t, d2="random#%d.2" % t)

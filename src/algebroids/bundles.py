@@ -40,7 +40,7 @@ __all__ = [
     "direct_sum", "canonical_pairing", "degenerate_pairing",
     "annihilator", "membership", "complement", "perp_under_gram",
     "rref", "nullspace", "matrix_rank", "det", "Solver", "solve_with_witness",
-    "random_section", "apply_matrix", "FrameError",
+    "random_section", "random_combination", "apply_matrix", "FrameError",
 ]
 
 
@@ -514,24 +514,32 @@ def membership(s, U):
 
 
 def complement(U):
-    """Deterministic complement: greedily append standard basis sections in
-    index order, keeping those that increase the rank."""
-    patch = U.patch
-    rows = [list(s.components) for s in U.frame]
-    kept = []
-    current = len(rows)
-    for i in range(U.ambient.rank):
-        e = U.ambient.basis_section(i)
-        candidate = rows + [list(e.components)]
-        if matrix_rank(candidate, patch) > current:
-            rows = candidate
-            current += 1
-            kept.append(e)
-        if current == U.ambient.rank:
-            break
-    return Frame(U.ambient, kept)
+    """Deterministic complement: the standard basis sections, in index
+    order, that increase the rank of the frame and of those kept before.
+
+    One elimination of the n x (k+n) matrix whose columns are the k frame
+    sections and then e_0..e_{n-1}: pivot columns are the greedy
+    left-to-right independent set, so e_i is kept exactly when column k+i
+    is a pivot (the frame's own k columns are independent)."""
+    patch, n = U.patch, U.ambient.rank
+    k = U.frame.rank
+    rows = [[s.components[i] for s in U.frame]
+            + [patch.one if i == j else patch.zero for j in range(n)]
+            for i in range(n)]
+    _, _, pivots = rref(rows, patch)
+    return Frame(U.ambient, [U.ambient.basis_section(c - k)
+                             for c in pivots if c >= k])
 
 
 def random_section(bundle, rng, max_degree=2):
     return Section(bundle, [random_scalar(bundle.patch, rng, max_degree)
                             for _ in range(bundle.rank)])
+
+
+def random_combination(U, rng, max_degree=2):
+    """A random section of the subbundle U: the frame sections with random
+    polynomial coefficients, drawn in frame order."""
+    out = U.ambient.zero_section()
+    for s in U.frame:
+        out = out + random_scalar(U.patch, rng, max_degree) * s
+    return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .algebroid import DullAlgebroid, AnchoredBundle, side_B
 from .bundles import (Frame, Section, Solver, Subbundle, TrivialBundle,
                       apply_matrix, complement, det, direct_sum, membership,
-                      nullspace, random_section)
+                      nullspace, random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check
 from .scalars import random_scalar
@@ -314,13 +314,6 @@ def check_courant_axioms(C, config=None, prefix="courant"):
 # Dirac structures
 
 
-def _random_combination(U, rng, max_degree):
-    out = U.ambient.zero_section()
-    for s in U.frame:
-        out = out + random_scalar(U.patch, rng, max_degree) * s
-    return out
-
-
 def check_dirac(C, D, config=None, prefix="dirac"):
     """Half rank, isotropy, self-perpendicularity, and bracket closure of a
     subbundle of the carrier.  On degenerate carriers the two rank-based
@@ -374,9 +367,9 @@ def check_dirac(C, D, config=None, prefix="dirac"):
     for t in range(check.config.trials):
         pairs.append((
             ("random#%d.1" % t,
-             _random_combination(D, rng, check.config.max_degree)),
+             random_combination(D, rng, check.config.max_degree)),
             ("random#%d.2" % t,
-             _random_combination(D, rng, check.config.max_degree))))
+             random_combination(D, rng, check.config.max_degree))))
     for (l1, d1), (l2, d2) in pairs:
         value = C.bracket(d1, d2)
         inside, _ = membership(value, D)

@@ -28,6 +28,23 @@ a fast path that skips the cancellation where it cannot change anything:
   cancels: the sum or product of two reduced fractions need not be
   reduced.
 
+Partial derivatives are taken once per distinct value, because the
+kernels differentiate the same components again for every vector field:
+
+* A constant (numerator and denominator both ground, 0 and 1/2 included)
+  has derivative 0 and returns the shared patch.zero without building
+  anything.  Most diff calls are on constants, most of those on 0.
+* A polynomial over 1 keeps the cancel-free path above; it is cheap, so
+  it is not memoised.
+* Any other value is differentiated by sympy's FracElement.diff, which
+  cancels with a gcd, and the result is memoised in a dict on the Patch
+  keyed by (fe, coord).  The key is the value, not the object: equal
+  rational scalars are rebuilt as new objects all the time, so a slot on
+  each object would miss where the value key hits.  Only rational values
+  are kept, which are few and costly; keeping the many cheap polynomial
+  ones would only cost memory.  The memo lives exactly as long as its
+  patch, and no ScalarField is ever mutated, so sharing a result is safe.
+
 Grammar accepted by parse_scalar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
@@ -85,7 +102,7 @@ class Patch:
     """
 
     __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone",
-                 "zero", "one")
+                 "zero", "one", "_diffs")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -114,6 +131,8 @@ class Patch:
         # ScalarField is ever mutated
         self.zero = ScalarField(self, self.field.zero)
         self.one = ScalarField(self, self.field.one)
+        # ScalarField.diff of rational values, keyed by (fe, coord)
+        self._diffs = {}
 
     @property
     def dim(self):
@@ -285,11 +304,21 @@ class ScalarField:
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
         patch, fe = self.patch, self.fe
+        num, den = fe.numer, fe.denom
         one = patch._one
-        if dict.__eq__(fe.denom, one):
+        if dict.__eq__(den, one):
+            if num.is_ground:
+                return patch.zero
             return ScalarField(
-                patch, fe.raw_new(fe.numer.diff(patch._axes[coord]), one))
-        return ScalarField(patch, fe.diff(patch.field.gens[coord]))
+                patch, fe.raw_new(num.diff(patch._axes[coord]), one))
+        if num.is_ground and den.is_ground:
+            return patch.zero
+        key = (fe, coord)
+        d = patch._diffs.get(key)
+        if d is None:
+            d = patch._diffs[key] = ScalarField(
+                patch, fe.diff(patch.field.gens[coord]))
+        return d
 
     def evaluate(self, point):
         """Exact value at a point of rationals; raises PoleError on poles."""

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from algebroids import bundles
 from algebroids.scalars import Patch, parse_scalar
@@ -215,6 +215,65 @@ def test_complement_full_rank(patch):
     W = complement(U)
     rows = [list(s.components) for s in U.frame] + [list(s.components) for s in W]
     assert matrix_rank(rows, patch) == 4
+
+
+def greedy_complement(U):
+    """Reference: append standard basis sections in index order, keeping
+    each one that raises the rank of the rows kept so far."""
+    patch = U.patch
+    rows = [list(s.components) for s in U.frame]
+    kept = []
+    current = len(rows)
+    for i in range(U.ambient.rank):
+        e = U.ambient.basis_section(i)
+        candidate = rows + [list(e.components)]
+        if matrix_rank(candidate, patch) > current:
+            rows = candidate
+            current += 1
+            kept.append(e)
+        if current == U.ambient.rank:
+            break
+    return kept
+
+
+@st.composite
+def complement_cases(draw):
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    bundle = TrivialBundle(SOLVER_PATCH, n, "E")
+    sections = [Section(bundle, [draw(entries) for _ in range(n)])
+                for _ in range(k)]
+    try:
+        frame = Frame(bundle, sections)
+    except FrameError:
+        assume(False)
+    return Subbundle(bundle, frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complement_cases())
+def test_complement_matches_greedy_loop(U):
+    got = [s.components for s in complement(U)]
+    assert got == [s.components for s in greedy_complement(U)]
+    assert len(got) == U.ambient.rank - U.rank
+
+
+def test_complement_eliminates_once(patch, monkeypatch):
+    calls = []
+    real_rref = bundles.rref
+
+    def counting_rref(rows, patch, track=False):
+        calls.append(len(rows))
+        return real_rref(rows, patch, track)
+
+    TM = TrivialBundle(patch, 4, "TM")
+    U = Subbundle(TM, Frame(TM, [TM.section(["0", "1", "x", "0"])]))
+    monkeypatch.setattr(bundles, "rref", counting_rref)
+    W = complement(U)
+    # one elimination, plus the certificate of the returned frame
+    assert calls == [4, 3]
+    assert [s.components for s in W] == [TM.basis_section(i).components
+                                         for i in (0, 1, 3)]
 
 
 # ---------------------------------------------------------------------------

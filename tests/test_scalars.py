@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
+from sympy.polys.fields import FracElement
 
 from algebroids.scalars import (
     Patch, PoleError, ScalarField, ScalarParseError,
@@ -341,11 +342,63 @@ def test_arithmetic_matches_sympy_canonical_form(spec_f, spec_g):
 @given(scalar_specs)
 def test_diff_matches_sympy_canonical_form(spec):
     patch = Patch(["x", "y"])
-    f, F = build(patch, spec)
+    assert_quotient_rule(patch, *build(patch, spec))
+
+
+def assert_quotient_rule(patch, f, F):
     for i, x in enumerate(patch.field.ring.gens):
         assert_canonical(patch, f.diff(i),
                          F.numer.diff(x) * F.denom - F.numer * F.denom.diff(x),
                          F.denom ** 2)
+
+
+# one patch for every example, so later examples hit the diff memo that
+# earlier ones filled
+SHARED_PATCH = Patch(["x", "y"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scalar_specs, min_size=1, max_size=4))
+def test_memoised_diff_matches_quotient_rule(specs):
+    for spec in specs + specs:
+        assert_quotient_rule(SHARED_PATCH, *build(SHARED_PATCH, spec))
+
+
+def test_rational_diff_is_memoised_per_value(monkeypatch):
+    patch = Patch(["x", "y"])
+    calls = []
+    real_diff = FracElement.diff
+
+    def counting_diff(fe, x):
+        calls.append(fe)
+        return real_diff(fe, x)
+
+    monkeypatch.setattr(FracElement, "diff", counting_diff)
+    f = parse_scalar("(x^2 + 1)/y", patch)
+    g = parse_scalar("(1 + x*x)/y", patch)
+    assert f == g and f is not g and f.fe is not g.fe
+    assert f.diff(0) == g.diff(0) == parse_scalar("2*x/y", patch)
+    assert len(calls) == 1
+    # d/dx and d/dy of the same value are kept apart
+    assert g.diff(1) == parse_scalar("-(x^2 + 1)/y^2", patch)
+    assert f.diff(1) == g.diff(1)
+    assert len(calls) == 2
+    # a constant denominator other than 1 is rational for the memo
+    h = parse_scalar("x^2/2", patch)
+    assert h.diff(0) == patch.coordinate(0) and h.diff(1) == 0
+    assert len(calls) == 4
+    # another patch keeps its own memo
+    other = Patch(["x", "y"])
+    assert parse_scalar("(x^2 + 1)/y", other).diff(0) == f.diff(0)
+    assert len(calls) == 5
+
+
+def test_constant_diff_is_the_shared_zero(patch, monkeypatch):
+    monkeypatch.setattr(FracElement, "diff", None)   # constants never reach it
+    for value in (0, 3, Fraction(1, 2), Fraction(-7, 3)):
+        c = patch.scalar(value)
+        assert c.diff(0) is patch.zero and c.diff(1) is patch.zero
+    assert parse_scalar("x - x", patch).diff(0) is patch.zero
 
 
 @settings(max_examples=60, deadline=None)
