@@ -1,11 +1,13 @@
 """Anchored bundles, dull and Lie algebroids, and linear connections.
 
 A bracket lives on the frame as structure data [e_i, e_j] and is extended
-to arbitrary sections by one Leibniz-extension routine (bracket_eval);
-nothing else in the package expands brackets by hand, which keeps the
-formula in a single place.  Axioms are never assumed: check_skew,
-check_anchor_compat and check_jacobi produce exact residual witnesses and
-set the corresponding flags on success.
+to arbitrary sections by the Leibniz rules in one private kernel,
+_leibniz.  Its callers are bracket_eval, CourantPresentation.bracket,
+dorfman_eval and extend_lie_bracket_to_dull; nothing else in the package
+expands brackets by hand, which keeps the formula in a single place.
+Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
+produce exact residual witnesses and set the corresponding flags on
+success.
 
 Identity-checking protocol: non-tensorial identities are verified on all
 frame tuples and on `trials` random polynomial sections of degree at most
@@ -24,8 +26,7 @@ __all__ = [
     "AnchoredBundle", "DullAlgebroid", "LinearConnection", "BasicConnections",
     "bracket_eval", "check_anchor_compat", "check_skew", "check_jacobi",
     "check_algebroid", "lie_derivative_ATM", "lie_derivative_TMAs",
-    "rho_rhot", "rho_transpose", "basic_connections_from_linear",
-    "side_Q", "side_B", "tangent_algebroid",
+    "rho_rhot", "rho_transpose", "side_Q", "side_B", "tangent_algebroid",
 ]
 
 
@@ -115,6 +116,39 @@ def tangent_algebroid(patch):
     return DullAlgebroid(AnchoredBundle(TM, anchor), table)
 
 
+def _leibniz(bundle, table, f, g, X1, X2=None, weight=None, D=None,
+             frame=None):
+    """sum f_i g_j T[i][j] + sum X1(g_j) e_j - sum X2(f_i) e_i
+    + sum weight(i) D(f_i) for coefficient lists f, g over the output frame
+    e (the standard basis of bundle unless given).  X2 is None for a
+    Dorfman connection; weight and D come only with a pairing term."""
+    basis = bundle.basis_section if frame is None else frame.__getitem__
+    out = bundle.zero_section()
+    for i, fi in enumerate(f):
+        if fi.is_zero():
+            continue
+        for j, gj in enumerate(g):
+            if not gj.is_zero():
+                out = out + (fi * gj) * table[i][j]
+    for j, gj in enumerate(g):
+        d = apply_vf(X1, gj)
+        if not d.is_zero():
+            out = out + d * basis(j)
+    if X2 is not None:
+        for i, fi in enumerate(f):
+            d = apply_vf(X2, fi)
+            if not d.is_zero():
+                out = out - d * basis(i)
+    if D is not None:
+        for i, fi in enumerate(f):
+            if fi.is_zero():
+                continue
+            w = weight(i)
+            if not w.is_zero():
+                out = out + w * D(fi)
+    return out
+
+
 def bracket_eval(alg, q1, q2):
     """Leibniz extension of the frame bracket to arbitrary sections:
     [f e_i, g e_j] = f g [e_i, e_j] + f rho(e_i)(g) e_j - g rho(e_j)(f) e_i,
@@ -122,26 +156,8 @@ def bracket_eval(alg, q1, q2):
     bundle = alg.bundle
     if q1.bundle != bundle or q2.bundle != bundle:
         raise ValueError("sections do not live in the algebroid bundle")
-    patch = alg.patch
-    out = bundle.zero_section()
-    for i, f in enumerate(q1.components):
-        if f.is_zero():
-            continue
-        for j, g in enumerate(q2.components):
-            if g.is_zero():
-                continue
-            out = out + (f * g) * alg.bracket[i][j]
-    X1 = alg.anchor_vf(q1)
-    X2 = alg.anchor_vf(q2)
-    for j, g in enumerate(q2.components):
-        d = apply_vf(X1, g)
-        if not d.is_zero():
-            out = out + d * bundle.basis_section(j)
-    for i, f in enumerate(q1.components):
-        d = apply_vf(X2, f)
-        if not d.is_zero():
-            out = out - d * bundle.basis_section(i)
-    return out
+    return _leibniz(bundle, alg.bracket, q1.components, q2.components,
+                    alg.anchor_vf(q1), alg.anchor_vf(q2))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +280,21 @@ def lie_derivative_TMAs(alg, a, v):
     alpha = v.components[dim:]
     rho_a = alg.anchor_vf(a)
     first = lie_bracket_vf(rho_a, X)
-    out_alpha = []
+    return Section(v.bundle, list(first.components)
+                   + _lie_derivative_dual(alg, a, rho_a, alpha))
+
+
+def _lie_derivative_dual(alg, a, rho_a, xi):
+    """Components of L_a xi for xi given over the dual frame, with
+    rho_a = rho(a): <L_a xi, e_k> = rho(a)<xi, e_k> - <xi, [a, e_k]>."""
+    out = []
     for k in range(alg.rank):
         br = bracket_eval(alg, a, alg.bundle.basis_section(k))
-        val = apply_vf(rho_a, alpha[k])
+        val = apply_vf(rho_a, xi[k])
         for l in range(alg.rank):
-            val = val - alpha[l] * br.components[l]
-        out_alpha.append(val)
-    return Section(v.bundle, list(first.components) + out_alpha)
+            val = val - xi[l] * br.components[l]
+        out.append(val)
+    return out
 
 
 def rho_transpose(alg, theta_comps):
@@ -366,7 +389,3 @@ class BasicConnections:
                 + bracket_eval(alg, a1, conn.eval(X, a2))
                 - conn.eval(self.on_vector_fields(a1, X), a2)
                 + conn.eval(self.on_vector_fields(a2, X), a1))
-
-
-def basic_connections_from_linear(alg, conn):
-    return BasicConnections(alg, conn)

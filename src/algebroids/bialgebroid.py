@@ -136,17 +136,10 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     results.append(check.result())
 
     check = Check("%s.bracket_closed" % prefix, config)
-    closed = True
-    u_table = [[None] * U.rank for _ in range(U.rank)]
-    for p in range(U.rank):
-        for q in range(U.rank):
-            value = bracket_eval(dual, U.frame[p], U.frame[q])
-            inside, coeffs = membership(value, U)
-            if inside:
-                u_table[p][q] = coeffs
-            else:
-                closed = False
-                check.witness(value, u1="u%d" % p, u2="u%d" % q)
+    u_table, outside = _u_table(dual, U)
+    for p, q, value in outside:
+        check.witness(value, u1="u%d" % p, u2="u%d" % q)
+    closed = not outside
     results.append(check.result())
 
     if closed:
@@ -213,6 +206,24 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     return results
 
 
+def _u_table(dual, U):
+    """The dual bracket on U-frame pairs, read over the U frame.
+
+    Returns the coefficient table (None where the bracket leaves U) and
+    the (p, q, value) pairs whose bracket left U, in loop order."""
+    table = [[None] * U.rank for _ in range(U.rank)]
+    outside = []
+    for p in range(U.rank):
+        for q in range(U.rank):
+            value = bracket_eval(dual, U.frame[p], U.frame[q])
+            inside, coeffs = membership(value, U)
+            if inside:
+                table[p][q] = coeffs
+            else:
+                outside.append((p, q, value))
+    return table, outside
+
+
 def _induced_algebroid(U, u_table):
     """Lie algebroid on an abstract rank(U) bundle: anchor pr_TM of the
     frame, bracket the membership coefficients of the restricted dull
@@ -248,7 +259,7 @@ def verify_phi_skew(triple, a, config=None, prefix="phi_skew"):
 # the identities behind the quotient bracket
 
 
-def _b_elements(B, check, count, tag="t"):
+def _b_elements(B, check, count):
     items = _labelled_frames(B, "e")
     rng = check.rng()
     out = []
@@ -660,16 +671,9 @@ def build_courant_C(triple, config=None, verify=True):
     Phi = [[patch.zero] * C.B.rank for _ in range(U.rank)] \
         + [[patch.one if i == j else patch.zero for j in range(C.B.rank)]
            for i in range(C.B.rank)]
-    u_table = []
-    for p in range(U.rank):
-        row = []
-        for q in range(U.rank):
-            value = bracket_eval(triple.dual, U.frame[p], U.frame[q])
-            inside, coeffs = membership(value, U)
-            if not inside:
-                raise ValueError("dual bracket does not close on U")
-            row.append(coeffs)
-        u_table.append(row)
+    u_table, outside = _u_table(triple.dual, U)
+    if outside:
+        raise ValueError("dual bracket does not close on U")
     alg_U = _induced_algebroid(U, u_table)
     return AManinPair(C=C, U_in_C=U_in_C, iota=iota, Phi=Phi, alg=alg,
                       alg_U=alg_U, triple=triple)
@@ -822,16 +826,9 @@ def bialgebroid_from_triple(triple):
     """Read off (A, U, iota) from a triple: U with the restricted dual
     bracket, iota the frame inclusion."""
     U = triple.U
-    u_table = []
-    for p in range(U.rank):
-        row = []
-        for q in range(U.rank):
-            value = bracket_eval(triple.dual, U.frame[p], U.frame[q])
-            inside, coeffs = membership(value, U)
-            if not inside:
-                raise ValueError("dual bracket does not close on U")
-            row.append(coeffs)
-        u_table.append(row)
+    u_table, outside = _u_table(triple.dual, U)
+    if outside:
+        raise ValueError("dual bracket does not close on U")
     iota = [[U.frame[p].components[i] for p in range(U.rank)]
             for i in range(U.ambient.rank)]
     return DiracBialgebroid(triple.alg, _induced_algebroid(U, u_table), iota)

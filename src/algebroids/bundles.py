@@ -39,7 +39,7 @@ __all__ = [
     "TrivialBundle", "Section", "Frame", "Subbundle",
     "direct_sum", "canonical_pairing", "degenerate_pairing",
     "annihilator", "membership", "complement", "perp_under_gram",
-    "rref", "nullspace", "matrix_rank", "det", "Solver", "solve_with_witness",
+    "rref", "nullspace", "matrix_rank", "det", "Solver",
     "random_section", "random_combination", "apply_matrix", "FrameError",
 ]
 
@@ -374,12 +374,6 @@ class Solver:
         for j, c in enumerate(self.pivots):
             x[c] = _dot(patch, T[j], rhs)
         return "solution", x
-
-
-def solve_with_witness(columns_matrix, rhs, patch):
-    """Solve A x = rhs exactly, or produce a left witness of inconsistency
-    (Solver.solve for a one-off A)."""
-    return Solver(columns_matrix, patch).solve(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,7 @@ def _write_report(report, args):
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
-    failed = any(r.status in ("fail", "error") for r in report.results)
-    return 1 if failed else 0
+    return 0 if report.all_passed else 1
 
 
 def _dispatch(args):

@@ -10,7 +10,8 @@ bracket of arbitrary sections is the Leibniz extension
     [c1, g c2] = g [c1, c2] + (rho(c1) g) c2,
     [f c1, c2] = f [c1, c2] - (rho(c2) f) c1 + <c1, c2> D f,
 
-which is forced by the Courant axioms.  check_courant_axioms works for any
+which is forced by the Courant axioms and computed by the package's one
+Leibniz kernel, algebroid._leibniz.  check_courant_axioms works for any
 object implementing the small carrier protocol used here (frame_sections,
 random_element, bracket, pairing, anchor_vf, D_of, is_zero), so quotient
 carriers can reuse it.
@@ -18,7 +19,7 @@ carriers can reuse it.
 
 from __future__ import annotations
 
-from .algebroid import DullAlgebroid, AnchoredBundle, side_B
+from .algebroid import DullAlgebroid, AnchoredBundle, _leibniz, side_B
 from .bundles import (Frame, Section, Solver, Subbundle, TrivialBundle,
                       apply_matrix, complement, det, direct_sum, membership,
                       nullspace, random_combination, random_section)
@@ -130,33 +131,15 @@ class CourantPresentation:
         bundle = self.bundle
         if c1.bundle != bundle or c2.bundle != bundle:
             raise ValueError("sections do not live in the carrier bundle")
-        patch = self.patch
-        out = bundle.zero_section()
-        for i, f in enumerate(c1.components):
-            if f.is_zero():
-                continue
-            for j, g in enumerate(c2.components):
-                if not g.is_zero():
-                    out = out + (f * g) * self.table[i][j]
-        X1 = self.anchor_vf(c1)
-        for j, g in enumerate(c2.components):
-            d = apply_vf(X1, g)
-            if not d.is_zero():
-                out = out + d * bundle.basis_section(j)
-        X2 = self.anchor_vf(c2)
-        for i, f in enumerate(c1.components):
-            d = apply_vf(X2, f)
-            if not d.is_zero():
-                out = out - d * bundle.basis_section(i)
-        for i, f in enumerate(c1.components):
-            weight = patch.zero
-            for j, g in enumerate(c2.components):
-                if not g.is_zero():
-                    weight = weight + g * self.gram[i][j]
-            if weight.is_zero():
-                continue
-            out = out + weight * self.D_of(f)
-        return out
+        g = c2.components
+
+        def weight(i):  # <e_i, c2> from the Gram table
+            return sum((gj * self.gram[i][j] for j, gj in enumerate(g)
+                        if not gj.is_zero()), self.patch.zero)
+
+        return _leibniz(bundle, self.table, c1.components, g,
+                        self.anchor_vf(c1), self.anchor_vf(c2),
+                        weight, self.D_of)
 
 
 def standard_courant(patch):

@@ -6,10 +6,11 @@ Delta_{q_i} b_j; dorfman_eval extends them to arbitrary sections by
     Delta_q (g b)  = g Delta_q b + (rho_Q(q) g) b,
     Delta_{f q} b  = f Delta_q b + <q, b> d_B f,
 
-with rho_Q = pr_TM and d_B f = (0, df).  Both laws hold for every table by
-construction; the differential compatibility Delta_q (d_B f) = d_B(rho_Q(q) f)
-is a genuine constraint on the table and is what check_dorfman_axioms
-verifies.
+with rho_Q = pr_TM and d_B f = (0, df), in the package's one Leibniz
+kernel, algebroid._leibniz (as is extend_lie_bracket_to_dull's table).
+Both laws hold for every table by construction; the differential
+compatibility Delta_q (d_B f) = d_B(rho_Q(q) f) is a genuine constraint on
+the table and is what check_dorfman_axioms verifies.
 
 Dorfman connections are dual to dull brackets on TM + A*:
 
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
-                        check_anchor_compat, lie_derivative_ATM,
+from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
+                        bracket_eval, check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
 from .bundles import (Section, Solver, annihilator, canonical_pairing,
                       complement, membership)
@@ -133,26 +134,9 @@ def dorfman_eval(D, q, b):
         raise ValueError("first argument must be a section of TM + A*")
     if b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
-    patch, dim, ra = D.patch, D.dim, D.rank_A
-    out = D.B.zero_section()
-    for i, f in enumerate(q.components):
-        if f.is_zero():
-            continue
-        for j, g in enumerate(b.components):
-            if g.is_zero():
-                continue
-            out = out + (f * g) * D.table[i][j]
-    X = D.anchor_vf(q)
-    for j, g in enumerate(b.components):
-        d = apply_vf(X, g)
-        if not d.is_zero():
-            out = out + d * D.B.basis_section(j)
-    for i, f in enumerate(q.components):
-        pair = _pair_q_frame(i, b, dim, ra)
-        if f.is_zero() or pair.is_zero():
-            continue
-        out = out + pair * D.d_B(f)
-    return out
+    dim, ra = D.dim, D.rank_A
+    return _leibniz(D.B, D.table, q.components, b.components, D.anchor_vf(q),
+                    weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B)
 
 
 def check_dorfman_axioms(D, config=None, prefix="dorfman"):
@@ -374,31 +358,9 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
             raise RuntimeError("mixed frame failed to span the ambient bundle")
         coeffs.append(data)
 
-    table = []
-    for i in range(n):
-        Xi = pr(Q.basis_section(i))
-        row = []
-        for j in range(n):
-            Xj = pr(Q.basis_section(j))
-            out = Q.zero_section()
-            for p in range(n):
-                fp = coeffs[i][p]
-                if fp.is_zero():
-                    continue
-                for q in range(n):
-                    gq = coeffs[j][q]
-                    if not gq.is_zero():
-                        out = out + (fp * gq) * g[p][q]
-            for q in range(n):
-                d = apply_vf(Xi, coeffs[j][q])
-                if not d.is_zero():
-                    out = out + d * mixed[q]
-            for p in range(n):
-                d = apply_vf(Xj, coeffs[i][p])
-                if not d.is_zero():
-                    out = out - d * mixed[p]
-            row.append(out)
-        table.append(row)
+    X = [pr(Q.basis_section(i)) for i in range(n)]
+    table = [[_leibniz(Q, g, coeffs[i], coeffs[j], X[i], X[j], frame=mixed)
+              for j in range(n)] for i in range(n)]
 
     dull = DullAlgebroid(AnchoredBundle(Q, _pr_tm(patch, n)), table)
     D = dorfman_from_dull(dull, B)

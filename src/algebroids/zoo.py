@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebroid import (AnchoredBundle, BasicConnections, DullAlgebroid,
-                        LinearConnection, bracket_eval, check_algebroid,
-                        rho_transpose, side_B, side_Q, tangent_algebroid)
+                        LinearConnection, _lie_derivative_dual, bracket_eval,
+                        check_algebroid, rho_transpose, side_B, side_Q,
+                        tangent_algebroid)
 from .bialgebroid import (AManinPair, DiracBialgebroid, LADiracTriple,
                           bialgebroid_from_triple, bialgebroids_equivalent,
                           build_courant_C, check_la_dirac, check_manin_pair,
@@ -53,34 +54,21 @@ from .scalars import Patch, _coeff_fraction, parse_scalar, random_scalar
 def lie_deriv_dual(alg, a, xi):
     """Lie derivative of a dual section along a:
     <L_a xi, e_j> = rho(a)<xi, e_j> - <xi, [a, e_j]>."""
-    rho_a = alg.anchor_vf(a)
-    comps = []
-    for j in range(alg.rank):
-        br = bracket_eval(alg, a, alg.bundle.basis_section(j))
-        val = apply_vf(rho_a, xi.components[j])
-        for l in range(alg.rank):
-            val = val - xi.components[l] * br.components[l]
-        comps.append(val)
-    return Section(xi.bundle, comps)
+    return Section(xi.bundle, _lie_derivative_dual(alg, a, alg.anchor_vf(a),
+                                                   xi.components))
 
 
 def interior_d_dual(alg, b, xi):
-    """Contraction of the algebroid differential of a dual section:
+    """Contraction of the algebroid differential of a dual section,
+    i_b d xi = L_b xi - d<xi, b>:
     <i_b d xi, e_j> = rho(b)<xi, e_j> - rho(e_j)<xi, b> - <xi, [b, e_j]>."""
-    rho_b = alg.anchor_vf(b)
     pair_b = alg.patch.zero
     for l in range(alg.rank):
         pair_b = pair_b + xi.components[l] * b.components[l]
-    comps = []
-    for j in range(alg.rank):
-        br = bracket_eval(alg, b, alg.bundle.basis_section(j))
-        ej = alg.bundle.basis_section(j)
-        val = apply_vf(rho_b, xi.components[j])
-        val = val - apply_vf(alg.anchor_vf(ej), pair_b)
-        for l in range(alg.rank):
-            val = val - xi.components[l] * br.components[l]
-        comps.append(val)
-    return Section(xi.bundle, comps)
+    lie = _lie_derivative_dual(alg, b, alg.anchor_vf(b), xi.components)
+    return Section(xi.bundle, [
+        v - apply_vf(alg.anchor_vf(alg.bundle.basis_section(j)), pair_b)
+        for j, v in enumerate(lie)])
 
 
 def dual_connection_eval(conn, X, xi):

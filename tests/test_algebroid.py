@@ -8,8 +8,8 @@ from algebroids.scalars import Patch, parse_scalar
 from algebroids.bundles import Section, TrivialBundle, random_section
 from algebroids.cartan import lie_bracket_vf, tangent
 from algebroids.algebroid import (
-    AnchoredBundle, DullAlgebroid, LinearConnection,
-    basic_connections_from_linear, bracket_eval, check_algebroid,
+    AnchoredBundle, BasicConnections, DullAlgebroid, LinearConnection,
+    bracket_eval, check_algebroid,
     check_anchor_compat, check_jacobi, check_skew,
     lie_derivative_ATM, lie_derivative_TMAs, rho_rhot,
     side_B, side_Q, tangent_algebroid,
@@ -197,7 +197,7 @@ def random_connection(bundle, rng, max_degree=1):
 def test_basic_connection_flat_tangent(patch):
     alg = tangent_algebroid(patch)
     conn = LinearConnection.flat(alg.bundle)
-    bas = basic_connections_from_linear(alg, conn)
+    bas = BasicConnections(alg, conn)
     a = alg.bundle.section(["0", "x"])
     ap = alg.bundle.basis_section(0)
     # [a, a'] + nabla_{rho a'} a with the flat connection
@@ -209,7 +209,7 @@ def test_basic_connection_flat_tangent(patch):
 def test_basic_connection_zero_case(patch):
     alg = make_algebroid(patch, 2, [["0", "0"], ["0", "0"]], {})
     conn = LinearConnection.flat(alg.bundle)
-    bas = basic_connections_from_linear(alg, conn)
+    bas = BasicConnections(alg, conn)
     a = alg.bundle.basis_section(0)
     X = tangent(patch).section(["y", "x"])
     assert bas.on_vector_fields(a, X).is_zero()
@@ -219,7 +219,7 @@ def test_anchor_intertwines_basic_connections(patch):
     alg = aff1_action_algebroid(patch)
     rng = random.Random("bas-intertwine")
     conn = random_connection(alg.bundle, rng)
-    bas = basic_connections_from_linear(alg, conn)
+    bas = BasicConnections(alg, conn)
     for _ in range(4):
         a = random_section(alg.bundle, rng)
         ap = random_section(alg.bundle, rng)
@@ -232,7 +232,7 @@ def test_basic_curvature_antisymmetry_and_tensoriality(patch):
     alg = aff1_action_algebroid(patch)
     rng = random.Random("bas-curv")
     conn = random_connection(alg.bundle, rng)
-    bas = basic_connections_from_linear(alg, conn)
+    bas = BasicConnections(alg, conn)
     a1 = random_section(alg.bundle, rng)
     a2 = random_section(alg.bundle, rng)
     X = random_section(tangent(patch), rng)

@@ -11,7 +11,7 @@ from algebroids.bundles import (
     Frame, FrameError, Section, Solver, Subbundle, TrivialBundle,
     annihilator, canonical_pairing, complement, degenerate_pairing,
     det, direct_sum, matrix_rank, membership, nullspace, random_section,
-    rref, solve_with_witness,
+    rref,
 )
 
 
@@ -335,7 +335,7 @@ def test_solve_with_witness_consistency(patch):
         A = [[random_scalar(patch, rng, 1) for _ in range(2)]
              for _ in range(3)]
         rhs = [random_scalar(patch, rng, 1) for _ in range(3)]
-        status, data = solve_with_witness(A, rhs, patch)
+        status, data = Solver(A, patch).solve(rhs)
         if status == "solution":
             for i, row in enumerate(A):
                 val = sum((c * xj for c, xj in zip(row, data)), patch.zero)

@@ -9,6 +9,7 @@ import pytest
 from algebroids import cli, instances, zoo
 from algebroids.bundles import Section
 from algebroids.instances import InstanceError
+from algebroids.reporting import Check, CheckConfig, Report
 
 TRIPLE_FILE = """\
 # abelian triple: U = the TM* block of TM+TM*, zero Dorfman table
@@ -225,6 +226,25 @@ def test_run_is_importable_and_accepts_preset_names():
                      max_degree=1)
     assert report.all_passed and report.suite == "im2form"
     assert report.to_dict()["seed"] == 2
+
+
+def test_skip_only_report_passes(monkeypatch, capsys):
+    # a skip is not a failure: the JSON field, the text result line and
+    # the exit code all follow Report.all_passed
+    report = Report("courant", instance="skips", config=CheckConfig())
+    report.add(Check("demo.skipped").skipped("nothing to test"))
+    assert report.all_passed
+    assert report.to_dict()["all_passed"] is True
+    assert report.to_text().endswith("result: PASS\n")
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: report)
+    assert cli.main(["check", "courant", "poisson-xy", "--format",
+                     "text"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    for status in ("fail", "error"):
+        report.results[1:] = [Check("demo.%s" % status).result(status)]
+        assert not report.all_passed
+        assert cli.main(["check", "courant", "poisson-xy"]) == 1
+        assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
 
 def test_explicit_dorfman_entries_parse():
