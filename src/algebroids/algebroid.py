@@ -9,24 +9,31 @@ Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
 success.
 
-Identity-checking protocol: non-tensorial identities are verified on all
-frame tuples and on `trials` random polynomial sections of degree at most
-`max_degree`; tensorial ones on frames only (C-infinity-linearity makes the
-frame check complete).
+Identity-checking protocol: non-tensorial identities are verified on the
+test set of reporting.Check.tuples (all frame tuples, then `trials` random
+polynomial sections of degree at most `max_degree`); tensorial ones on
+frames only (C-infinity-linearity makes the frame check complete).
+induced_algebroid reads the algebroid a bracket induces on a closed
+subbundle; Dirac structures and the U of an LA-Dirac triple both use it.
 """
 
 from __future__ import annotations
 
-from .bundles import (Section, TrivialBundle, apply_matrix, random_section)
+from functools import partial
+from itertools import product
+
+from .bundles import (Section, TrivialBundle, apply_matrix, membership,
+                      random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
-from .reporting import Check, CheckConfig
+from .reporting import Check, labelled
 
 __all__ = [
     "AnchoredBundle", "DullAlgebroid", "LinearConnection", "BasicConnections",
     "bracket_eval", "check_anchor_compat", "check_skew", "check_jacobi",
-    "check_algebroid", "lie_derivative_ATM", "lie_derivative_TMAs",
-    "rho_rhot", "rho_transpose", "side_Q", "side_B", "tangent_algebroid",
+    "check_algebroid", "induced_algebroid", "lie_derivative_ATM",
+    "lie_derivative_TMAs", "rho_rhot", "rho_transpose", "side_Q", "side_B",
+    "tangent_algebroid",
 ]
 
 
@@ -116,6 +123,34 @@ def tangent_algebroid(patch):
     return DullAlgebroid(AnchoredBundle(TM, anchor), table)
 
 
+def induced_algebroid(sub, bracket, anchor_vf, name):
+    """The dull algebroid a bracket induces on a subbundle it closes on: an
+    abstract rank(sub) bundle, anchored by anchor_vf on the frame, whose
+    table holds the membership coefficients of the frame brackets.
+
+    Returns (algebroid, outside): outside lists the (p, q, value) frame
+    pairs whose bracket left the subbundle, in loop order, and the
+    algebroid is None unless outside is empty."""
+    patch = sub.patch
+    rank = sub.rank
+    bundle = TrivialBundle(patch, rank, name)
+    table = [[None] * rank for _ in range(rank)]
+    outside = []
+    for p in range(rank):
+        for q in range(rank):
+            value = bracket(sub.frame[p], sub.frame[q])
+            inside, coeffs = membership(value, sub)
+            if inside:
+                table[p][q] = Section(bundle, coeffs)
+            else:
+                outside.append((p, q, value))
+    if outside:
+        return None, outside
+    columns = [anchor_vf(s).components for s in sub.frame]
+    anchor = [[c[i] for c in columns] for i in range(patch.dim)]
+    return DullAlgebroid(AnchoredBundle(bundle, anchor), table), outside
+
+
 def _leibniz(bundle, table, f, g, X1, X2=None, weight=None, D=None,
              frame=None):
     """sum f_i g_j T[i][j] + sum X1(g_j) e_j - sum X2(f_i) e_i
@@ -164,23 +199,14 @@ def bracket_eval(alg, q1, q2):
 # axiom checkers
 
 
-def _section_pairs(alg, check):
-    """Frame pairs followed by seeded random pairs (the standard protocol)."""
-    frame = [alg.bundle.basis_section(i) for i in range(alg.rank)]
-    for i, qi in enumerate(frame):
-        for j, qj in enumerate(frame):
-            yield "e%d" % i, qi, "e%d" % j, qj
-    rng = check.rng()
-    for t in range(check.config.trials):
-        q1 = random_section(alg.bundle, rng, check.config.max_degree)
-        q2 = random_section(alg.bundle, rng, check.config.max_degree)
-        yield "random#%d.1" % t, q1, "random#%d.2" % t, q2
-
-
 def check_anchor_compat(alg, config=None, name="algebroid.anchor_compat"):
     """rho[q1, q2] = [rho q1, rho q2] on frames and random sections."""
     check = Check(name, config)
-    for l1, q1, l2, q2 in _section_pairs(alg, check):
+    frame = labelled("e", alg.bundle.basis_sections())
+    draw = partial(random_section, alg.bundle)
+    for (l1, q1), (l2, q2) in check.tuples(
+            product(frame, repeat=2),
+            ("random#%d.1", draw), ("random#%d.2", draw)):
         lhs = alg.anchor_vf(bracket_eval(alg, q1, q2))
         rhs = lie_bracket_vf(alg.anchor_vf(q1), alg.anchor_vf(q2))
         residual = lhs - rhs
@@ -195,7 +221,11 @@ def check_anchor_compat(alg, config=None, name="algebroid.anchor_compat"):
 def check_skew(alg, config=None, name="algebroid.skew"):
     """[q1, q2] + [q2, q1] = 0 on frames and random sections."""
     check = Check(name, config)
-    for l1, q1, l2, q2 in _section_pairs(alg, check):
+    frame = labelled("e", alg.bundle.basis_sections())
+    draw = partial(random_section, alg.bundle)
+    for (l1, q1), (l2, q2) in check.tuples(
+            product(frame, repeat=2),
+            ("random#%d.1", draw), ("random#%d.2", draw)):
         residual = bracket_eval(alg, q1, q2) + bracket_eval(alg, q2, q1)
         if not residual.is_zero():
             check.witness(residual, **{l1: q1, l2: q2})
@@ -209,19 +239,11 @@ def check_jacobi(alg, config=None, name="algebroid.jacobi"):
     """[q1,[q2,q3]] = [[q1,q2],q3] + [q2,[q1,q3]] on frame triples and
     random sections."""
     check = Check(name, config)
-    frame = [alg.bundle.basis_section(i) for i in range(alg.rank)]
-    triples = [(("e%d" % i, frame[i]), ("e%d" % j, frame[j]),
-                ("e%d" % k, frame[k]))
-               for i in range(alg.rank)
-               for j in range(alg.rank)
-               for k in range(alg.rank)]
-    rng = check.rng()
-    for t in range(check.config.trials):
-        triples.append(tuple(
-            ("random#%d.%d" % (t, s),
-             random_section(alg.bundle, rng, check.config.max_degree))
-            for s in range(3)))
-    for (l1, q1), (l2, q2), (l3, q3) in triples:
+    frame = labelled("e", alg.bundle.basis_sections())
+    draw = partial(random_section, alg.bundle)
+    for (l1, q1), (l2, q2), (l3, q3) in check.tuples(
+            product(frame, repeat=3), ("random#%d.0", draw),
+            ("random#%d.1", draw), ("random#%d.2", draw)):
         residual = (bracket_eval(alg, q1, bracket_eval(alg, q2, q3))
                     - bracket_eval(alg, bracket_eval(alg, q1, q2), q3)
                     - bracket_eval(alg, q2, bracket_eval(alg, q1, q3)))

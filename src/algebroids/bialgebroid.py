@@ -34,9 +34,11 @@ rests on; they double as the convention oracle for the curvature sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations, product
 
-from .algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
-                        check_algebroid, rho_rhot, side_B, side_Q)
+from .algebroid import (DullAlgebroid, bracket_eval, check_algebroid,
+                        induced_algebroid, rho_rhot, side_B, side_Q)
 from .bundles import (Frame, FrameError, Section, Solver, Subbundle,
                       TrivialBundle, annihilator, apply_matrix,
                       canonical_pairing, complement, degenerate_pairing,
@@ -48,7 +50,7 @@ from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
                       dorfman_eval, dual_dull_bracket,
                       extend_lie_bracket_to_dull, nabla_bas_ATM,
                       nabla_bas_TMAs)
-from .reporting import Check
+from .reporting import Check, labelled
 from .scalars import random_scalar
 
 __all__ = [
@@ -82,6 +84,7 @@ class LADiracTriple:
         self.D = D
         self.K = K
         self.extension_checks = None
+        self._induced = None
 
     @property
     def patch(self):
@@ -92,14 +95,19 @@ class LADiracTriple:
         """Dull bracket on TM + A* dual to the connection."""
         return dual_dull_bracket(self.D)
 
+    @property
+    def induced(self):
+        """(the Lie algebroid the dual bracket induces on U, or None; the
+        (p, q, value) U-frame pairs whose bracket left U), built once."""
+        if self._induced is None:
+            dual = self.dual
+            self._induced = induced_algebroid(
+                self.U, partial(bracket_eval, dual), dual.anchor_vf, "U")
+        return self._induced
+
 
 def _a_section(alg, comps):
     return Section(alg.bundle, list(comps))
-
-
-def _labelled_frames(bundle, tag):
-    return [("%s%d" % (tag, i), bundle.basis_section(i))
-            for i in range(bundle.rank)]
 
 
 def check_la_dirac(triple, config=None, prefix="la_dirac"):
@@ -107,10 +115,8 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     consequences (Delta preserves K; quotient connection flat), each as an
     exact membership or residual check with witnesses."""
     alg, U, K, D = triple.alg, triple.U, triple.K, triple.D
-    patch = triple.patch
     ra = alg.rank
     Q, B = D.Q, D.B
-    dual = triple.dual
     results = []
 
     ann = annihilator(U, twin=B, side="TM+A*")
@@ -136,15 +142,15 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     results.append(check.result())
 
     check = Check("%s.bracket_closed" % prefix, config)
-    u_table, outside = _u_table(dual, U)
+    alg_U, outside = triple.induced
     for p, q, value in outside:
         check.witness(value, u1="u%d" % p, u2="u%d" % q)
     closed = not outside
     results.append(check.result())
 
     if closed:
-        results.extend(check_algebroid(_induced_algebroid(U, u_table),
-                                       config, prefix="%s.induced" % prefix))
+        results.extend(check_algebroid(alg_U, config,
+                                       prefix="%s.induced" % prefix))
     else:
         results.append(Check("%s.induced" % prefix, config).skipped(
             "bracket does not close on U"))
@@ -183,17 +189,11 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
 
     check = Check("%s.quotient_flat" % prefix, config)
     if closed:
-        pairs = [(("u%d" % p, U.frame[p]), ("u%d" % q, U.frame[q]))
-                 for p in range(U.rank) for q in range(p + 1, U.rank)]
-        rng = check.rng()
-        for t in range(check.config.trials):
-            pairs.append((
-                ("random#%d.1" % t,
-                 random_combination(U, rng, check.config.max_degree)),
-                ("random#%d.2" % t,
-                 random_combination(U, rng, check.config.max_degree))))
-        taus = _labelled_frames(B, "e")
-        for (l1, u1), (l2, u2) in pairs:
+        draw = partial(random_combination, U)
+        taus = labelled("e", B.basis_sections())
+        for (l1, u1), (l2, u2) in check.tuples(
+                combinations(labelled("u", U.frame), 2),
+                ("random#%d.1", draw), ("random#%d.2", draw)):
             for lt, tau in taus:
                 value = dorfman_curvature(D, u1, u2, tau)
                 inside, _ = membership(value, K)
@@ -204,38 +204,6 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
         results.append(check.skipped("bracket does not close on U"))
 
     return results
-
-
-def _u_table(dual, U):
-    """The dual bracket on U-frame pairs, read over the U frame.
-
-    Returns the coefficient table (None where the bracket leaves U) and
-    the (p, q, value) pairs whose bracket left U, in loop order."""
-    table = [[None] * U.rank for _ in range(U.rank)]
-    outside = []
-    for p in range(U.rank):
-        for q in range(U.rank):
-            value = bracket_eval(dual, U.frame[p], U.frame[q])
-            inside, coeffs = membership(value, U)
-            if inside:
-                table[p][q] = coeffs
-            else:
-                outside.append((p, q, value))
-    return table, outside
-
-
-def _induced_algebroid(U, u_table):
-    """Lie algebroid on an abstract rank(U) bundle: anchor pr_TM of the
-    frame, bracket the membership coefficients of the restricted dull
-    bracket."""
-    patch = U.patch
-    dim = patch.dim
-    bundle = TrivialBundle(patch, U.rank, "U")
-    anchor = [[U.frame[p].components[i] for p in range(U.rank)]
-              for i in range(dim)]
-    table = [[Section(bundle, u_table[p][q]) for q in range(U.rank)]
-             for p in range(U.rank)]
-    return DullAlgebroid(AnchoredBundle(bundle, anchor), table)
 
 
 def verify_phi_skew(triple, a, config=None, prefix="phi_skew"):
@@ -259,28 +227,6 @@ def verify_phi_skew(triple, a, config=None, prefix="phi_skew"):
 # the identities behind the quotient bracket
 
 
-def _b_elements(B, check, count):
-    items = _labelled_frames(B, "e")
-    rng = check.rng()
-    out = []
-    if count == 1:
-        out = list(items)
-        for t in range(check.config.trials):
-            out.append(("random#%d" % t,
-                        random_section(B, rng, check.config.max_degree)))
-        return out
-    if count == 2:
-        tuples = [(a, b) for a in items for b in items]
-    else:
-        tuples = [(a, b, c) for a in items for b in items for c in items]
-    for t in range(check.config.trials):
-        tuples.append(tuple(
-            ("random#%d.%d" % (t, s),
-             random_section(B, rng, check.config.max_degree))
-            for s in range(count)))
-    return tuples
-
-
 def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     """The six identities used to prove that the quotient bracket is a
     Courant algebroid, each as an exact residual on frames and seeded
@@ -293,7 +239,6 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     one, the result says so in its note.
     """
     alg, U, K, D = triple.alg, triple.U, triple.K, triple.D
-    patch = triple.patch
     ra = alg.rank
     Q, B = D.Q, D.B
     dual = triple.dual
@@ -308,18 +253,15 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     def pr_A(t):
         return _a_section(alg, t.components[:ra])
 
+    frames_B = labelled("e", B.basis_sections())
+    draw_B = partial(random_section, B)
     results = []
 
     check = Check("%s.intertwine_bas" % prefix, config)
-    rng = check.rng()
-    pairs = [(la, a, lt, t) for la, a in _labelled_frames(alg.bundle, "a")
-             for lt, t in _labelled_frames(B, "e")]
-    for t in range(check.config.trials):
-        pairs.append(("random#%d.a" % t,
-                      random_section(alg.bundle, rng, check.config.max_degree),
-                      "random#%d.t" % t,
-                      random_section(B, rng, check.config.max_degree)))
-    for la, a, lt, tau in pairs:
+    for (la, a), (lt, tau) in check.tuples(
+            product(labelled("a", alg.bundle.basis_sections()), frames_B),
+            ("random#%d.a", partial(random_section, alg.bundle)),
+            ("random#%d.t", draw_B)):
         residual = nabla_bas_TMAs(D, alg, a, rho_rhot(alg, tau, target=Q)) \
             - rho_rhot(alg, nabla_bas_ATM(D, alg, a, tau), target=Q)
         if not residual.is_zero():
@@ -327,7 +269,9 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results.append(check.result())
 
     check = Check("%s.basic_like" % prefix, config)
-    for (l1, t1), (l2, t2) in _b_elements(B, check, 2):
+    for (l1, t1), (l2, t2) in check.tuples(
+            product(frames_B, repeat=2),
+            ("random#%d.0", draw_B), ("random#%d.1", draw_B)):
         residual = bracket_d(t1, t2) \
             - dorfman_eval(D, rho_rhot(alg, t1, target=Q), t2) \
             + nabla_bas_ATM(D, alg, pr_A(t2), t1)
@@ -336,20 +280,10 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results.append(check.result())
 
     check = Check("%s.complicated" % prefix, config)
-    nus = _labelled_frames(Q, "q")
-    rng = check.rng()
-    triples = [(n, a, b) for n in nus
-               for a in _labelled_frames(B, "e")
-               for b in _labelled_frames(B, "e")]
-    for t in range(check.config.trials):
-        triples.append((
-            ("random#%d.nu" % t, random_section(Q, rng,
-                                                check.config.max_degree)),
-            ("random#%d.1" % t, random_section(B, rng,
-                                               check.config.max_degree)),
-            ("random#%d.2" % t, random_section(B, rng,
-                                               check.config.max_degree))))
-    for (ln, nu), (l1, tau), (l2, taup) in triples:
+    for (ln, nu), (l1, tau), (l2, taup) in check.tuples(
+            product(labelled("q", Q.basis_sections()), frames_B, frames_B),
+            ("random#%d.nu", partial(random_section, Q)),
+            ("random#%d.1", draw_B), ("random#%d.2", draw_B)):
         inner = rho_rhot(alg, dorfman_eval(D, nu, tau), target=Q) \
             - bracket_eval(dual, nu, rho_rhot(alg, tau, target=Q)) \
             - nabla_bas_TMAs(D, alg, pr_A(tau), nu)
@@ -360,17 +294,12 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results.append(check.result())
 
     check = Check("%s.eq_for_morphism" % prefix, config)
-    rng = check.rng()
-    pairs = [(("u%d" % p, U.frame[p]), ("k%d" % m, k))
-             for p in range(U.rank) for m, k in enumerate(K.frame)]
-    for t in range(check.config.trials):
-        k = B.zero_section()
-        for s in K.frame:
-            k = k + random_scalar(patch, rng, check.config.max_degree) * s
-        pairs.append((("random#%d.u" % t,
-                       random_combination(U, rng, check.config.max_degree)),
-                      ("random#%d.k" % t, k)))
-    for (lu, u), (lk, k) in pairs:
+    # k is drawn before u in each trial
+    for (lk, k), (lu, u) in check.tuples(
+            [(k, u) for u in labelled("u", U.frame)
+             for k in labelled("k", K.frame)],
+            ("random#%d.k", partial(random_combination, K)),
+            ("random#%d.u", partial(random_combination, U))):
         residual = rho_rhot(alg, dorfman_eval(D, u, k), target=Q) \
             - bracket_eval(dual, u, rho_rhot(alg, k, target=Q)) \
             - nabla_bas_TMAs(D, alg, pr_A(k), u)
@@ -380,17 +309,12 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
 
     check = Check("%s.bialgebroid1" % prefix, config)
     flipped = Check("%s.bialgebroid1" % prefix, config)
-    rng = check.rng()
-    u_pairs = [(("u%d" % p, U.frame[p]), ("u%d" % q, U.frame[q]))
-               for p in range(U.rank) for q in range(U.rank)]
-    for t in range(check.config.trials):
-        u_pairs.append((
-            ("random#%d.1" % t, random_combination(U, rng,
-                                                   check.config.max_degree)),
-            ("random#%d.2" % t, random_combination(U, rng,
-                                                   check.config.max_degree))))
-    taus = _b_elements(B, flipped, 1)
-    for (l1, u), (l2, v) in u_pairs:
+    draw_U = partial(random_combination, U)
+    # flipped shares the check's name, so its stream starts afresh
+    taus = flipped.tuples(frames_B, ("random#%d", draw_B))
+    for (l1, u), (l2, v) in check.tuples(
+            product(labelled("u", U.frame), repeat=2),
+            ("random#%d.1", draw_U), ("random#%d.2", draw_U)):
         for lt, tau in taus:
             a = pr_A(tau)
             lhs = nabla_bas_TMAs(D, alg, a, bracket_eval(dual, u, v)) \
@@ -410,13 +334,11 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results.append(straight)
 
     check = Check("%s.bialgebroid2" % prefix, config)
-    rng = check.rng()
-    us = [("q%d" % i, Q.basis_section(i)) for i in range(Q.rank)]
-    for t in range(check.config.trials):
-        us.append(("random#%d.u" % t,
-                   random_section(Q, rng, check.config.max_degree)))
-    t_pairs = _b_elements(B, Check("%s.bialgebroid2.aux" % prefix, config), 2)
-    for lu, u in us:
+    t_pairs = Check("%s.bialgebroid2.aux" % prefix, config).tuples(
+        product(frames_B, repeat=2),
+        ("random#%d.0", draw_B), ("random#%d.1", draw_B))
+    for lu, u in check.tuples(labelled("q", Q.basis_sections()),
+                              ("random#%d.u", partial(random_section, Q))):
         for (l1, t1), (l2, t2) in t_pairs:
             a1 = pr_A(t1)
             a2 = pr_A(t2)
@@ -671,10 +593,9 @@ def build_courant_C(triple, config=None, verify=True):
     Phi = [[patch.zero] * C.B.rank for _ in range(U.rank)] \
         + [[patch.one if i == j else patch.zero for j in range(C.B.rank)]
            for i in range(C.B.rank)]
-    u_table, outside = _u_table(triple.dual, U)
+    alg_U, outside = triple.induced
     if outside:
         raise ValueError("dual bracket does not close on U")
-    alg_U = _induced_algebroid(U, u_table)
     return AManinPair(C=C, U_in_C=U_in_C, iota=iota, Phi=Phi, alg=alg,
                       alg_U=alg_U, triple=triple)
 
@@ -738,13 +659,12 @@ def check_manin_pair(mp, config=None, prefix="manin"):
                         % (l, coeffs[l], expected.components[l]),
                         u1="u%d" % p, u2="u%d" % q)
                     break
-    rng = closed.rng()
-    for t in range(closed.config.trials):
-        d1 = random_combination(U_in_C, rng, closed.config.max_degree)
-        d2 = random_combination(U_in_C, rng, closed.config.max_degree)
+    draw = partial(random_combination, U_in_C)
+    for (l1, d1), (l2, d2) in closed.tuples(
+            [], ("random#%d.1", draw), ("random#%d.2", draw)):
         value = C.bracket(d1, d2)
         if usolver.solve(C.coordinates(value))[0] != "solution":
-            closed.witness(value, d1="random#%d.1" % t, d2="random#%d.2" % t)
+            closed.witness(value, d1=l1, d2=l2)
     results.append(closed.result())
     results.append(induced.result())
 
@@ -765,7 +685,8 @@ def check_manin_pair(mp, config=None, prefix="manin"):
 
     check = Check("%s.pairing_compat" % prefix, config)
     Qbundle = side_Q(alg)
-    taus = _b_elements(dc.bundle, check, 1)
+    taus = check.tuples(labelled("e", dc.bundle.basis_sections()),
+                        ("random#%d", partial(random_section, dc.bundle)))
     for p, u in enumerate(U_in_C.frame):
         iota_u = Section(Qbundle, [mp.iota[i][p]
                                    for i in range(Qbundle.rank)])
@@ -826,12 +747,12 @@ def bialgebroid_from_triple(triple):
     """Read off (A, U, iota) from a triple: U with the restricted dual
     bracket, iota the frame inclusion."""
     U = triple.U
-    u_table, outside = _u_table(triple.dual, U)
+    alg_U, outside = triple.induced
     if outside:
         raise ValueError("dual bracket does not close on U")
     iota = [[U.frame[p].components[i] for p in range(U.rank)]
             for i in range(U.ambient.rank)]
-    return DiracBialgebroid(triple.alg, _induced_algebroid(U, u_table), iota)
+    return DiracBialgebroid(triple.alg, alg_U, iota)
 
 
 def triple_from_bialgebroid(db, config=None):

@@ -69,8 +69,11 @@ class TrivialBundle:
         comps[i] = self.patch.one
         return Section(self, comps)
 
+    def basis_sections(self):
+        return [self.basis_section(i) for i in range(self.rank)]
+
     def standard_frame(self):
-        return Frame(self, [self.basis_section(i) for i in range(self.rank)])
+        return Frame(self, self.basis_sections())
 
     def section(self, components):
         """Build a section, coercing strings/ints/Fractions to scalars."""

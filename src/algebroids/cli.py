@@ -264,10 +264,17 @@ def _resolve(arg):
                         % (arg, ", ".join(sorted(ZOO_PRESETS))))
 
 
+def _count(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
+
+
 def _add_flags(p, with_out=True):
-    p.add_argument("--trials", type=int, default=8,
+    p.add_argument("--trials", type=_count, default=8,
                    help="random trials per identity check (default 8)")
-    p.add_argument("--max-degree", type=int, default=2, dest="max_degree",
+    p.add_argument("--max-degree", type=_count, default=2, dest="max_degree",
                    help="degree bound for random polynomial data")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the per-check random streams")

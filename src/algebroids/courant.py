@@ -19,12 +19,15 @@ carriers can reuse it.
 
 from __future__ import annotations
 
-from .algebroid import DullAlgebroid, AnchoredBundle, _leibniz, side_B
+from functools import partial
+from itertools import product
+
+from .algebroid import _leibniz, induced_algebroid, side_B
 from .bundles import (Frame, Section, Solver, Subbundle, TrivialBundle,
                       apply_matrix, complement, det, direct_sum, membership,
                       nullspace, random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
-from .reporting import Check
+from .reporting import Check, labelled
 from .scalars import random_scalar
 
 __all__ = [
@@ -87,7 +90,7 @@ class CourantPresentation:
         return self.bundle.rank
 
     def frame_sections(self):
-        return [self.bundle.basis_section(i) for i in range(self.rank)]
+        return self.bundle.basis_sections()
 
     def coordinates(self, c):
         """Coefficients of c over frame_sections()."""
@@ -200,31 +203,21 @@ def degenerate_courant(alg):
 # axiom certification
 
 
-def _elements(C, check, count):
-    """Frame sections, then seeded random tuples of the given arity."""
-    frames = C.frame_sections()
-    labelled = [("e%d" % i, s) for i, s in enumerate(frames)]
-    if count == 2:
-        tuples = [(a, b) for a in labelled for b in labelled]
-    else:
-        tuples = [(a, b, c) for a in labelled for b in labelled
-                  for c in labelled]
-    rng = check.rng()
-    for t in range(check.config.trials):
-        tuples.append(tuple(
-            ("random#%d.%d" % (t, s),
-             C.random_element(rng, check.config.max_degree))
-            for s in range(count)))
-    return tuples
-
-
 def check_courant_axioms(C, config=None, prefix="courant"):
     """The five Courant axioms plus the pairing property of D, each as an
     exact residual check on frames and seeded random sections."""
+    patch = C.patch
+    frames = labelled("e", C.frame_sections())
+    pair = [("random#%d.0", C.random_element),
+            ("random#%d.1", C.random_element)]
+    triple = pair + [("random#%d.2", C.random_element)]
+    coords = [(patch.coords[k], patch.coordinate(k)) for k in range(patch.dim)]
+    scalar = partial(random_scalar, patch)
     results = []
 
     check = Check("%s.jacobi" % prefix, config)
-    for (l1, c1), (l2, c2), (l3, c3) in _elements(C, check, 3):
+    for (l1, c1), (l2, c2), (l3, c3) in check.tuples(
+            product(frames, repeat=3), *triple):
         residual = C.bracket(c1, C.bracket(c2, c3)) \
             - C.bracket(C.bracket(c1, c2), c3) \
             - C.bracket(c2, C.bracket(c1, c3))
@@ -233,7 +226,8 @@ def check_courant_axioms(C, config=None, prefix="courant"):
     results.append(check.result())
 
     check = Check("%s.pairing_invariance" % prefix, config)
-    for (l1, c1), (l2, c2), (l3, c3) in _elements(C, check, 3):
+    for (l1, c1), (l2, c2), (l3, c3) in check.tuples(
+            product(frames, repeat=3), *triple):
         residual = C.apply_anchor(c1, C.pairing(c2, c3)) \
             - C.pairing(C.bracket(c1, c2), c3) \
             - C.pairing(c2, C.bracket(c1, c3))
@@ -242,7 +236,7 @@ def check_courant_axioms(C, config=None, prefix="courant"):
     results.append(check.result())
 
     check = Check("%s.skew_defect" % prefix, config)
-    for (l1, c1), (l2, c2) in _elements(C, check, 2):
+    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
         residual = C.bracket(c1, c2) + C.bracket(c2, c1) \
             - C.D_of(C.pairing(c1, c2))
         if not C.is_zero(residual):
@@ -250,26 +244,18 @@ def check_courant_axioms(C, config=None, prefix="courant"):
     results.append(check.result())
 
     check = Check("%s.anchor_morphism" % prefix, config)
-    for (l1, c1), (l2, c2) in _elements(C, check, 2):
+    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
         residual = C.anchor_vf(C.bracket(c1, c2)) \
             - lie_bracket_vf(C.anchor_vf(c1), C.anchor_vf(c2))
         if not residual.is_zero():
             check.witness(residual, **{l1: c1, l2: c2})
     results.append(check.result())
 
-    patch = C.patch
     check = Check("%s.leibniz" % prefix, config)
-    frames = [("e%d" % i, s) for i, s in enumerate(C.frame_sections())]
-    triples = [(a, b, (patch.coords[k], patch.coordinate(k)))
-               for a in frames for b in frames for k in range(patch.dim)]
-    rng = check.rng()
-    for t in range(check.config.trials):
-        triples.append((
-            ("random#%d.1" % t, C.random_element(rng, check.config.max_degree)),
-            ("random#%d.2" % t, C.random_element(rng, check.config.max_degree)),
-            ("random#%d.f" % t, random_scalar(patch, rng,
-                                              check.config.max_degree))))
-    for (l1, c1), (l2, c2), (lf, f) in triples:
+    for (l1, c1), (l2, c2), (_, f) in check.tuples(
+            product(frames, frames, coords),
+            ("random#%d.1", C.random_element),
+            ("random#%d.2", C.random_element), ("random#%d.f", scalar)):
         residual = C.bracket(c1, f * c2) - f * C.bracket(c1, c2) \
             - C.apply_anchor(c1, f) * c2
         if not C.is_zero(residual):
@@ -277,15 +263,12 @@ def check_courant_axioms(C, config=None, prefix="courant"):
     results.append(check.result())
 
     check = Check("%s.differential_pairing" % prefix, config)
-    rng = check.rng()
-    functions = [patch.coordinate(k) for k in range(patch.dim)]
-    functions += [random_scalar(patch, rng, check.config.max_degree)
-                  for _ in range(check.config.trials)]
-    for i, c in enumerate(C.frame_sections()):
-        for f in functions:
+    functions = check.tuples(coords, ("random#%d", scalar))
+    for lc, c in frames:
+        for _, f in functions:
             residual = C.pairing(C.D_of(f), c) - C.apply_anchor(c, f)
             if not residual.is_zero():
-                check.witness(residual, c="e%d" % i, f=f)
+                check.witness(residual, c=lc, f=f)
     results.append(check.result())
 
     if all(r.passed for r in results):
@@ -344,16 +327,10 @@ def check_dirac(C, D, config=None, prefix="dirac"):
         results.append(check.result())
 
     check = Check("%s.closed" % prefix, config)
-    pairs = [(("d%d" % i, d1), ("d%d" % j, d2))
-             for i, d1 in enumerate(D.frame) for j, d2 in enumerate(D.frame)]
-    rng = check.rng()
-    for t in range(check.config.trials):
-        pairs.append((
-            ("random#%d.1" % t,
-             random_combination(D, rng, check.config.max_degree)),
-            ("random#%d.2" % t,
-             random_combination(D, rng, check.config.max_degree))))
-    for (l1, d1), (l2, d2) in pairs:
+    draw = partial(random_combination, D)
+    for (l1, d1), (l2, d2) in check.tuples(
+            product(labelled("d", D.frame), repeat=2),
+            ("random#%d.1", draw), ("random#%d.2", draw)):
         value = C.bracket(d1, d2)
         inside, _ = membership(value, D)
         if not inside:
@@ -366,21 +343,10 @@ def dirac_algebroid(C, D):
     """The Lie algebroid structure induced on a bracket-closed isotropic
     subbundle: anchor rho restricted to the frame, bracket table from the
     membership coefficients of the frame brackets."""
-    patch = C.patch
-    rd = D.rank
-    bundle = TrivialBundle(patch, rd, "D")
-    anchor = [[C.anchor_vf(D.frame[j]).components[i] for j in range(rd)]
-              for i in range(patch.dim)]
-    table = []
-    for i in range(rd):
-        row = []
-        for j in range(rd):
-            inside, coeffs = membership(C.bracket(D.frame[i], D.frame[j]), D)
-            if not inside:
-                raise ValueError("subbundle is not closed under the bracket")
-            row.append(Section(bundle, coeffs))
-        table.append(row)
-    return DullAlgebroid(AnchoredBundle(bundle, anchor), table)
+    alg, outside = induced_algebroid(D, C.bracket, C.anchor_vf, "D")
+    if outside:
+        raise ValueError("subbundle is not closed under the bracket")
+    return alg
 
 
 def _pontryagin_bundle(patch):
@@ -461,27 +427,26 @@ def check_courant_morphism(Phi, C1, C2, config=None, prefix="morphism"):
     def apply(c):
         return Section(C2.bundle, apply_matrix(Phi, c.components, patch))
 
+    frames = labelled("e", C1.frame_sections())
+    pair = [("random#%d.0", C1.random_element),
+            ("random#%d.1", C1.random_element)]
     results = []
     check = Check("%s.anchor" % prefix, config)
-    singles = [("e%d" % i, s) for i, s in enumerate(C1.frame_sections())]
-    rng = check.rng()
-    singles += [("random#%d" % t, C1.random_element(rng, check.config.max_degree))
-                for t in range(check.config.trials)]
-    for label, c in singles:
+    for label, c in check.tuples(frames, ("random#%d", C1.random_element)):
         residual = C2.anchor_vf(apply(c)) - C1.anchor_vf(c)
         if not residual.is_zero():
             check.witness(residual, c=label)
     results.append(check.result())
 
     check = Check("%s.pairing" % prefix, config)
-    for (l1, c1), (l2, c2) in _elements(C1, check, 2):
+    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
         residual = C2.pairing(apply(c1), apply(c2)) - C1.pairing(c1, c2)
         if not residual.is_zero():
             check.witness(residual, **{l1: c1, l2: c2})
     results.append(check.result())
 
     check = Check("%s.bracket" % prefix, config)
-    for (l1, c1), (l2, c2) in _elements(C1, check, 2):
+    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
         residual = apply(C1.bracket(c1, c2)) - C2.bracket(apply(c1), apply(c2))
         # zero test owned by the target: quotient carriers compare classes
         if not C2.is_zero(residual):
@@ -533,13 +498,13 @@ def bott_dorfman(C, D, config=None, prefix="bott"):
     bott = BottDorfman(C, D)
     patch = C.patch
     check = Check("%s.well_defined" % prefix, config)
-    functions = [patch.one] + [patch.coordinate(k) for k in range(patch.dim)]
-    rng = check.rng()
-    functions += [random_scalar(patch, rng, check.config.max_degree)
-                  for _ in range(check.config.trials)]
+    functions = check.tuples(
+        labelled("c", [patch.one] + [patch.coordinate(k)
+                                     for k in range(patch.dim)]),
+        ("random#%d", partial(random_scalar, patch)))
     for i, d1 in enumerate(D.frame):
         for j, d2 in enumerate(D.frame):
-            for f in functions:
+            for _, f in functions:
                 value = C.bracket(d1, f * d2)
                 inside, _ = membership(value, D)
                 if not inside:

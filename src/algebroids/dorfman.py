@@ -28,6 +28,7 @@ connections live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         bracket_eval, check_anchor_compat, lie_derivative_ATM,
@@ -161,13 +162,12 @@ def check_dorfman_axioms(D, config=None, prefix="dorfman"):
 
     check = Check("%s.differential_compat" % prefix, config)
     patch = D.patch
-    rng = check.rng()
-    functions = [patch.coordinate(k) for k in range(patch.dim)]
-    functions += [random_scalar(patch, rng, check.config.max_degree)
-                  for _ in range(check.config.trials)]
+    functions = check.tuples(
+        [(patch.coords[k], patch.coordinate(k)) for k in range(patch.dim)],
+        ("random#%d", partial(random_scalar, patch)))
     for i in range(D.Q.rank):
         qi = D.Q.basis_section(i)
-        for f in functions:
+        for _, f in functions:
             residual = dorfman_eval(D, qi, D.d_B(f)) \
                 - D.d_B(D.apply_anchor(qi, f))
             if not residual.is_zero():

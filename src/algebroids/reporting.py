@@ -6,6 +6,14 @@ earlier check it depends on failed, or errors on ill-formed input.  The
 per-check random stream is derived from (seed, check name), so checks can
 run in any order, or concurrently, without changing their verdicts, and a
 report is reproducible byte for byte apart from timings.
+
+Every non-tensorial identity is tested on one kind of test set, built by
+Check.tuples and nowhere else: first the fixed frame tuples, then
+`trials` tuples drawn slot by slot from a fresh copy of the check's
+stream.  Frame entries are labelled by a tag and an index (e0, u1, q2,
+...; see labelled); drawn entries by trial and slot, "random#<t>.<slot>"
+with slot 0/1/2, 1/2 or a letter, "random#<t>" for a single slot, or
+"random<t>" in the zoo checks.  Function slots print the function itself.
 """
 
 from __future__ import annotations
@@ -15,9 +23,15 @@ import random
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["CheckConfig", "Witness", "CheckResult", "Check", "Report"]
+__all__ = ["CheckConfig", "Witness", "CheckResult", "Check", "Report",
+           "labelled"]
 
 MAX_WITNESSES = 5
+
+
+def labelled(tag, values):
+    """Frame entries labelled by tag and index: [(tag0, v0), (tag1, v1)]."""
+    return [("%s%d" % (tag, i), v) for i, v in enumerate(values)]
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,19 @@ class Check:
 
     def rng(self):
         return self.config.rng_for(self.name)
+
+    def tuples(self, fixed, *slots):
+        """The test set: the fixed labelled tuples, then for each trial t
+        one tuple drawn slot by slot from a fresh rng(), where a slot
+        (label, draw) contributes (label % t, draw(rng, max_degree)).
+        With a single slot, entries are bare (label, value) pairs."""
+        out = list(fixed)
+        rng = self.rng()
+        for t in range(self.config.trials):
+            drawn = tuple((label % t, draw(rng, self.config.max_degree))
+                          for label, draw in slots)
+            out.append(drawn if len(slots) > 1 else drawn[0])
+        return out
 
     def witness(self, residual, **inputs):
         if len(self.witnesses) >= MAX_WITNESSES:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .algebroid import (AnchoredBundle, BasicConnections, DullAlgebroid,
                         LinearConnection, _lie_derivative_dual, bracket_eval,
@@ -40,7 +41,7 @@ from .cartan import (apply_vf, cotangent, d_function, d_oneform,
 from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
-from .reporting import Check, CheckConfig
+from .reporting import Check, CheckConfig, labelled
 from .scalars import Patch, _coeff_fraction, parse_scalar, random_scalar
 
 
@@ -340,7 +341,7 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
     config = config or CheckConfig()
     A, As = lb.alg_A, lb.alg_Astar
     patch = lb.patch
-    r, dim = lb.rank, patch.dim
+    dim = patch.dim
     results = []
 
     check = Check(prefix + ".anchor_anomaly", config)
@@ -360,11 +361,9 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
         comps = apply_matrix(rho_star, alpha.components, patch)
         return Section(D.Q, comps + list(alpha.components))
 
-    rng = check.rng()
-    alphas = [("eps%d" % s, As.bundle.basis_section(s)) for s in range(r)]
-    for t in range(config.trials):
-        alphas.append(("random%d" % t,
-                       random_section(As.bundle, rng, config.max_degree)))
+    alphas = check.tuples(
+        labelled("eps", As.bundle.basis_sections()),
+        ("random%d", partial(random_section, As.bundle)))
     for (l1, a1), (l2, a2) in itertools.combinations(alphas, 2):
         got = bracket_eval(dull, graph(a1), graph(a2))
         want = graph(bracket_eval(As, a1, a2))
@@ -478,11 +477,9 @@ def check_im2form(alg, sigma, config=None, prefix="im2form"):
     brk = Check(prefix + ".bracket", config)
     brk.note = ("IM condition (2): sigma[a1,a2] = "
                 "L_{rho a1} sigma(a2) - i_{rho a2} d(sigma a1)")
-    rng = anti.rng()
-    elems = [("e%d" % j, alg.bundle.basis_section(j)) for j in range(alg.rank)]
-    for t in range(config.trials):
-        elems.append(("random%d" % t,
-                      random_section(alg.bundle, rng, config.max_degree)))
+    elems = anti.tuples(
+        labelled("e", alg.bundle.basis_sections()),
+        ("random%d", partial(random_section, alg.bundle)))
     for (l1, a1), (l2, a2) in itertools.combinations(elems, 2):
         d1, d2 = im2form_defects(alg, sigma, a1, a2)
         if not d1.is_zero():
@@ -1148,11 +1145,8 @@ def check_abar(abar, config=None, prefix="abar"):
             note="ideal system conditions failing: " + ", ".join(failing))
 
     check = Check(prefix + ".jacobiator_correction", config)
-    rng = check.rng()
-    elems = [("f%d" % m, f) for m, f in enumerate(abar.frame_sections())]
-    for t in range(config.trials):
-        elems.append(("random%d" % t,
-                      random_section(abar.bundle, rng, config.max_degree)))
+    elems = check.tuples(labelled("f", abar.frame_sections()),
+                         ("random%d", partial(random_section, abar.bundle)))
     seen = 0
     for (l1, c1), (l2, c2), (l3, c3) in itertools.combinations(elems, 3):
         if seen >= len(elems) * 3:

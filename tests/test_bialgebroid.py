@@ -419,3 +419,41 @@ def test_equivalence_rejects_a_different_span(flat):
     d = by_name(res)
     assert d["equivalence.span"] == "fail"
     assert d["equivalence.bracket"] == "skipped"
+
+
+# ---------------------------------------------------------------------------
+# the induced algebroid on U is read once per triple
+
+
+def _count_induced_builds(monkeypatch):
+    from algebroids import bialgebroid
+    built = []
+    real = bialgebroid.induced_algebroid
+
+    def counting(sub, *args):
+        built.append(sub)
+        return real(sub, *args)
+
+    monkeypatch.setattr(bialgebroid, "induced_algebroid", counting)
+    return built
+
+
+def test_induced_algebroid_is_built_once(flat, monkeypatch):
+    built = _count_induced_builds(monkeypatch)
+    triple = LADiracTriple(flat.alg, flat.U, flat.D)
+    check_la_dirac(triple)
+    mp = build_courant_C(triple, verify=True)
+    db = bialgebroid_from_triple(triple)
+    assert built == [triple.U]
+    assert mp.alg_U is db.alg_U is triple.induced[0]
+
+
+@pytest.mark.parametrize("preset,triples", [
+    ("poisson-xy", 1), ("presymplectic-dxdy", 2), ("foliation-x", 1)])
+def test_pipelines_build_one_induced_algebroid_per_triple(
+        preset, triples, monkeypatch):
+    from algebroids import cli
+    built = _count_induced_builds(monkeypatch)
+    assert cli.run(preset, "all", trials=0).all_passed
+    assert len(built) == triples
+    assert len({id(U) for U in built}) == triples

@@ -1,8 +1,11 @@
 """Instance-file ingestion and the command line front end."""
 
 import json
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -257,13 +260,47 @@ def test_explicit_dorfman_entries_parse():
     assert data.subbundles["U"].ambient.name == "TM+TM*"
 
 
-@pytest.mark.skipif(shutil.which("algebroids") is None,
-                    reason="console script not installed")
-def test_console_script(tmp_path):
+@pytest.mark.parametrize("flag", ["--trials", "--max-degree"])
+def test_negative_counts_are_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["check", "courant", "aff1-bialgebra", flag, "-1"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s" % flag in err and "non-negative" in err
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+NO_SCRIPT = pytest.mark.skipif(shutil.which("algebroids") is None,
+                               reason="console script not installed")
+
+
+# the module form needs no install, so the subprocess path and its exit
+# codes run everywhere
+@pytest.mark.parametrize("command", [
+    pytest.param([sys.executable, "-m", "algebroids.cli"], id="module"),
+    pytest.param(["algebroids"], id="console-script", marks=NO_SCRIPT),
+])
+def test_console_script(command, tmp_path):
     src = tmp_path / "triple.txt"
     src.write_text(TRIPLE_FILE)
-    proc = subprocess.run(
-        ["algebroids", "check", "la-dirac", str(src), "--trials", "2",
-         "--max-degree", "1"], capture_output=True, text=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+
+    def run(*args):
+        return subprocess.run(command + list(args), capture_output=True,
+                              text=True, env=env)
+
+    proc = run("check", "la-dirac", str(src), "--trials", "2",
+               "--max-degree", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_passed"] is True
+    proc = run("check", "im2form", "nonclosed-zdxdy", "--trials", "0")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["all_passed"] is False
+    proc = run("check", "courant", "nosuchthing")
+    assert proc.returncode == 2 and "no such file" in proc.stderr
+    proc = run("check", "courant", "aff1-bialgebra", "--trials", "-3")
+    assert proc.returncode == 2 and "--trials" in proc.stderr
