@@ -17,10 +17,12 @@ subbundle a Dirac structure with a Lie algebroid side:
 plus two consequences used throughout: Delta_u k stays in Gamma(K), and the
 quotient connection induced on (A + T*M)/K is flat.
 
-Elements of the quotient carrier are stored as representative sections
-(u-coefficients over the U frame, followed by A + T*M components); is_zero
-reduces modulo the graph, so every check downstream compares classes, not
-representatives.  The bracket on representatives is
+The quotient carrier is the graph quotient of bundles.GraphQuotient (see
+the bundles module docstring) with phi = (rho, rho^t): elements are
+representative sections (u-coefficients over the U frame, followed by
+A + T*M components), and is_zero reduces modulo the graph, so every check
+downstream compares classes, not representatives.  The bracket on
+representatives is
 
     [u1 (+) t1, u2 (+) t2] = ([u1, u2]_Delta + nabla^bas_{t1} u2
                               - nabla^bas_{t2} u1)
@@ -39,19 +41,17 @@ from itertools import combinations, product
 
 from .algebroid import (DullAlgebroid, bracket_eval, check_algebroid,
                         induced_algebroid, rho_rhot, side_B, side_Q)
-from .bundles import (Frame, FrameError, Section, Solver, Subbundle,
-                      TrivialBundle, annihilator, apply_matrix,
-                      canonical_pairing, complement, degenerate_pairing,
-                      matrix_rank, membership, nullspace, random_combination,
-                      random_section)
-from .cartan import tangent
+from .bundles import (Frame, FrameError, GraphQuotient, Section, Solver,
+                      Subbundle, annihilator, apply_matrix, canonical_pairing,
+                      degenerate_pairing, matrix_rank, membership, nullspace,
+                      random_combination, random_section)
+from .cartan import apply_vf, tangent
 from .courant import check_courant_morphism, degenerate_courant
 from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
                       dorfman_eval, dual_dull_bracket,
                       extend_lie_bracket_to_dull, nabla_bas_ATM,
                       nabla_bas_TMAs)
 from .reporting import Check, labelled
-from .scalars import random_scalar
 
 __all__ = [
     "LADiracTriple", "check_la_dirac", "verify_phi_skew",
@@ -361,128 +361,34 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
 # the Courant algebroid on the quotient
 
 
-class QuotientCourant:
-    """Carrier (U + (A + T*M)) / graph(-(rho, rho^t)|_K) presented on
-    representative sections: rank(U) frame coefficients followed by
-    A + T*M components.
+class QuotientCourant(GraphQuotient):
+    """Carrier (U + (A + T*M)) / graph(-(rho, rho^t)|_K): the graph quotient
+    of bundles.GraphQuotient with V = U, E = A + T*M and phi = (rho, rho^t),
+    presented on representative sections (rank(U) frame coefficients
+    followed by A + T*M components).
 
-    Implements the same protocol as CourantPresentation; frame_sections
-    returns an honest frame of the quotient (U classes, then a complement
-    of K), coordinates reduces a representative over it, and is_zero tests
-    membership in the graph, so all downstream checks compare classes.
+    Implements the same protocol as CourantPresentation; frame_sections,
+    coordinates and is_zero come from the graph quotient, so all
+    downstream checks compare classes.
     """
 
     degenerate = False
 
     def __init__(self, triple):
-        alg, U, K, D = triple.alg, triple.U, triple.K, triple.D
-        patch = triple.patch
-        self.triple = triple
+        alg, U, D = triple.alg, triple.U, triple.D
+        Q = U.ambient
+        super().__init__(U, triple.K, lambda k: rho_rhot(alg, k, target=Q),
+                         "U+%s" % D.B.name)
         self.alg = alg
-        self.U = U
-        self.K = K
         self.D = D
         self.dual = triple.dual
         self._dC = degenerate_courant(alg)
         self.ra = alg.rank
-        self.rU = U.rank
-        self.B = D.B
-        self.bundle = TrivialBundle(patch, self.rU + self.B.rank,
-                                    "U+%s" % self.B.name)
-        self.W = complement(K)
-        # columns of the K-frame followed by the complement, for reduction
-        mixed = list(K.frame.sections) + list(self.W.sections)
-        self._tau = Solver([[m.components[r] for m in mixed]
-                            for r in range(self.B.rank)], patch)
         self.axioms_checked = False
-        self._graph = None
-
-    @property
-    def patch(self):
-        return self.bundle.patch
 
     @property
     def rank(self):
         return self.bundle.rank
-
-    @property
-    def true_rank(self):
-        return self.rU + len(self.W)
-
-    def lift(self, u_coeffs, tau=None):
-        """Representative section from U-frame coefficients and a section
-        (or component list) of A + T*M."""
-        patch = self.patch
-        comps = [patch.scalar(v) for v in u_coeffs]
-        if len(comps) != self.rU:
-            raise ValueError("expected %d U-coefficients" % self.rU)
-        if tau is None:
-            comps += [patch.zero] * self.B.rank
-        else:
-            tau_comps = tau.components if isinstance(tau, Section) else tau
-            comps += [patch.scalar(v) for v in tau_comps]
-        return Section(self.bundle, comps)
-
-    def split(self, c):
-        """(u as a section of TM + A*, tau as a section of A + T*M)."""
-        u = self.U.ambient.zero_section()
-        for p in range(self.rU):
-            u = u + c.components[p] * self.U.frame[p]
-        return u, Section(self.B, c.components[self.rU:])
-
-    @property
-    def graph_frame(self):
-        """Frame of the graph: (-(rho, rho^t) k in U-coefficients, k)."""
-        if self._graph is None:
-            sections = []
-            for k in self.K.frame:
-                image = rho_rhot(self.alg, k, target=self.U.ambient)
-                inside, coeffs = membership(image, self.U)
-                if not inside:
-                    raise ValueError("(rho, rho^t) does not map K into U; "
-                                     "the quotient presentation degenerates")
-                sections.append(self.lift([-c for c in coeffs], k))
-            self._graph = Frame(self.bundle, sections)
-        return self._graph
-
-    def frame_sections(self):
-        out = [self.lift([self.patch.one if q == p else self.patch.zero
-                          for q in range(self.rU)])
-               for p in range(self.rU)]
-        zero_u = [self.patch.zero] * self.rU
-        out += [self.lift(zero_u, w) for w in self.W]
-        return out
-
-    def coordinates(self, c):
-        """Coefficients of the class of c over frame_sections()."""
-        status, data = self._tau.solve(c.components[self.rU:])
-        if status != "solution":
-            raise RuntimeError("K-frame and complement failed to span")
-        k = self.B.zero_section()
-        for m, s in enumerate(self.K.frame):
-            k = k + data[m] * s
-        image = rho_rhot(self.alg, k, target=self.U.ambient)
-        inside, coeffs = membership(image, self.U)
-        if not inside:
-            raise ValueError("(rho, rho^t) does not map K into U; "
-                             "classes have no canonical coordinates")
-        return [c.components[p] + coeffs[p] for p in range(self.rU)] \
-            + list(data[self.K.rank:])
-
-    def zero(self):
-        return self.bundle.zero_section()
-
-    def random_element(self, rng, max_degree=2):
-        return random_section(self.bundle, rng, max_degree)
-
-    def is_zero(self, c):
-        """c represents the zero class: tau lies in Gamma(K) and the U-part
-        cancels its image under (rho, rho^t)."""
-        u, tau = self.split(c)
-        inside, _ = membership(tau, self.K)
-        if not inside:
-            return False
-        return (u + rho_rhot(self.alg, tau, target=self.U.ambient)).is_zero()
 
     def anchor_vf(self, c):
         patch = self.patch
@@ -494,7 +400,6 @@ class QuotientCourant:
                         for i in range(patch.dim)])
 
     def apply_anchor(self, c, f):
-        from .cartan import apply_vf
         return apply_vf(self.anchor_vf(c), f)
 
     def pairing(self, c1, c2):
@@ -505,7 +410,7 @@ class QuotientCourant:
 
     def D_of(self, f):
         patch = self.patch
-        return self.lift([patch.zero] * self.rU, self.D.d_B(f))
+        return self.lift([patch.zero] * self.rV, self.D.d_B(f))
 
     def bracket(self, c1, c2):
         if c1.bundle != self.bundle or c2.bundle != self.bundle:
@@ -517,13 +422,13 @@ class QuotientCourant:
         a2 = _a_section(alg, t2.components[:self.ra])
         u_out = bracket_eval(self.dual, u1, u2) \
             + nabla_bas_TMAs(D, alg, a1, u2) - nabla_bas_TMAs(D, alg, a2, u1)
-        inside, coeffs = membership(u_out, self.U)
+        inside, coeffs = membership(u_out, self.V)
         if not inside:
             raise ValueError("bracket left the presentation: the TM + A* "
                              "part is not a section of U")
         dcb = self._dC.bracket(Section(self._dC.bundle, t1.components),
                                Section(self._dC.bundle, t2.components))
-        tau_out = Section(self.B, dcb.components) \
+        tau_out = Section(self.E, dcb.components) \
             + dorfman_eval(D, u1, t2) - dorfman_eval(D, u2, t1) \
             + D.d_B(canonical_pairing(u2, t1))
         return self.lift(coeffs, tau_out)
@@ -539,15 +444,12 @@ def random_adapted_perturbation(triple, rng, max_degree=1):
     tensorial K-valued term on the A block of the table.  The T*M block is
     untouched (differential compatibility) and values in K leave every
     condition and the induced bracket on U unchanged."""
-    D, K = triple.D, triple.K
-    patch = triple.patch
+    D = triple.D
     table = [list(row) for row in D.table]
     for i in range(D.Q.rank):
         for j in range(triple.alg.rank):
-            bump = D.B.zero_section()
-            for k in K.frame:
-                bump = bump + random_scalar(patch, rng, max_degree) * k
-            table[i][j] = table[i][j] + bump
+            table[i][j] = table[i][j] + random_combination(triple.K, rng,
+                                                           max_degree)
     return LADiracTriple(triple.alg, triple.U,
                          DorfmanConnection(D.Q, D.B, table), K=triple.K)
 
@@ -584,15 +486,13 @@ def build_courant_C(triple, config=None, verify=True):
     alg, U = triple.alg, triple.U
     patch = triple.patch
     C = QuotientCourant(triple)
-    frame = Frame(C.bundle, [C.lift([patch.one if q == p else patch.zero
-                                     for q in range(U.rank)])
-                             for p in range(U.rank)])
-    U_in_C = Subbundle(C.bundle, frame)
+    U_in_C = Subbundle(C.bundle,
+                       Frame(C.bundle, C.frame_sections()[:U.rank]))
     iota = [[U.frame[p].components[i] for p in range(U.rank)]
             for i in range(U.ambient.rank)]
-    Phi = [[patch.zero] * C.B.rank for _ in range(U.rank)] \
-        + [[patch.one if i == j else patch.zero for j in range(C.B.rank)]
-           for i in range(C.B.rank)]
+    Phi = [[patch.zero] * C.E.rank for _ in range(U.rank)] \
+        + [[patch.one if i == j else patch.zero for j in range(C.E.rank)]
+           for i in range(C.E.rank)]
     alg_U, outside = triple.induced
     if outside:
         raise ValueError("dual bracket does not close on U")
@@ -668,11 +568,11 @@ def check_manin_pair(mp, config=None, prefix="manin"):
     results.append(closed.result())
     results.append(induced.result())
 
-    results.extend(check_courant_morphism(mp.Phi, degenerate_courant(alg), C,
-                                          config, prefix="%s.phi" % prefix))
+    dc = degenerate_courant(alg)
+    results.extend(check_courant_morphism(mp.Phi, dc, C, config,
+                                          prefix="%s.phi" % prefix))
 
     check = Check("%s.spanning" % prefix, config)
-    dc = degenerate_courant(alg)
     images = list(ucoords)
     for j in range(dc.rank):
         image = Section(C.bundle, apply_matrix(
@@ -771,7 +671,6 @@ def bialgebroids_equivalent(db1, db2, config=None, prefix="equivalence"):
     membership coefficients."""
     if db1.patch != db2.patch:
         raise ValueError("bialgebroids live over different patches")
-    patch = db1.patch
     U1 = db1.iota_subbundle()
     U2 = db2.iota_subbundle()
     results = []
@@ -800,13 +699,9 @@ def bialgebroids_equivalent(db1, db2, config=None, prefix="equivalence"):
         transported.append(Section(db2.alg_U.bundle, coeffs))
     for p in range(U1.rank):
         for q in range(U1.rank):
-            lhs = U1.ambient.zero_section()
-            for l, c in enumerate(db1.alg_U.bracket[p][q].components):
-                lhs = lhs + c * db1.columns[l]
+            lhs = U1.frame.combination(db1.alg_U.bracket[p][q].components)
             value = bracket_eval(db2.alg_U, transported[p], transported[q])
-            rhs = U2.ambient.zero_section()
-            for l, c in enumerate(value.components):
-                rhs = rhs + c * db2.columns[l]
+            rhs = U2.frame.combination(value.components)
             residual = lhs - rhs
             if not residual.is_zero():
                 check.witness(residual, u1="u%d" % p, u2="u%d" % q)

@@ -23,6 +23,21 @@ lowest row i >= rank with y[i] != 0, and its witness row is T[i] scaled by
 canonical, so equal values print identically and witnesses stay
 byte-for-byte the same.
 
+Each subbundle also keeps one adapted frame (Subbundle.adapted_frame): its
+own frame sections followed by complement(U), a frame of the whole ambient
+bundle built on first use.  Its coefficients() read any section over the
+subbundle plus its complement, and solver().T is the inverse of its column
+matrix, so "frame, then complement, then eliminate" runs once per subbundle.
+
+The graph quotient (V + E) / graph(-phi|_K), for subbundles V and K of E
+and a bundle map phi: K -> V, is written once, as GraphQuotient.  Its
+elements are representatives: rank(V) frame coefficients followed by E
+components.  A class vanishes iff its E-part e lies in K and v + phi(e) = 0;
+its coordinates move the K-part of e into the V slot through phi and keep
+the complement coefficients.  The Courant algebroid of an LA-Dirac triple
+(phi = (rho, rho^t)) and the quotient algebroid of an infinitesimal ideal
+system (phi = rho) are its two instances.
+
 Matrix convention used across the package: a bundle map acts by ordinary
 matrix-vector multiplication, so column j holds the components of the image
 of the j-th standard basis section.  An anchor rho on A has shape
@@ -33,10 +48,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Patch, ScalarField, random_scalar
+from .scalars import ScalarField, random_scalar
 
 __all__ = [
-    "TrivialBundle", "Section", "Frame", "Subbundle",
+    "TrivialBundle", "Section", "Frame", "Subbundle", "GraphQuotient",
     "direct_sum", "canonical_pairing", "degenerate_pairing",
     "annihilator", "membership", "complement", "perp_under_gram",
     "rref", "nullspace", "matrix_rank", "det", "Solver",
@@ -197,6 +212,21 @@ class Frame:
             self._solver = Solver(cols, self.bundle.patch)
         return self._solver
 
+    def coefficients(self, components):
+        """Coefficients over the frame of the section with these components;
+        RuntimeError if it lies outside the frame's span."""
+        status, data = self.solver().solve(components)
+        if status != "solution":
+            raise RuntimeError("section outside the span of the frame")
+        return data
+
+    def combination(self, coeffs):
+        """The section sum_p coeffs[p] * sections[p]."""
+        out = self.bundle.zero_section()
+        for c, s in zip(coeffs, self.sections, strict=True):
+            out = out + c * s
+        return out
+
     def certificate_minor(self):
         """Determinant of the certified maximal minor (nonzero by construction)."""
         rows = [[s.components[c] for c in self.rank_certificate]
@@ -222,13 +252,23 @@ class Frame:
 class Subbundle:
     """A constant-rank subbundle of a trivialized bundle, given by a frame."""
 
-    __slots__ = ("ambient", "frame")
+    __slots__ = ("ambient", "frame", "_adapted")
 
     def __init__(self, ambient, frame):
         if frame.bundle != ambient:
             raise ValueError("frame does not live in the ambient bundle")
         self.ambient = ambient
         self.frame = frame
+        self._adapted = None
+
+    def adapted_frame(self):
+        """The frame sections followed by those of complement(self): a frame
+        of the ambient bundle, built on first use and kept (a subbundle is
+        never mutated)."""
+        if self._adapted is None:
+            self._adapted = Frame(self.ambient, self.frame.sections
+                                  + tuple(_complement_sections(self)))
+        return self._adapted
 
     @property
     def rank(self):
@@ -512,9 +552,12 @@ def membership(s, U):
 
 def complement(U):
     """Deterministic complement: the standard basis sections, in index
-    order, that increase the rank of the frame and of those kept before.
+    order, that increase the rank of the frame and of those kept before."""
+    return Frame(U.ambient, _complement_sections(U))
 
-    One elimination of the n x (k+n) matrix whose columns are the k frame
+
+def _complement_sections(U):
+    """One elimination of the n x (k+n) matrix whose columns are the k frame
     sections and then e_0..e_{n-1}: pivot columns are the greedy
     left-to-right independent set, so e_i is kept exactly when column k+i
     is a pivot (the frame's own k columns are independent)."""
@@ -524,8 +567,7 @@ def complement(U):
             + [patch.one if i == j else patch.zero for j in range(n)]
             for i in range(n)]
     _, _, pivots = rref(rows, patch)
-    return Frame(U.ambient, [U.ambient.basis_section(c - k)
-                             for c in pivots if c >= k])
+    return [U.ambient.basis_section(c - k) for c in pivots if c >= k]
 
 
 def random_section(bundle, rng, max_degree=2):
@@ -536,7 +578,102 @@ def random_section(bundle, rng, max_degree=2):
 def random_combination(U, rng, max_degree=2):
     """A random section of the subbundle U: the frame sections with random
     polynomial coefficients, drawn in frame order."""
-    out = U.ambient.zero_section()
-    for s in U.frame:
-        out = out + random_scalar(U.patch, rng, max_degree) * s
-    return out
+    return U.frame.combination([random_scalar(U.patch, rng, max_degree)
+                                for _ in U.frame])
+
+
+# ---------------------------------------------------------------------------
+# the graph quotient
+
+
+class GraphQuotient:
+    """The quotient (V + E) / graph(-phi|_K) of the module docstring, for a
+    subbundle V, a subbundle K of E and phi mapping sections of K to
+    sections of V's ambient bundle; name labels the representative bundle.
+
+    frame_sections() is an honest frame of the quotient (the V-frame
+    classes, then the complement W of K), coordinates() reduces a
+    representative over it, and is_zero() tests membership in the graph.
+    """
+
+    def __init__(self, V, K, phi, name):
+        self.V = V
+        self.K = K
+        self.E = K.ambient
+        self.phi = phi
+        self.rV = V.rank
+        self.patch = K.patch
+        self.bundle = TrivialBundle(K.patch, V.rank + self.E.rank, name)
+        self.W = K.adapted_frame().sections[K.rank:]
+        self.true_rank = V.rank + len(self.W)
+        self._graph = None
+
+    def lift(self, v_coeffs, e=None):
+        """Representative section from V-frame coefficients and a section
+        (or component list) of E."""
+        patch = self.patch
+        comps = [patch.scalar(v) for v in v_coeffs]
+        if len(comps) != self.rV:
+            raise ValueError("expected %d V-frame coefficients" % self.rV)
+        if e is None:
+            comps += [patch.zero] * self.E.rank
+        else:
+            e_comps = e.components if isinstance(e, Section) else e
+            comps += [patch.scalar(v) for v in e_comps]
+        return Section(self.bundle, comps)
+
+    def v_part(self, c):
+        """The V-part of a representative, as a section of V's ambient."""
+        return self.V.frame.combination(c.components[:self.rV])
+
+    def e_part(self, c):
+        return Section(self.E, c.components[self.rV:])
+
+    def split(self, c):
+        return self.v_part(c), self.e_part(c)
+
+    def _phi_coordinates(self, k):
+        inside, coeffs = membership(self.phi(k), self.V)
+        if not inside:
+            raise ValueError("phi does not map K into V; the quotient "
+                             "presentation degenerates")
+        return coeffs
+
+    @property
+    def graph_frame(self):
+        """Frame of the graph: (-phi(k) in V-coefficients, k) over K."""
+        if self._graph is None:
+            self._graph = Frame(self.bundle, [
+                self.lift([-c for c in self._phi_coordinates(k)], k)
+                for k in self.K.frame])
+        return self._graph
+
+    def frame_sections(self):
+        one, zero = self.patch.one, self.patch.zero
+        out = [self.lift([one if q == p else zero for q in range(self.rV)])
+               for p in range(self.rV)]
+        return out + [self.lift([zero] * self.rV, w) for w in self.W]
+
+    def coordinates(self, c):
+        """Coefficients of the class of c over frame_sections(): the K-part
+        k of the E-part moves into the V slot as phi(k)."""
+        data = self.K.adapted_frame().coefficients(c.components[self.rV:])
+        coeffs = self._phi_coordinates(
+            self.K.frame.combination(data[:self.K.rank]))
+        return [c.components[p] + coeffs[p] for p in range(self.rV)] \
+            + list(data[self.K.rank:])
+
+    def zero(self):
+        return self.bundle.zero_section()
+
+    def random_element(self, rng, max_degree=2):
+        return random_section(self.bundle, rng, max_degree)
+
+    def is_zero(self, c):
+        """c represents the zero class: its E-part e lies in Gamma(K) and
+        its V-part cancels phi(e)."""
+        e = self.e_part(c)
+        inside, _ = membership(e, self.K)
+        if not inside:
+            return False
+        return (self.v_part(c) + self.phi(e)).is_zero()

@@ -39,8 +39,8 @@ from .zoo import (AbarAlgebroid, ZOO_PRESETS, bialgebroid_from_im2form,
                   check_im2form, courant_double, iis_triple,
                   poisson_bialgebroid, poisson_triple, presymplectic_triple,
                   run_zoo_pipeline, sigma_from_2form, zoo_preset)
-from .instances import (InstanceData, InstanceError, emit_courant,
-                        emit_instance, ingest, instance_from_preset)
+from .instances import (InstanceError, emit_courant, emit_instance, ingest,
+                        instance_from_preset)
 
 __all__ = ["SUITES", "run", "main"]
 

@@ -23,9 +23,9 @@ from functools import partial
 from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
-from .bundles import (Frame, Section, Solver, Subbundle, TrivialBundle,
-                      apply_matrix, complement, det, direct_sum, membership,
-                      nullspace, random_combination, random_section)
+from .bundles import (Frame, Section, Subbundle, TrivialBundle, apply_matrix,
+                      det, direct_sum, membership, nullspace,
+                      random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
 from .scalars import random_scalar
@@ -468,20 +468,14 @@ class BottDorfman:
             raise ValueError("subbundle does not live in the carrier bundle")
         self.C = C
         self.D = D
-        self.W = complement(D)
-        patch = C.patch
-        self.quotient = TrivialBundle(patch, len(self.W),
+        self.W = D.adapted_frame().sections[D.rank:]
+        self.quotient = TrivialBundle(C.patch, len(self.W),
                                       "%s/D" % C.bundle.name)
-        mixed = list(D.frame.sections) + list(self.W.sections)
-        self._solver = Solver([[m.components[r] for m in mixed]
-                               for r in range(C.rank)], patch)
         self.table = [[self.eval(d, w) for w in self.W] for d in D.frame]
 
     def reduce(self, c):
         """Class of c in C/D: the complement coefficients of c."""
-        status, data = self._solver.solve(c.components)
-        if status != "solution":
-            raise RuntimeError("complement failed to span the carrier")
+        data = self.D.adapted_frame().coefficients(c.components)
         return Section(self.quotient, data[self.D.rank:])
 
     def eval(self, d, c):

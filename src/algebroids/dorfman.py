@@ -33,8 +33,7 @@ from functools import partial
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         bracket_eval, check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import (Section, Solver, annihilator, canonical_pairing,
-                      complement, membership)
+from .bundles import Section, annihilator, canonical_pairing, membership
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
 from .scalars import random_scalar
@@ -335,12 +334,10 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
         return Section(Q, list(X.components) + [patch.zero] * ra)
 
     def lift_u(s):
-        out = Q.zero_section()
-        for l in range(ru):
-            out = out + s.components[l] * U.frame[l]
-        return out
+        return U.frame.combination(s.components)
 
-    mixed = list(U.frame.sections) + list(complement(U).sections)
+    adapted = U.adapted_frame()
+    mixed = adapted.sections
     g = [[None] * n for _ in range(n)]
     for p in range(n):
         for q in range(n):
@@ -349,14 +346,8 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
             else:
                 g[p][q] = lift_vf(lie_bracket_vf(pr(mixed[p]), pr(mixed[q])))
 
-    solver = Solver([[m.components[r] for m in mixed] for r in range(n)],
-                    patch)
-    coeffs = []
-    for i in range(n):
-        status, data = solver.solve(Q.basis_section(i).components)
-        if status != "solution":
-            raise RuntimeError("mixed frame failed to span the ambient bundle")
-        coeffs.append(data)
+    coeffs = [adapted.coefficients(Q.basis_section(i).components)
+              for i in range(n)]
 
     X = [pr(Q.basis_section(i)) for i in range(n)]
     table = [[_leibniz(Q, g, coeffs[i], coeffs[j], X[i], X[j], frame=mixed)
@@ -373,7 +364,7 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
     for p in range(ru):
         for m, tau in enumerate(K.frame):
             value = dorfman_eval(D, U.frame[p], tau)
-            inside, data = membership(value, K)
+            inside, _ = membership(value, K)
             if not inside:
                 check.witness(value, u="u%d" % p, tau="k%d" % m)
     checks.append(check.result())

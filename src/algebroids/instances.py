@@ -453,7 +453,7 @@ class _Builder:
                                      "anchor.%s" % name)
             table = [[bundle.zero_section() for _ in range(bundle.rank)]
                      for _ in range(bundle.rank)]
-            bentries, bline = self._brackets.get(name, ([], line))
+            bentries, _ = self._brackets.get(name, ([], line))
             for key, value, ln, vcol in bentries:
                 i, j = self.pair_key(key, bundle.rank, bundle.rank, ln,
                                      "bracket.%s" % name)

@@ -42,6 +42,14 @@ class CheckConfig:
     trials: int = 8
     max_degree: int = 2
 
+    def __post_init__(self):
+        for name in ("trials", "max_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 0:
+                raise ValueError("%s must be a non-negative integer, got %r"
+                                 % (name, value))
+
     def rng_for(self, check_name):
         # string seeding hashes with sha512, so this is platform-stable
         return random.Random("%d:%s" % (self.seed, check_name))

@@ -7,8 +7,8 @@ Four independent geometric sources land on the same certified objects
   with Poisson bivectors and their Koszul bracket as the flagship case;
 * IM 2-forms sigma: A -> T*M, mapped into the standard Courant algebroid;
 * infinitesimal ideal systems (F_M, J, nabla), with the quotient algebroid
-  presented on F_M + A and the Manin pair inside the double of its
-  reduction;
+  presented on F_M + A (the graph quotient of the bundles module docstring,
+  with phi = rho) and the Manin pair inside the double of its reduction;
 * Dirac bialgebras: constant-coefficient structures over a point, modelled
   on a one-coordinate patch where nothing depends on the coordinate.
 
@@ -32,9 +32,9 @@ from .bialgebroid import (AManinPair, DiracBialgebroid, LADiracTriple,
                           bialgebroid_from_triple, bialgebroids_equivalent,
                           build_courant_C, check_la_dirac, check_manin_pair,
                           triple_from_bialgebroid)
-from .bundles import (Frame, Section, Subbundle, TrivialBundle, apply_matrix,
-                      canonical_pairing, complement, det, direct_sum,
-                      matrix_rank, membership, nullspace, random_section, rref)
+from .bundles import (Frame, GraphQuotient, Section, Subbundle, TrivialBundle,
+                      apply_matrix, det, direct_sum, matrix_rank, membership,
+                      nullspace, random_combination, random_section, rref)
 from .cartan import (apply_vf, cotangent, d_function, d_oneform,
                      interior_vf_2form, lie_bracket_vf, lie_derivative_1form,
                      pair_form_vf, tangent, two_form_matrix)
@@ -42,7 +42,7 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig, labelled
-from .scalars import Patch, _coeff_fraction, parse_scalar, random_scalar
+from .scalars import Patch, _coeff_fraction, parse_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +686,6 @@ def _fraction_nullspace(rows, ncols):
     return basis
 
 
-def _matrix_inverse(rows, patch):
-    R, T, pivots = rref([list(r) for r in rows], patch, track=True)
-    if len(pivots) != len(rows):
-        raise ValueError("matrix is singular")
-    return T
-
-
 def parallel_frame_search(iis, degree=2):
     """Sections of a complement of J whose classes in A/J are parallel
     along every F_M frame, found exactly by a polynomial coefficient
@@ -711,13 +704,12 @@ def parallel_frame_search(iis, degree=2):
     alg, F, J, conn = iis.alg, iis.F_M, iis.J, iis.conn
     patch = alg.patch
     dim, ra = patch.dim, alg.rank
-    W = complement(J)
+    adapted = J.adapted_frame()
+    W = adapted.sections[J.rank:]
     t = len(W)
     if t == 0:
         return []
-    basis = [list(s.components) for s in J.frame] + [list(s.components) for s in W]
-    bmat = [[basis[b][i] for b in range(ra)] for i in range(ra)]
-    proj = _matrix_inverse(bmat, patch)[J.rank:]
+    proj = adapted.solver().T[J.rank:]
 
     monos = sorted(m for m in itertools.product(range(degree + 1), repeat=dim)
                    if sum(m) <= degree)
@@ -832,7 +824,6 @@ def check_iis(iis, config=None, prefix="iis"):
     closure conditions on it."""
     config = config or CheckConfig()
     alg, F, J, conn = iis.alg, iis.F_M, iis.J, iis.conn
-    patch = alg.patch
     bas = BasicConnections(alg, conn)
     results = []
 
@@ -967,9 +958,10 @@ def iis_triple(iis):
     return LADiracTriple(alg, U, D)
 
 
-class AbarAlgebroid:
-    """The quotient (F_M + A) / graph(-rho restricted to J), presented on
-    the direct sum.
+class AbarAlgebroid(GraphQuotient):
+    """The quotient (F_M + A) / graph(-rho restricted to J): the graph
+    quotient of bundles.GraphQuotient (see the bundles module docstring)
+    with V = F_M, E = A and phi = rho.
 
     Presentation elements carry F_M-frame coordinates in the first rank(F_M)
     slots and A-frame components after; the class of (X, a) vanishes iff a
@@ -978,80 +970,18 @@ class AbarAlgebroid:
     an honest bracket-table algebroid."""
 
     def __init__(self, iis):
-        self.iis = iis
         alg = iis.alg
-        patch = alg.patch
-        self.rF = iis.F_M.rank
-        self.rA = alg.rank
-        self.bundle = TrivialBundle(patch, self.rF + self.rA,
-                                    "FM+%s" % alg.bundle.name)
-        self.W = complement(iis.J)
+        super().__init__(iis.F_M, iis.J, alg.anchor_vf,
+                         "FM+%s" % alg.bundle.name)
+        self.iis = iis
+        self.rank = self.true_rank
         self.bas = BasicConnections(alg, iis.conn)
-        basis = [list(s.components) for s in iis.J.frame]
-        basis += [list(s.components) for s in self.W]
-        bmat = [[basis[b][i] for b in range(self.rA)] for i in range(self.rA)]
-        self._basis_inv = _matrix_inverse(bmat, patch)
 
-    @property
-    def patch(self):
-        return self.iis.alg.patch
-
-    @property
-    def rank(self):
-        return self.rF + self.rA - self.iis.J.rank
-
-    def lift(self, x_coeffs, a=None):
-        patch = self.patch
-        comps = [patch.scalar(v) for v in x_coeffs]
-        if len(comps) != self.rF:
-            raise ValueError("expected %d F_M coefficients" % self.rF)
-        if a is None:
-            comps += [patch.zero] * self.rA
-        else:
-            comps += list(a.components)
-        return Section(self.bundle, comps)
-
-    def x_vf(self, c):
-        patch = self.patch
-        out = Section(tangent(patch), [patch.zero] * patch.dim)
-        for p in range(self.rF):
-            out = out + c.components[p] * self.iis.F_M.frame[p]
-        return out
-
-    def a_part(self, c):
-        return Section(self.iis.alg.bundle, list(c.components[self.rF:]))
+    x_vf = GraphQuotient.v_part
+    a_part = GraphQuotient.e_part
 
     def anchor_vf(self, c):
         return self.x_vf(c) + self.iis.alg.anchor_vf(self.a_part(c))
-
-    def is_zero(self, c):
-        a = self.a_part(c)
-        inside, _ = membership(a, self.iis.J)
-        if not inside:
-            return False
-        return (self.x_vf(c) + self.iis.alg.anchor_vf(a)).is_zero()
-
-    def coordinates(self, c):
-        """Coordinates of the class over reduced()'s frame: move the J-part
-        of a into the vector slot through rho and express what remains."""
-        patch = self.patch
-        a = self.a_part(c)
-        lam = apply_matrix(self._basis_inv, a.components, patch)
-        jpart = Section(self.iis.alg.bundle, [patch.zero] * self.rA)
-        for q in range(self.iis.J.rank):
-            jpart = jpart + lam[q] * self.iis.J.frame[q]
-        X = self.x_vf(c) + self.iis.alg.anchor_vf(jpart)
-        inside, xc = membership(X, self.iis.F_M)
-        if not inside:
-            raise ValueError("class has a vector part outside F_M")
-        return list(xc) + list(lam[self.iis.J.rank:])
-
-    def frame_sections(self):
-        out = [self.lift([self.patch.one if q == p else self.patch.zero
-                          for q in range(self.rF)]) for p in range(self.rF)]
-        zero_x = [self.patch.zero] * self.rF
-        out += [self.lift(zero_x, w) for w in self.W]
-        return out
 
     def bracket(self, c1, c2):
         """[X1 (+) a1, X2 (+) a2] = ([X1, X2] + nabla^bas_{a1} X2
@@ -1082,7 +1012,7 @@ class AbarAlgebroid:
         R^bas(a1, a2)X3 - R_nabla(X1, X2)a3."""
         alg, conn = self.iis.alg, self.iis.conn
         parts = [(self.x_vf(c), self.a_part(c)) for c in (c1, c2, c3)]
-        j = Section(alg.bundle, [self.patch.zero] * self.rA)
+        j = alg.bundle.zero_section()
         for i in range(3):
             (X1, a1), (X2, a2), (X3, a3) = (parts[i], parts[(i + 1) % 3],
                                             parts[(i + 2) % 3])
@@ -1120,9 +1050,7 @@ def random_extension_perturbation(iis, rng, max_degree=1):
             if transverse:
                 bump = random_section(alg.bundle, rng, max_degree)
             else:
-                bump = Section(alg.bundle, [patch.zero] * alg.rank)
-                for q in range(J.rank):
-                    bump = bump + random_scalar(patch, rng, max_degree) * J.frame[q]
+                bump = random_combination(J, rng, max_degree)
             gamma[i][j] = gamma[i][j] + bump
     return LinearConnection(alg.bundle, gamma)
 
@@ -1237,7 +1165,7 @@ def bialgebroid_from_iis(iis, config=None, verify=True):
     frames = [C.bundle.basis_section(p) for p in range(rF)]
     for s in range(t):
         comps = [patch.zero] * (n + rF)
-        for m, w in enumerate(abar.W):
+        for w in abar.W:
             val = patch.zero
             for l in range(ra):
                 val = val + j0[s][l] * w.components[l]
@@ -1353,27 +1281,19 @@ def ideal_and_bialgebra_from(db):
     p0 = nullspace([[db.iota[i][r] for i in range(n)] for r in range(k)],
                    patch, n)
     p0_secs = [Section(g.bundle, v) for v in p0]
-    p0_sub = Subbundle(g.bundle, Frame(g.bundle, p0_secs)) if p0 else None
+    p0_sub = Subbundle(g.bundle, Frame(g.bundle, p0_secs))
     for i in range(n):
         ei = g.bundle.basis_section(i)
         for z in p0_secs:
             br = bracket_eval(g, ei, z)
-            if p0_sub is None:
-                inside = br.is_zero()
-            else:
-                inside, _ = membership(br, p0_sub)
+            inside, _ = membership(br, p0_sub)
             if not inside:
                 raise ValueError("the polar of p is not an ideal of g: "
                                  "[e%d, %s] = %s leaves it" % (i, z, br))
 
-    if p0_sub is not None:
-        W = complement(p0_sub)
-    else:
-        W = Frame(g.bundle, [g.bundle.basis_section(i) for i in range(n)])
-    basis = [list(s.components) for s in p0_secs] + [list(s.components)
-                                                     for s in W]
-    bmat = [[basis[b][i] for b in range(n)] for i in range(n)]
-    h_coords = _matrix_inverse(bmat, patch)[len(p0):]
+    adapted = p0_sub.adapted_frame()
+    W = adapted.sections[len(p0):]
+    h_coords = adapted.solver().T[len(p0):]
 
     hb = TrivialBundle(patch, k, "h")
     anchor = [[patch.zero] * k for _ in range(patch.dim)]
@@ -1391,7 +1311,7 @@ def ideal_and_bialgebra_from(db):
             P[a][r] = val
     if det([list(r) for r in P], patch).is_zero():
         raise ValueError("iota does not pair p perfectly with g / p-polar")
-    Pinv = _matrix_inverse(P, patch)
+    Pinv = rref(P, patch, track=True)[1]
 
     hsb = dual_partner(hb)
     hstar_table = [[None] * k for _ in range(k)]
@@ -1690,10 +1610,9 @@ def _pipeline_poisson(instance, config):
     results += check_lie_bialgebroid(lb, config)
     if any(r.status == "fail" for r in results):
         return results
-    D = adapted_dorfman_poisson(lb)
-    results += check_poisson_extras(lb, config, dorfman=D)
-    results += check_dorfman_axioms(D, config, prefix="adapted_dorfman")
     triple = poisson_triple(lb)
+    results += check_poisson_extras(lb, config, dorfman=triple.D)
+    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
     results += check_la_dirac(triple, config)
     pair = build_courant_C(triple, config, verify=False)
     results += check_courant_axioms(pair.C, config, prefix="quotient_courant")
@@ -1719,9 +1638,8 @@ def _pipeline_presymplectic(instance, config):
     results += check_manin_pair(mp, config)
     if any(r.status == "fail" for r in results):
         return results
-    D = adapted_dorfman_presymplectic(alg, sigma)
-    results += check_dorfman_axioms(D, config, prefix="adapted_dorfman")
     triple = presymplectic_triple(alg, sigma)
+    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
     results += check_la_dirac(triple, config)
     pair = build_courant_C(triple, config, verify=False)
     results += check_courant_axioms(pair.C, config, prefix="quotient_courant")
@@ -1745,9 +1663,8 @@ def _pipeline_iis(instance, config):
     results += check_manin_pair(mp, config)
     if not iis_ok:
         return results
-    D = adapted_dorfman_iis(iis)
-    results += check_dorfman_axioms(D, config, prefix="adapted_dorfman")
     triple = iis_triple(iis)
+    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
     results += check_la_dirac(triple, config)
     pair = build_courant_C(triple, config, verify=False)
     results += check_courant_axioms(pair.C, config, prefix="quotient_courant")

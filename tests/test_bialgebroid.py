@@ -457,3 +457,24 @@ def test_pipelines_build_one_induced_algebroid_per_triple(
     assert cli.run(preset, "all", trials=0).all_passed
     assert len(built) == triples
     assert len({id(U) for U in built}) == triples
+
+
+@pytest.mark.parametrize("preset,builder", [
+    ("poisson-xy", "adapted_dorfman_poisson"),
+    ("presymplectic-dxdy", "adapted_dorfman_presymplectic"),
+    ("foliation-x", "adapted_dorfman_iis")])
+def test_pipelines_build_one_adapted_dorfman(preset, builder, monkeypatch):
+    # the pipeline checks the triple's own connection instead of a twin
+    from algebroids import cli, zoo
+    built = []
+    real = getattr(zoo, builder)
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, builder, counting)
+    report = cli.run(preset, "all", trials=0)
+    assert report.all_passed
+    assert len(built) == 1
+    assert any(r.name.startswith("adapted_dorfman.") for r in report.results)

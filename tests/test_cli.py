@@ -269,6 +269,19 @@ def test_negative_counts_are_rejected(flag, capsys):
     assert "argument %s" % flag in err and "non-negative" in err
 
 
+def test_library_calls_reject_bad_counts():
+    # the parser is not the only gate: run() and CheckConfig check too
+    with pytest.raises(ValueError, match="trials"):
+        cli.run("aff1-bialgebra", "courant", trials=-3)
+    with pytest.raises(ValueError, match="trials"):
+        CheckConfig(trials=-2)
+    with pytest.raises(ValueError, match="max_degree"):
+        CheckConfig(max_degree=1.5)
+    with pytest.raises(ValueError, match="trials"):
+        CheckConfig(trials="8")
+    assert CheckConfig(trials=0, max_degree=0).trials == 0
+
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
