@@ -5,6 +5,13 @@ to arbitrary sections by the Leibniz rules in one private kernel,
 _leibniz.  Its callers are bracket_eval, CourantPresentation.bracket,
 dorfman_eval and extend_lie_bracket_to_dull; nothing else in the package
 expands brackets by hand, which keeps the formula in a single place.
+
+Sparse rule: _leibniz, rho_transpose and the dual Lie derivative sum only
+nonzero terms into one component list.  Structure tables, anchors and
+frames are mostly 0 and +-1, so most products of a dense expansion are
+products with 0.  Skipping them cannot change a result: every scalar is
+canonical, so a sum has one representation whatever the order of its
+terms.
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
 success.
@@ -22,8 +29,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .bundles import (Section, TrivialBundle, apply_matrix, membership,
-                      random_section)
+from .bundles import (Section, TrivialBundle, _accumulate, apply_matrix,
+                      membership, random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
@@ -156,32 +163,40 @@ def _leibniz(bundle, table, f, g, X1, X2=None, weight=None, D=None,
     """sum f_i g_j T[i][j] + sum X1(g_j) e_j - sum X2(f_i) e_i
     + sum weight(i) D(f_i) for coefficient lists f, g over the output frame
     e (the standard basis of bundle unless given).  X2 is None for a
-    Dorfman connection; weight and D come only with a pairing term."""
-    basis = bundle.basis_section if frame is None else frame.__getitem__
-    out = bundle.zero_section()
-    for i, fi in enumerate(f):
-        if fi.is_zero():
-            continue
-        for j, gj in enumerate(g):
-            if not gj.is_zero():
-                out = out + (fi * gj) * table[i][j]
+    Dorfman connection; weight and D come only with a pairing term.
+
+    The terms are summed into one component list, and only nonzero
+    coefficients, table entries, frame entries and D(f_i) entries are
+    touched; on the standard basis X1(g_j) is added to component j
+    directly."""
+    out = [bundle.patch.zero] * bundle.rank
+    fs = [(i, fi) for i, fi in enumerate(f) if fi]
+    gs = [(j, gj) for j, gj in enumerate(g) if gj]
+    for i, fi in fs:
+        row = table[i]
+        for j, gj in gs:
+            _accumulate(out, fi * gj, row[j].components)
     for j, gj in enumerate(g):
         d = apply_vf(X1, gj)
-        if not d.is_zero():
-            out = out + d * basis(j)
+        if d:
+            if frame is None:
+                out[j] = out[j] + d
+            else:
+                _accumulate(out, d, frame[j].components)
     if X2 is not None:
         for i, fi in enumerate(f):
             d = apply_vf(X2, fi)
-            if not d.is_zero():
-                out = out - d * basis(i)
+            if d:
+                if frame is None:
+                    out[i] = out[i] - d
+                else:
+                    _accumulate(out, -d, frame[i].components)
     if D is not None:
-        for i, fi in enumerate(f):
-            if fi.is_zero():
-                continue
+        for i, fi in fs:
             w = weight(i)
-            if not w.is_zero():
-                out = out + w * D(fi)
-    return out
+            if w:
+                _accumulate(out, w, D(fi).components)
+    return Section(bundle, out)
 
 
 def bracket_eval(alg, q1, q2):
@@ -309,22 +324,32 @@ def lie_derivative_TMAs(alg, a, v):
 def _lie_derivative_dual(alg, a, rho_a, xi):
     """Components of L_a xi for xi given over the dual frame, with
     rho_a = rho(a): <L_a xi, e_k> = rho(a)<xi, e_k> - <xi, [a, e_k]>."""
+    nonzero = [(l, x) for l, x in enumerate(xi) if x]
     out = []
     for k in range(alg.rank):
-        br = bracket_eval(alg, a, alg.bundle.basis_section(k))
+        br = bracket_eval(alg, a, alg.bundle.basis_section(k)).components
         val = apply_vf(rho_a, xi[k])
-        for l in range(alg.rank):
-            val = val - xi[l] * br.components[l]
+        for l, x in nonzero:
+            b = br[l]
+            if b:
+                val = val - x * b
         out.append(val)
     return out
 
 
 def rho_transpose(alg, theta_comps):
     """rho^t theta as A*-components: (rho^t theta)_j = sum_i rho_ij theta_i."""
-    patch = alg.patch
-    return [sum((alg.anchored.anchor[i][j] * theta_comps[i]
-                 for i in range(patch.dim)), patch.zero)
-            for j in range(alg.rank)]
+    anchor = alg.anchored.anchor
+    nonzero = [(i, t) for i, t in enumerate(theta_comps) if t]
+    out = []
+    for j in range(alg.rank):
+        total = alg.patch.zero
+        for i, t in nonzero:
+            r = anchor[i][j]
+            if r:
+                total = total + r * t
+        out.append(total)
+    return out
 
 
 def rho_rhot(alg, t, target=None):

@@ -621,7 +621,7 @@ class DiracBialgebroid:
         columns = [Section(Q, [iota[i][p] for i in range(Q.rank)])
                    for p in range(alg_U.rank)]
         try:
-            Frame(Q, columns)
+            frame = Frame(Q, columns)
         except FrameError:
             raise ValueError("iota must have full column rank") from None
         for p in range(alg_U.rank):
@@ -633,14 +633,16 @@ class DiracBialgebroid:
         self.alg_U = alg_U
         self.iota = iota
         self.columns = columns
+        self._subbundle = Subbundle(Q, frame)
 
     @property
     def patch(self):
         return self.alg.patch
 
     def iota_subbundle(self):
-        Q = side_Q(self.alg)
-        return Subbundle(Q, Frame(Q, self.columns))
+        """iota(U) inside TM + A*, on the frame validated at construction
+        (one object per bialgebroid, so its eliminations are kept)."""
+        return self._subbundle
 
 
 def bialgebroid_from_triple(triple):

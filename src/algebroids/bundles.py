@@ -38,6 +38,12 @@ the complement coefficients.  The Courant algebroid of an LA-Dirac triple
 (phi = (rho, rho^t)) and the quotient algebroid of an infinitesimal ideal
 system (phi = rho) are its two instances.
 
+Sparse rule: apply_matrix, Frame.combination and the private accumulator
+the bracket kernel shares add only nonzero terms, and Section.__add__
+returns the other operand when one side is all zero.  Bundle maps and
+frames are mostly 0 and +-1, and canonical scalars make the result
+independent of which zero terms are left out and of the order of the rest.
+
 Matrix convention used across the package: a bundle map acts by ordinary
 matrix-vector multiplication, so column j holds the components of the image
 of the j-th standard basis section.  An anchor rho on A has shape
@@ -128,6 +134,10 @@ class Section:
 
     def __add__(self, other):
         self._check(other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Section(self.bundle, [a + b for a, b in
                                      zip(self.components, other.components)])
 
@@ -222,10 +232,11 @@ class Frame:
 
     def combination(self, coeffs):
         """The section sum_p coeffs[p] * sections[p]."""
-        out = self.bundle.zero_section()
+        out = [self.bundle.patch.zero] * self.bundle.rank
         for c, s in zip(coeffs, self.sections, strict=True):
-            out = out + c * s
-        return out
+            if c:
+                _accumulate(out, c, s.components)
+        return Section(self.bundle, out)
 
     def certificate_minor(self):
         """Determinant of the certified maximal minor (nonzero by construction)."""
@@ -452,8 +463,23 @@ def canonical_pairing(u, t):
 
 def apply_matrix(m, comps, patch):
     """Matrix-vector product for bundle maps (column j = image of basis j)."""
-    return [sum((row[j] * comps[j] for j in range(len(comps))), patch.zero)
-            for row in m]
+    nonzero = [(j, c) for j, c in enumerate(comps) if c]
+    out = []
+    for row in m:
+        total = patch.zero
+        for j, c in nonzero:
+            a = row[j]
+            if a:
+                total = total + a * c
+        out.append(total)
+    return out
+
+
+def _accumulate(out, c, comps):
+    """out += c * comps in place, touching only the nonzero comps."""
+    for k, v in enumerate(comps):
+        if v:
+            out[k] = out[k] + c * v
 
 
 def degenerate_pairing(t1, t2, rho):

@@ -4,6 +4,14 @@ Vector fields and 1-forms are sections of TM and T*M; 2-forms are stored as
 full antisymmetric matrices.  The Lie derivative on 1-forms is defined by
 Cartan's formula L_X theta = i_X d theta + d(theta(X)), which keeps
 everything inside exact polynomial calculus.
+
+Sparse rule: every sum here adds only its nonzero terms.  A zero
+coefficient is skipped before anything is differentiated, and a zero
+derivative or matrix entry is skipped before it is multiplied.  Most
+vector-field components, anchor entries and derivatives in this package
+are 0, so this leaves out most of the arithmetic.  It cannot change a
+result, because every scalar is stored in canonical form: a sum has one
+representation whatever the order of its terms, and a skipped term is 0.
 """
 
 from __future__ import annotations
@@ -28,19 +36,21 @@ def cotangent(patch):
 
 def apply_vf(X, f):
     """Directional derivative X(f) of a scalar along a vector field."""
-    patch = f.patch
-    total = patch.zero
+    total = f.patch.zero
     for i, c in enumerate(X.components):
-        total = total + c * f.diff(i)
+        if c:
+            d = f.diff(i)
+            if d:
+                total = total + c * d
     return total
 
 
 def pair_form_vf(theta, X):
     """theta(X) for a 1-form and a vector field."""
-    patch = theta.bundle.patch
-    total = patch.zero
+    total = theta.bundle.patch.zero
     for t, x in zip(theta.components, X.components):
-        total = total + t * x
+        if t and x:
+            total = total + t * x
     return total
 
 
@@ -49,12 +59,20 @@ def lie_bracket_vf(X, Y):
     patch = X.bundle.patch
     if Y.bundle.patch != patch:
         raise ValueError("vector fields over different patches")
+    xs = [(j, c) for j, c in enumerate(X.components) if c]
+    ys = [(j, c) for j, c in enumerate(Y.components) if c]
     comps = []
     for i in range(patch.dim):
         total = patch.zero
-        for j in range(patch.dim):
-            total = total + X.components[j] * Y.components[i].diff(j)
-            total = total - Y.components[j] * X.components[i].diff(j)
+        yi, xi = Y.components[i], X.components[i]
+        for j, c in xs:
+            d = yi.diff(j)
+            if d:
+                total = total + c * d
+        for j, c in ys:
+            d = xi.diff(j)
+            if d:
+                total = total - c * d
         comps.append(total)
     return Section(tangent(patch), comps)
 
@@ -77,12 +95,14 @@ def d_oneform(theta):
 def interior_vf_2form(X, omega):
     """(i_X omega)_j = sum_i X^i omega_{ij}."""
     patch = X.bundle.patch
-    n = patch.dim
+    xs = [(i, c) for i, c in enumerate(X.components) if c]
     comps = []
-    for j in range(n):
+    for j in range(patch.dim):
         total = patch.zero
-        for i in range(n):
-            total = total + X.components[i] * omega[i][j]
+        for i, c in xs:
+            w = omega[i][j]
+            if w:
+                total = total + c * w
         comps.append(total)
     return Section(cotangent(patch), comps)
 

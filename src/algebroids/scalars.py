@@ -45,6 +45,25 @@ kernels differentiate the same components again for every vector field:
   ones would only cost memory.  The memo lives exactly as long as its
   patch, and no ScalarField is ever mutated, so sharing a result is safe.
 
+Sums and products that take sympy's cancelling path are memoised the same
+way, because the kernels form the same few rational products again and
+again (a quotient Courant round forms about 1,500 such products from fewer
+than 200 distinct operand pairs):
+
+* The memo is one dict on the Patch, next to the diff memo, keyed by
+  ("+", f, g) or ("*", f, g) with f and g the operand FracElements.  The
+  operator is part of the key, so a sum and a product of the same pair
+  never share an entry, and the operands are values, not objects, for the
+  reason given above.
+* Only operands that miss every fast path reach it: at least one is not a
+  polynomial over 1, and neither is 0 (nor, for a product, +-1).  Sums and
+  products of polynomials over 1 never touch it, so polynomial data pay
+  nothing and leave it empty.  Differences and quotients are not memoised.
+* The memo lives exactly as long as its patch.  Sharing a result is safe
+  for the same reason as above: nothing mutates a FracElement or a
+  ScalarField, and canonical values are unique, so a memoised result is
+  the value sympy would rebuild.
+
 Grammar accepted by parse_scalar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
@@ -102,7 +121,7 @@ class Patch:
     """
 
     __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone",
-                 "zero", "one", "_diffs")
+                 "zero", "one", "_diffs", "_ops")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -133,6 +152,8 @@ class Patch:
         self.one = ScalarField(self, self.field.one)
         # ScalarField.diff of rational values, keyed by (fe, coord)
         self._diffs = {}
+        # cancelling sums and products, keyed by ("+" or "*", fe, fe)
+        self._ops = {}
 
     @property
     def dim(self):
@@ -186,7 +207,8 @@ class ScalarField:
     (see the module docstring), so equality and is_zero() are tests on the
     stored numerator and denominator.  Polynomial operands (denominator 1)
     and 0/+-1 operands take a fast path that skips sympy's gcd
-    cancellation; the others go through sympy, which cancels.
+    cancellation; the others go through sympy, which cancels, and a sum
+    or product of such operands is computed once per patch.
     """
 
     __slots__ = ("patch", "fe")
@@ -210,7 +232,8 @@ class ScalarField:
         fe = self._operand(other)
         if fe is None:
             return NotImplemented
-        return ScalarField(self.patch, _add(self.fe, fe, self.patch._one))
+        patch = self.patch
+        return ScalarField(patch, _add(self.fe, fe, patch._one, patch._ops))
 
     __radd__ = __add__
 
@@ -231,7 +254,8 @@ class ScalarField:
         if fe is None:
             return NotImplemented
         patch = self.patch
-        return ScalarField(patch, _mul(self.fe, fe, patch._one, patch._mone))
+        return ScalarField(patch, _mul(self.fe, fe, patch._one, patch._mone,
+                                       patch._ops))
 
     __rmul__ = __mul__
 
@@ -271,10 +295,10 @@ class ScalarField:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.fe
+        return not self.fe.numer
 
     def __bool__(self):
-        return bool(self.fe)
+        return bool(self.fe.numer)
 
     def __eq__(self, other):
         if isinstance(other, ScalarField):
@@ -344,18 +368,24 @@ class ScalarField:
 # arithmetic on canonical FracElements
 #
 # The arguments are canonical; "one" and "mone" are the patch's shared
-# polynomials 1 and -1.  Denominators are compared with dict.__eq__, which
-# is what PolyElement.__eq__ does after its ring checks.
+# polynomials 1 and -1, and "memo" is the patch's dict of cancelling sums
+# and products (see the module docstring).  Denominators are compared
+# with dict.__eq__, which is what PolyElement.__eq__ does after its ring
+# checks.
 
 
-def _add(f, g, one):
+def _add(f, g, one, memo):
     if not g.numer:
         return f
     if not f.numer:
         return g
     if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
         return f.raw_new(f.numer + g.numer, one)
-    return f + g
+    key = ("+", f, g)
+    h = memo.get(key)
+    if h is None:
+        h = memo[key] = f + g
+    return h
 
 
 def _sub(f, g, one):
@@ -368,7 +398,7 @@ def _sub(f, g, one):
     return f - g
 
 
-def _mul(f, g, one, mone):
+def _mul(f, g, one, mone, memo):
     fn, gn = f.numer, g.numer
     if not fn:
         return f
@@ -387,7 +417,11 @@ def _mul(f, g, one, mone):
             return -g
         if g_poly:
             return f.raw_new(fn * gn, one)
-    return f * g
+    key = ("*", f, g)
+    h = memo.get(key)
+    if h is None:
+        h = memo[key] = f * g
+    return h
 
 
 def _div(f, g, one, mone):

@@ -374,6 +374,29 @@ def test_bialgebroid_validation(flat):
         DiracBialgebroid(flat.alg, bad_anchor, iota)
 
 
+def test_iota_columns_are_eliminated_once_per_bialgebroid(monkeypatch):
+    from algebroids import bialgebroid, cli
+    built, frames = [], []
+    real_init, real_frame = DiracBialgebroid.__init__, bialgebroid.Frame
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    def recording_frame(bundle, sections):
+        frames.append(sections)
+        return real_frame(bundle, sections)
+
+    monkeypatch.setattr(DiracBialgebroid, "__init__", recording_init)
+    monkeypatch.setattr(bialgebroid, "Frame", recording_frame)
+    cli.run("presymplectic-dxdy", "all", trials=0)
+    assert len(built) == 4
+    for db in built:
+        assert sum(1 for s in frames if s is db.columns) == 1
+        assert db.iota_subbundle() is db.iota_subbundle()
+        assert db.iota_subbundle().frame.sections == tuple(db.columns)
+
+
 def test_round_trip_is_equivalent(flat):
     db = bialgebroid_from_triple(flat)
     triple2 = triple_from_bialgebroid(db)

@@ -393,6 +393,78 @@ def test_rational_diff_is_memoised_per_value(monkeypatch):
     assert len(calls) == 5
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(FracElement, name)
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(FracElement, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("op, name", [
+    (lambda f, g: f * g, "__mul__"), (lambda f, g: f + g, "__add__")])
+def test_rational_sum_and_product_are_memoised_per_value(op, name,
+                                                          monkeypatch):
+    patch, other = Patch(["x", "y"]), Patch(["x", "y"])
+    f, g = parse_scalar("(x^2 + 1)/y", patch), parse_scalar("x/(y + 1)", patch)
+    f2, g2 = parse_scalar("(1 + x*x)/y", patch), parse_scalar("x/(1 + y)", patch)
+    f3, g3 = parse_scalar("(x^2 + 1)/y", other), parse_scalar("x/(y + 1)", other)
+    assert (f, g) == (f2, g2) and f.fe is not f2.fe and g.fe is not g2.fe
+    calls = _count_calls(monkeypatch, name)
+    first = op(f, g)
+    assert len(calls) == 1
+    assert op(f2, g2) == first and len(calls) == 1
+    # another patch keeps its own memo
+    assert op(f3, g3) == first and len(calls) == 2
+    assert op(f, g) == first and len(calls) == 2
+
+
+def test_polynomial_operands_never_reach_the_memo(patch, monkeypatch):
+    calls = _count_calls(monkeypatch, "__mul__")
+    calls += _count_calls(monkeypatch, "__add__")
+    x, y = patch.coordinate(0), patch.coordinate(1)
+    for f, g in [(x, y), (x * x + 1, y - 3), (patch.scalar(5), x)]:
+        f * g, f + g
+    assert calls == [] and patch._ops == {}
+
+
+# one patch for every example, so later examples hit the product and sum
+# memo that earlier ones filled
+MEMO_PATCH = Patch(["x", "y"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(scalar_specs, scalar_specs), min_size=1,
+                max_size=4))
+def test_memoised_sums_and_products_match_sympy(pairs):
+    for spec_f, spec_g in pairs + pairs:
+        f, F = build(MEMO_PATCH, spec_f)
+        g, G = build(MEMO_PATCH, spec_g)
+        # FracElement's own operators cancel, so they are the oracle
+        for got, want in ((f * g, F * G), (f + g, F + G), (g * f, G * F),
+                          (g + f, G + F)):
+            assert (got.fe.numer, got.fe.denom) == (want.numer, want.denom)
+    for (op, a, b), got in MEMO_PATCH._ops.items():
+        want = a * b if op == "*" else a + b
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+
+
+def test_polynomial_lemma_round_adds_nothing_to_the_memo():
+    from algebroids import cli, instances, zoo
+    from algebroids.bialgebroid import verify_appendix_lemmas
+    from algebroids.reporting import CheckConfig
+    triple = cli._triple_of(
+        instances.instance_from_preset(zoo.zoo_preset("poisson-xy")))
+    memo = triple.alg.patch._ops
+    memo.clear()   # the set-up's own eliminations divide by x
+    verify_appendix_lemmas(triple, CheckConfig(seed=0, trials=0))
+    assert memo == {}
+
+
 def test_constant_diff_is_the_shared_zero(patch, monkeypatch):
     monkeypatch.setattr(FracElement, "diff", None)   # constants never reach it
     for value in (0, 3, Fraction(1, 2), Fraction(-7, 3)):

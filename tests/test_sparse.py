@@ -1,0 +1,264 @@
+"""The sparse kernels against the dense formulas they replace.
+
+Every kernel below adds only its nonzero terms.  Each is compared here,
+entry by entry and as printed, with the dense formula it used to evaluate
+(kept inline as the reference, written with scalar arithmetic only so that
+it does not lean on the Section operations under test).  The random data
+plant zeros and +-1 among genuinely rational entries, so every skip branch
+runs in both directions.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
+                                  rho_transpose)
+from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
+                                apply_matrix)
+from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
+                               pair_form_vf, tangent)
+from algebroids.scalars import Patch
+
+PATCH = Patch(["x", "y"])
+X, Y = PATCH.coordinate(0), PATCH.coordinate(1)
+ZERO, ONE = PATCH.zero, PATCH.one
+MONOMIALS = [ONE, X, Y, X * Y, X * X]
+DENOMINATORS = [ONE, PATCH.scalar(2), X, Y + 1, X * X + 1]
+TM = tangent(PATCH)
+
+
+@st.composite
+def rational(draw):
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(MONOMIALS),
+                           max_size=len(MONOMIALS)))
+    num = sum((c * m for c, m in zip(coeffs, MONOMIALS) if c), ZERO)
+    return num / draw(st.sampled_from(DENOMINATORS))
+
+
+# planted zeros and units next to rational entries
+scalars = st.one_of(st.just(ZERO), st.just(ONE), st.just(-ONE), rational())
+
+
+def entries(k):
+    return st.lists(scalars, min_size=k, max_size=k)
+
+
+def matrices(rows, cols):
+    return st.lists(entries(cols), min_size=rows, max_size=rows)
+
+
+def sections(bundle):
+    return entries(bundle.rank).map(lambda c: Section(bundle, c))
+
+
+vector_fields = sections(TM)
+ranks = st.integers(1, 3)
+
+
+def assert_same(got, want):
+    got = got.components if isinstance(got, Section) else got
+    want = want.components if isinstance(want, Section) else want
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a == b and str(a) == str(b), \
+            "entry %d: %s != %s" % (k, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the dense formulas
+
+
+def dense_sum(terms):
+    total = ZERO
+    for t in terms:
+        total = total + t
+    return total
+
+
+def dense_apply_vf(X, f):
+    return dense_sum(c * f.diff(i) for i, c in enumerate(X.components))
+
+
+def dense_pair(theta, X):
+    return dense_sum(t * x for t, x in zip(theta.components, X.components))
+
+
+def dense_lie_bracket(X, Y):
+    n = PATCH.dim
+    return [dense_sum(X.components[j] * Y.components[i].diff(j)
+                      - Y.components[j] * X.components[i].diff(j)
+                      for j in range(n)) for i in range(n)]
+
+
+def dense_interior(X, omega):
+    n = PATCH.dim
+    return [dense_sum(X.components[i] * omega[i][j] for i in range(n))
+            for j in range(n)]
+
+
+def dense_apply_matrix(m, comps):
+    return [dense_sum(row[j] * comps[j] for j in range(len(comps)))
+            for row in m]
+
+
+def dense_rho_transpose(anchor, rank, theta):
+    return [dense_sum(anchor[i][j] * theta[i] for i in range(PATCH.dim))
+            for j in range(rank)]
+
+
+def dense_combination(coeffs, sections, rank):
+    out = [ZERO] * rank
+    for c, s in zip(coeffs, sections):
+        out = [o + c * v for o, v in zip(out, s.components)]
+    return out
+
+
+def dense_leibniz(rank, table, f, g, X1, X2, weight, D, frame):
+    if frame is None:
+        basis = [[ONE if k == j else ZERO for k in range(rank)]
+                 for j in range(rank)]
+    else:
+        basis = [s.components for s in frame]
+    out = [ZERO] * rank
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out = [o + (fi * gj) * t
+                   for o, t in zip(out, table[i][j].components)]
+    for j, gj in enumerate(g):
+        d = dense_apply_vf(X1, gj)
+        out = [o + d * e for o, e in zip(out, basis[j])]
+    if X2 is not None:
+        for i, fi in enumerate(f):
+            d = dense_apply_vf(X2, fi)
+            out = [o - d * e for o, e in zip(out, basis[i])]
+    if D is not None:
+        for i, fi in enumerate(f):
+            w = weight(i)
+            out = [o + w * v for o, v in zip(out, D(fi).components)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cartan
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields, scalars)
+def test_apply_vf(X, f):
+    assert_same([apply_vf(X, f)], [dense_apply_vf(X, f)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields, vector_fields)
+def test_pair_form_vf(theta, X):
+    assert_same([pair_form_vf(theta, X)], [dense_pair(theta, X)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields, vector_fields)
+def test_lie_bracket_vf(X, Y):
+    assert_same(lie_bracket_vf(X, Y), dense_lie_bracket(X, Y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_fields, matrices(PATCH.dim, PATCH.dim))
+def test_interior_vf_2form(X, omega):
+    assert_same(interior_vf_2form(X, omega), dense_interior(X, omega))
+
+
+# ---------------------------------------------------------------------------
+# bundles
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, ranks, st.data())
+def test_apply_matrix(rows, cols, data):
+    m = data.draw(matrices(rows, cols))
+    comps = data.draw(entries(cols))
+    assert_same(apply_matrix(m, comps, PATCH), dense_apply_matrix(m, comps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_frame_combination(rank, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    k = data.draw(st.integers(1, rank))
+    members = [data.draw(sections(bundle)) for _ in range(k)]
+    try:
+        frame = Frame(bundle, members)
+    except FrameError:
+        assume(False)
+    coeffs = data.draw(entries(k))
+    assert_same(frame.combination(coeffs),
+                dense_combination(coeffs, members, rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_section_add(rank, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    a, b = data.draw(sections(bundle)), data.draw(sections(bundle))
+    want = [p + q for p, q in zip(a.components, b.components)]
+    assert_same(a + b, want)
+    # the zero short cut returns the other operand, on either side
+    zero = bundle.zero_section()
+    assert_same(zero + b, b.components)
+    assert_same(a + zero, a.components)
+
+
+# ---------------------------------------------------------------------------
+# algebroid
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_rho_transpose(rank, data):
+    bundle = TrivialBundle(PATCH, rank, "A")
+    anchor = data.draw(matrices(PATCH.dim, rank))
+    table = [[bundle.zero_section()] * rank for _ in range(rank)]
+    alg = DullAlgebroid(AnchoredBundle(bundle, anchor), table)
+    theta = data.draw(entries(PATCH.dim))
+    assert_same(rho_transpose(alg, theta),
+                dense_rho_transpose(anchor, rank, theta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ranks, st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_leibniz(rank, with_frame, with_x2, with_pairing, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    table = [[data.draw(sections(bundle)) for _ in range(rank)]
+             for _ in range(rank)]
+    f, g = data.draw(entries(rank)), data.draw(entries(rank))
+    X1 = data.draw(vector_fields)
+    X2 = data.draw(vector_fields) if with_x2 else None
+    frame = ([data.draw(sections(bundle)) for _ in range(rank)]
+             if with_frame else None)
+    weight = D = None
+    if with_pairing:
+        weights = data.draw(entries(rank))
+        dmat = data.draw(matrices(rank, PATCH.dim))
+
+        def weight(i):
+            return weights[i]
+
+        def D(h):
+            grad = [h.diff(k) for k in range(PATCH.dim)]
+            return Section(bundle, dense_apply_matrix(dmat, grad))
+
+    got = _leibniz(bundle, table, f, g, X1, X2, weight, D, frame)
+    assert got.bundle == bundle
+    assert_same(got, dense_leibniz(rank, table, f, g, X1, X2, weight, D,
+                                   frame))
+
+
+def test_leibniz_adds_the_anchor_term_over_the_given_frame():
+    # over a tilted frame X1(g_j) multiplies frame[j], not e_j
+    bundle = TrivialBundle(PATCH, 2, "E")
+    zero = bundle.zero_section()
+    frame = [Section(bundle, [ONE, Y]), Section(bundle, [X, ONE])]
+    X1 = Section(TM, [ONE, ZERO])
+    got = _leibniz(bundle, [[zero, zero], [zero, zero]], [ZERO, ZERO],
+                   [ZERO, X * X], X1, frame=frame)
+    assert_same(got, [2 * X * X, 2 * X])
+    got = _leibniz(bundle, [[zero, zero], [zero, zero]], [ZERO, ZERO],
+                   [ZERO, X * X], X1)
+    assert_same(got, [ZERO, 2 * X])
