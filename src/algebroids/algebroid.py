@@ -12,6 +12,18 @@ frames are mostly 0 and +-1, so most products of a dense expansion are
 products with 0.  Skipping them cannot change a result: every scalar is
 canonical, so a sum has one representation whatever the order of its
 terms.
+
+Memo rule: a DullAlgebroid keeps the brackets bracket_eval computes on
+constant arguments (every component of both sections constant, as for
+frame sections and their constant combinations) in a dict keyed by the
+two tuples of component values (bundles._constant_key).  The frame test
+sets evaluate those same brackets again and again, and their number is
+bounded by the frame, whatever the number of random trials; a bracket
+with a non-constant argument is computed afresh and never stored, so
+random sections cost no memory.  The memo lives exactly as long as its
+algebroid, which is why its anchor and bracket table are read-only once
+it has evaluated a bracket.
+
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
 success.
@@ -29,8 +41,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .bundles import (Section, TrivialBundle, _accumulate, apply_matrix,
-                      membership, random_section)
+from .bundles import (Section, TrivialBundle, _accumulate, _constant_key,
+                      apply_matrix, membership, random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
@@ -95,6 +107,8 @@ class DullAlgebroid:
                     raise ValueError("bracket values must live in the bundle")
         self.anchored = anchored
         self.bracket = bracket
+        # bracket_eval on constant arguments (see the module docstring)
+        self._memo = {}
         self.skew_checked = False
         self.anchor_compat_checked = False
         self.jacobi_checked = False
@@ -206,8 +220,16 @@ def bracket_eval(alg, q1, q2):
     bundle = alg.bundle
     if q1.bundle != bundle or q2.bundle != bundle:
         raise ValueError("sections do not live in the algebroid bundle")
-    return _leibniz(bundle, alg.bracket, q1.components, q2.components,
-                    alg.anchor_vf(q1), alg.anchor_vf(q2))
+    key = _constant_key(q1, q2)
+    if key is not None:
+        out = alg._memo.get(key)
+        if out is not None:
+            return out
+    out = _leibniz(bundle, alg.bracket, q1.components, q2.components,
+                   alg.anchor_vf(q1), alg.anchor_vf(q2))
+    if key is not None:
+        alg._memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

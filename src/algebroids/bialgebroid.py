@@ -31,6 +31,14 @@ representatives is
 with [.,.]_d the anchored bracket of A + T*M and nabla^bas over pr_A of the
 second index.  verify_appendix_lemmas exposes the identities this formula
 rests on; they double as the convention oracle for the curvature sign.
+
+QuotientCourant.bracket keeps what it computes on constant representatives
+on the carrier, by the memo rule of the algebroid module: keyed by the
+component values of both representatives, stored only when every
+component is constant, and living as long as the carrier.  A hit skips the
+inner bracket_eval, nabla^bas, dorfman_eval and membership calls as well.
+The triple's algebroid, connection and subbundles are read-only once the
+carrier has evaluated a bracket.
 """
 
 from __future__ import annotations
@@ -42,9 +50,10 @@ from itertools import combinations, product
 from .algebroid import (DullAlgebroid, bracket_eval, check_algebroid,
                         induced_algebroid, rho_rhot, side_B, side_Q)
 from .bundles import (Frame, FrameError, GraphQuotient, Section, Solver,
-                      Subbundle, annihilator, apply_matrix, canonical_pairing,
-                      degenerate_pairing, matrix_rank, membership, nullspace,
-                      random_combination, random_section)
+                      Subbundle, _constant_key, annihilator, apply_matrix,
+                      canonical_pairing, degenerate_pairing, matrix_rank,
+                      membership, nullspace, random_combination,
+                      random_section)
 from .cartan import apply_vf, tangent
 from .courant import check_courant_morphism, degenerate_courant
 from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
@@ -385,6 +394,8 @@ class QuotientCourant(GraphQuotient):
         self._dC = degenerate_courant(alg)
         self.ra = alg.rank
         self.axioms_checked = False
+        # bracket on constant arguments (see the module docstring)
+        self._memo = {}
 
     @property
     def rank(self):
@@ -415,6 +426,11 @@ class QuotientCourant(GraphQuotient):
     def bracket(self, c1, c2):
         if c1.bundle != self.bundle or c2.bundle != self.bundle:
             raise ValueError("sections do not live in the carrier bundle")
+        key = _constant_key(c1, c2)
+        if key is not None:
+            out = self._memo.get(key)
+            if out is not None:
+                return out
         alg, D = self.alg, self.D
         u1, t1 = self.split(c1)
         u2, t2 = self.split(c2)
@@ -431,7 +447,10 @@ class QuotientCourant(GraphQuotient):
         tau_out = Section(self.E, dcb.components) \
             + dorfman_eval(D, u1, t2) - dorfman_eval(D, u2, t1) \
             + D.d_B(canonical_pairing(u2, t1))
-        return self.lift(coeffs, tau_out)
+        out = self.lift(coeffs, tau_out)
+        if key is not None:
+            self._memo[key] = out
+        return out
 
 
 def quotient_equal(C, c1, c2):

@@ -38,11 +38,13 @@ the complement coefficients.  The Courant algebroid of an LA-Dirac triple
 (phi = (rho, rho^t)) and the quotient algebroid of an infinitesimal ideal
 system (phi = rho) are its two instances.
 
-Sparse rule: apply_matrix, Frame.combination and the private accumulator
-the bracket kernel shares add only nonzero terms, and Section.__add__
-returns the other operand when one side is all zero.  Bundle maps and
-frames are mostly 0 and +-1, and canonical scalars make the result
-independent of which zero terms are left out and of the order of the rest.
+Sparse rule: apply_matrix, Frame.combination, canonical_pairing,
+degenerate_pairing and the private accumulator the bracket kernel shares
+add only nonzero terms; Section.__add__ returns the other operand when one
+side is all zero, and Section.__sub__ returns the left operand when the
+right one is.  Bundle maps and frames are mostly 0 and +-1, and canonical
+scalars make the result independent of which zero terms are left out and
+of the order of the rest.
 
 Matrix convention used across the package: a bundle map acts by ordinary
 matrix-vector multiplication, so column j holds the components of the image
@@ -143,6 +145,8 @@ class Section:
 
     def __sub__(self, other):
         self._check(other)
+        if other.is_zero():
+            return self
         return Section(self.bundle, [a - b for a, b in
                                      zip(self.components, other.components)])
 
@@ -453,12 +457,9 @@ def canonical_pairing(u, t):
     ra = u.bundle.rank - dim
     if ra < 0:
         raise ValueError("bundle rank smaller than patch dimension")
-    total = patch.zero
-    for i in range(dim):
-        total = total + u.components[i] * t.components[ra + i]
-    for j in range(ra):
-        total = total + u.components[dim + j] * t.components[j]
-    return total
+    # (X, alpha) against (theta, a)
+    tc = t.components
+    return _dot(patch, u.components, tc[ra:] + tc[:ra])
 
 
 def apply_matrix(m, comps, patch):
@@ -482,6 +483,20 @@ def _accumulate(out, c, comps):
             out[k] = out[k] + c * v
 
 
+def _constant_key(s1, s2):
+    """The memo key of a bracket of s1 and s2 on one structure: the two
+    tuples of component values (FracElements, whose hashes sympy caches),
+    or None unless every component of both is constant.
+
+    Constant arguments are the frame sections and their constant
+    combinations, so the keys a structure stores are bounded by its frame
+    test sets and do not grow with random trials."""
+    c1, c2 = s1.components, s2.components
+    if all(c.is_constant() for c in c1) and all(c.is_constant() for c in c2):
+        return tuple(c.fe for c in c1), tuple(c.fe for c in c2)
+    return None
+
+
 def degenerate_pairing(t1, t2, rho):
     """Symmetric pairing on A + T*M induced by the anchor:
     <(a1, th1), (a2, th2)> = th2(rho(a1)) + th1(rho(a2))."""
@@ -494,11 +509,8 @@ def degenerate_pairing(t1, t2, rho):
         raise ValueError("anchor shape must be dim x rank(A)")
     rho_a1 = apply_matrix(rho, t1.components[:ra], patch)
     rho_a2 = apply_matrix(rho, t2.components[:ra], patch)
-    total = patch.zero
-    for k in range(dim):
-        total = total + t2.components[ra + k] * rho_a1[k]
-        total = total + t1.components[ra + k] * rho_a2[k]
-    return total
+    return _dot(patch, t2.components[ra:] + t1.components[ra:],
+                rho_a1 + rho_a2)
 
 
 def _canonical_gram(patch, rank, side="TM+A*"):
@@ -541,6 +553,7 @@ def perp_under_gram(U, gram, twin):
 
 
 def _dot(patch, xs, ys):
+    """sum x * y over the pairs where both are nonzero."""
     total = patch.zero
     for a, b in zip(xs, ys):
         if a and b:

@@ -9,9 +9,12 @@ Sparse rule: every sum here adds only its nonzero terms.  A zero
 coefficient is skipped before anything is differentiated, and a zero
 derivative or matrix entry is skipped before it is multiplied.  Most
 vector-field components, anchor entries and derivatives in this package
-are 0, so this leaves out most of the arithmetic.  It cannot change a
-result, because every scalar is stored in canonical form: a sum has one
-representation whatever the order of its terms, and a skipped term is 0.
+are 0, so this leaves out most of the arithmetic.  For the same reason
+apply_vf returns 0 for a constant scalar before it scans the vector field:
+the kernels apply anchors to frame coefficients, and most are constants.
+None of this can change a result, because every scalar is stored in
+canonical form: a sum has one representation whatever the order of its
+terms, and a skipped term is 0.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ def cotangent(patch):
 
 
 def apply_vf(X, f):
-    """Directional derivative X(f) of a scalar along a vector field."""
+    """Directional derivative X(f) of a scalar along a vector field; 0
+    at once for a constant f, without scanning X."""
+    if f.is_constant():
+        return f.patch.zero
     total = f.patch.zero
     for i, c in enumerate(X.components):
         if c:

@@ -15,6 +15,13 @@ Leibniz kernel, algebroid._leibniz.  check_courant_axioms works for any
 object implementing the small carrier protocol used here (frame_sections,
 random_element, bracket, pairing, anchor_vf, D_of, is_zero), so quotient
 carriers can reuse it.
+
+CourantPresentation.bracket keeps what it computes on constant arguments
+on the presentation, by the memo rule of the algebroid module: keyed by
+the component values of both sections, stored only when every component
+is constant (frame sections and their constant combinations, whose number
+the frame bounds), and living as long as the presentation, whose tables
+are read-only once it has evaluated a bracket.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from functools import partial
 from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
-from .bundles import (Frame, Section, Subbundle, TrivialBundle, apply_matrix,
-                      det, direct_sum, membership, nullspace,
+from .bundles import (Frame, Section, Subbundle, TrivialBundle, _constant_key,
+                      apply_matrix, det, direct_sum, membership, nullspace,
                       random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
@@ -75,6 +82,8 @@ class CourantPresentation:
         self.dmat = dmat
         self.degenerate = degenerate
         self.axioms_checked = False
+        # bracket on constant arguments (see the module docstring)
+        self._memo = {}
 
     @property
     def patch(self):
@@ -134,15 +143,23 @@ class CourantPresentation:
         bundle = self.bundle
         if c1.bundle != bundle or c2.bundle != bundle:
             raise ValueError("sections do not live in the carrier bundle")
+        key = _constant_key(c1, c2)
+        if key is not None:
+            out = self._memo.get(key)
+            if out is not None:
+                return out
         g = c2.components
 
         def weight(i):  # <e_i, c2> from the Gram table
             return sum((gj * self.gram[i][j] for j, gj in enumerate(g)
                         if not gj.is_zero()), self.patch.zero)
 
-        return _leibniz(bundle, self.table, c1.components, g,
-                        self.anchor_vf(c1), self.anchor_vf(c2),
-                        weight, self.D_of)
+        out = _leibniz(bundle, self.table, c1.components, g,
+                       self.anchor_vf(c1), self.anchor_vf(c2),
+                       weight, self.D_of)
+        if key is not None:
+            self._memo[key] = out
+        return out
 
 
 def standard_courant(patch):

@@ -23,6 +23,12 @@ it violates the scaling law above by -(Y f)(X, xi).  The table-built
 connection agrees with it only for q in Gamma(TM + 0) and only modulo the
 annihilator A + 0, which is exactly the quotient where Bott-type
 connections live.
+
+dorfman_eval keeps what it computes on constant arguments on the
+connection, by the memo rule of the algebroid module: keyed by the
+component values of q and b, stored only when every component of both is
+constant, and living as long as the connection.  A table may therefore be
+edited only before the connection's first evaluation.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from functools import partial
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         bracket_eval, check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import Section, annihilator, canonical_pairing, membership
+from .bundles import (Section, _constant_key, _dot, annihilator,
+                      canonical_pairing, membership)
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
 from .scalars import random_scalar
@@ -57,7 +64,7 @@ class DorfmanConnection:
     """Frame table of a Dorfman connection: table[i][j] = Delta_{q_i} b_j,
     a section of B, with q over the TM + A* frame and b over A + T*M."""
 
-    __slots__ = ("Q", "B", "table", "_dual")
+    __slots__ = ("Q", "B", "table", "_dual", "_memo")
 
     def __init__(self, Q, B, table):
         if Q.patch != B.patch or Q.rank != B.rank:
@@ -75,6 +82,8 @@ class DorfmanConnection:
         self.B = B
         self.table = table
         self._dual = None
+        # dorfman_eval on constant arguments (see the module docstring)
+        self._memo = {}
 
     @classmethod
     def flat(cls, Q, B):
@@ -134,9 +143,17 @@ def dorfman_eval(D, q, b):
         raise ValueError("first argument must be a section of TM + A*")
     if b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
+    key = _constant_key(q, b)
+    if key is not None:
+        out = D._memo.get(key)
+        if out is not None:
+            return out
     dim, ra = D.dim, D.rank_A
-    return _leibniz(D.B, D.table, q.components, b.components, D.anchor_vf(q),
-                    weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B)
+    out = _leibniz(D.B, D.table, q.components, b.components, D.anchor_vf(q),
+                   weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B)
+    if key is not None:
+        D._memo[key] = out
+    return out
 
 
 def check_dorfman_axioms(D, config=None, prefix="dorfman"):
@@ -243,9 +260,7 @@ def omega_map(D, v, a):
     if len(a.components) != ra:
         raise ValueError("second argument must be a section of A")
     b = Section(D.B, list(a.components) + [patch.zero] * dim)
-    pair = patch.zero
-    for j in range(ra):
-        pair = pair + v.components[dim + j] * a.components[j]
+    pair = _dot(patch, v.components[dim:], a.components)
     return dorfman_eval(D, v, b) - D.d_B(pair)
 
 

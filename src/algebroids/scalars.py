@@ -300,6 +300,13 @@ class ScalarField:
     def __bool__(self):
         return bool(self.fe.numer)
 
+    def is_constant(self):
+        """Numerator and denominator both ground (0 and 1/2 included): the
+        one constant test behind diff, cartan.apply_vf and the bracket
+        memos (bundles._constant_key)."""
+        fe = self.fe
+        return fe.numer.is_ground and fe.denom.is_ground
+
     def __eq__(self, other):
         if isinstance(other, ScalarField):
             if other.patch is not self.patch and other.patch != self.patch:
@@ -316,9 +323,8 @@ class ScalarField:
     def __hash__(self):
         # equal values must hash equally, and a constant equals its int or
         # Fraction (patch.scalar(3) == 3), so a constant hashes as one
-        num, den = self.fe.numer, self.fe.denom
-        if num.is_ground and den.is_ground:
-            n, d = num.LC, den.LC
+        if self.is_constant():
+            n, d = self.fe.numer.LC, self.fe.denom.LC
             return hash(Fraction(n.numerator * d.denominator,
                                  n.denominator * d.numerator))
         return hash((self.patch.coords, self.fe))
@@ -328,15 +334,12 @@ class ScalarField:
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
         patch, fe = self.patch, self.fe
-        num, den = fe.numer, fe.denom
-        one = patch._one
-        if dict.__eq__(den, one):
-            if num.is_ground:
-                return patch.zero
-            return ScalarField(
-                patch, fe.raw_new(num.diff(patch._axes[coord]), one))
-        if num.is_ground and den.is_ground:
+        if self.is_constant():
             return patch.zero
+        one = patch._one
+        if dict.__eq__(fe.denom, one):
+            return ScalarField(
+                patch, fe.raw_new(fe.numer.diff(patch._axes[coord]), one))
         key = (fe, coord)
         d = patch._diffs.get(key)
         if d is None:

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                                   rho_transpose)
 from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
-                                apply_matrix)
+                                apply_matrix, canonical_pairing,
+                                degenerate_pairing)
 from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
                                pair_form_vf, tangent)
 from algebroids.scalars import Patch
@@ -103,6 +104,22 @@ def dense_apply_matrix(m, comps):
 def dense_rho_transpose(anchor, rank, theta):
     return [dense_sum(anchor[i][j] * theta[i] for i in range(PATCH.dim))
             for j in range(rank)]
+
+
+def dense_canonical_pairing(u, t, ra):
+    dim = PATCH.dim
+    return dense_sum([u.components[i] * t.components[ra + i]
+                      for i in range(dim)]
+                     + [u.components[dim + j] * t.components[j]
+                        for j in range(ra)])
+
+
+def dense_degenerate_pairing(t1, t2, rho, ra):
+    dim = PATCH.dim
+    rho_a1 = dense_apply_matrix(rho, t1.components[:ra])
+    rho_a2 = dense_apply_matrix(rho, t2.components[:ra])
+    return dense_sum(t2.components[ra + k] * rho_a1[k]
+                     + t1.components[ra + k] * rho_a2[k] for k in range(dim))
 
 
 def dense_combination(coeffs, sections, rank):
@@ -203,6 +220,38 @@ def test_section_add(rank, data):
     zero = bundle.zero_section()
     assert_same(zero + b, b.components)
     assert_same(a + zero, a.components)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_section_sub(rank, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    a, b = data.draw(sections(bundle)), data.draw(sections(bundle))
+    want = [p - q for p, q in zip(a.components, b.components)]
+    assert_same(a - b, want)
+    # the zero short cut returns the left operand
+    zero = bundle.zero_section()
+    assert_same(a - zero, a.components)
+    assert_same(zero - b, [-q for q in b.components])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_canonical_pairing(ra, data):
+    Q = TrivialBundle(PATCH, PATCH.dim + ra, "TM+A*")
+    B = TrivialBundle(PATCH, ra + PATCH.dim, "A+T*M")
+    u, t = data.draw(sections(Q)), data.draw(sections(B))
+    assert_same([canonical_pairing(u, t)], [dense_canonical_pairing(u, t, ra)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_degenerate_pairing(ra, data):
+    B = TrivialBundle(PATCH, ra + PATCH.dim, "A+T*M")
+    rho = data.draw(matrices(PATCH.dim, ra))
+    t1, t2 = data.draw(sections(B)), data.draw(sections(B))
+    assert_same([degenerate_pairing(t1, t2, rho)],
+                [dense_degenerate_pairing(t1, t2, rho, ra)])
 
 
 # ---------------------------------------------------------------------------
