@@ -147,7 +147,7 @@ class Section:
         self._check(other)
         if other.is_zero():
             return self
-        return Section(self.bundle, [a - b for a, b in
+        return Section(self.bundle, [a - b if b else a for a, b in
                                      zip(self.components, other.components)])
 
     def __neg__(self):
@@ -159,7 +159,9 @@ class Section:
             f = self.bundle.patch.scalar(f)
         if not isinstance(f, ScalarField):
             return NotImplemented
-        return Section(self.bundle, [f * a for a in self.components])
+        zero = self.bundle.patch.zero
+        return Section(self.bundle, [f * a if a else zero
+                                     for a in self.components])
 
     __mul__ = __rmul__
 
@@ -467,12 +469,12 @@ def apply_matrix(m, comps, patch):
     nonzero = [(j, c) for j, c in enumerate(comps) if c]
     out = []
     for row in m:
-        total = patch.zero
+        total = None
         for j, c in nonzero:
             a = row[j]
             if a:
-                total = total + a * c
-        out.append(total)
+                total = a * c if total is None else total + a * c
+        out.append(patch.zero if total is None else total)
     return out
 
 
@@ -480,7 +482,8 @@ def _accumulate(out, c, comps):
     """out += c * comps in place, touching only the nonzero comps."""
     for k, v in enumerate(comps):
         if v:
-            out[k] = out[k] + c * v
+            o = out[k]
+            out[k] = o + c * v if o else c * v
 
 
 def _constant_key(s1, s2):
@@ -554,11 +557,11 @@ def perp_under_gram(U, gram, twin):
 
 def _dot(patch, xs, ys):
     """sum x * y over the pairs where both are nonzero."""
-    total = patch.zero
+    total = None
     for a, b in zip(xs, ys):
         if a and b:
-            total = total + a * b
-    return total
+            total = a * b if total is None else total + a * b
+    return patch.zero if total is None else total
 
 
 def annihilator(U, twin=None, side="TM+A*"):

@@ -31,8 +31,8 @@ from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
 from .bundles import (Frame, Section, Subbundle, TrivialBundle, _constant_key,
-                      apply_matrix, det, direct_sum, membership, nullspace,
-                      random_combination, random_section)
+                      _dot, apply_matrix, det, direct_sum, membership,
+                      nullspace, random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
 from .scalars import random_scalar
@@ -123,15 +123,11 @@ class CourantPresentation:
         return apply_vf(self.anchor_vf(c), f)
 
     def pairing(self, c1, c2):
-        patch = self.patch
-        total = patch.zero
-        for i, a in enumerate(c1.components):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(c2.components):
-                if not b.is_zero():
-                    total = total + a * self.gram[i][j] * b
-        return total
+        patch, g = self.patch, c2.components
+        # <e_i, c2> only for the rows where c1 is nonzero
+        return _dot(patch, c1.components,
+                    [_dot(patch, row, g) if a else patch.zero
+                     for a, row in zip(c1.components, self.gram)])
 
     def D_of(self, f):
         patch = self.patch
@@ -151,8 +147,7 @@ class CourantPresentation:
         g = c2.components
 
         def weight(i):  # <e_i, c2> from the Gram table
-            return sum((gj * self.gram[i][j] for j, gj in enumerate(g)
-                        if not gj.is_zero()), self.patch.zero)
+            return _dot(self.patch, self.gram[i], g)
 
         out = _leibniz(bundle, self.table, c1.components, g,
                        self.anchor_vf(c1), self.anchor_vf(c2),

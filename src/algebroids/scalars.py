@@ -19,6 +19,24 @@ a fast path that skips the cancellation where it cannot change anything:
   coefficients, so +, -, * and d/dx of two such values are again integer
   polynomials over 1: already reduced, with a positive leading coefficient
   in the denominator.  They are built without a gcd.
+* Those four, and negation (a canonical numerator has integer
+  coefficients whatever the denominator), run on Python ints rather than
+  on sympy's PythonMPQ coefficients.  Each kernel reads every term's
+  c.numerator, accumulates in a plain dict keyed by exponent tuple
+  (ring.monomial_mul for products), drops the zero sums and wraps each
+  surviving int once as a QQ element.  Integer sums and products are
+  exact, and an integer over 1 is already in lowest terms, so no gcd is
+  needed; PythonMPQ's own + and * spend one or two gcds per coefficient
+  operation to learn that.  The wrapper is PythonMPQ._new (bound once at import as
+  _mpq), the unchecked constructor that skips the gcd and the sign fix;
+  that is safe because the denominator is the positive 1, so the pair
+  (n, 1) is exactly what the checked constructor would store, with the
+  same hash.  The terms come out in the order sympy's own operator would
+  give them, so the results are the same PolyElements, equal and hashed
+  alike, and print the same.
+* This relies on sympy's pure-Python ground types, where QQ.dtype is
+  PythonMPQ.  They are the only ones available: gmpy2 and python-flint
+  are not installed, and there is no second path.
 * The test is "denominator == 1", not "denominator is constant": x/2 is
   stored as x over 2, and x/2 + x/2 must cancel the 2.
 * Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
@@ -85,6 +103,9 @@ from fractions import Fraction
 from sympy import QQ
 from sympy.polys.fields import FracField
 
+# PythonMPQ's unchecked constructor: no gcd, no sign normalisation
+_mpq = QQ.dtype._new
+
 __all__ = [
     "Patch",
     "ScalarField",
@@ -136,8 +157,9 @@ class Patch:
         self.field = FracField(list(coords), QQ, order="grlex")
         ring = self.field.ring
         # _axes[i] is coordinate i as a non-negative int, with the list
-        # semantics of field.gens[i]; PolyElement.diff takes ints without
-        # the ring-membership test it makes on generator polynomials
+        # semantics of field.gens[i] (negative i counts from the end, an
+        # out-of-range i raises IndexError), for the exponent slicing of
+        # _int_diff
         self._axes = tuple(range(len(coords)))
         # ring.one builds a new polynomial on every read, so the fast path
         # keeps one.  Every fast-path result shares it as its denominator;
@@ -206,9 +228,10 @@ class ScalarField:
     Wraps a sympy FracElement.  Every operation returns the canonical form
     (see the module docstring), so equality and is_zero() are tests on the
     stored numerator and denominator.  Polynomial operands (denominator 1)
-    and 0/+-1 operands take a fast path that skips sympy's gcd
-    cancellation; the others go through sympy, which cancels, and a sum
-    or product of such operands is computed once per patch.
+    take integer-coefficient kernels and 0/+-1 operands a short cut, both
+    without sympy's gcd cancellation; the others go through sympy, which
+    cancels, and a sum or product of such operands is computed once per
+    patch.
     """
 
     __slots__ = ("patch", "fe")
@@ -287,7 +310,7 @@ class ScalarField:
         return ScalarField(self.patch, _power(self.fe, n))
 
     def __neg__(self):
-        return ScalarField(self.patch, -self.fe)
+        return ScalarField(self.patch, _neg(self.fe))
 
     def __pos__(self):
         return self
@@ -339,7 +362,7 @@ class ScalarField:
         one = patch._one
         if dict.__eq__(fe.denom, one):
             return ScalarField(
-                patch, fe.raw_new(fe.numer.diff(patch._axes[coord]), one))
+                patch, fe.raw_new(_int_diff(fe.numer, patch._axes[coord]), one))
         key = (fe, coord)
         d = patch._diffs.get(key)
         if d is None:
@@ -383,7 +406,7 @@ def _add(f, g, one, memo):
     if not f.numer:
         return g
     if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
-        return f.raw_new(f.numer + g.numer, one)
+        return f.raw_new(_int_add(f.numer, g.numer, 1), one)
     key = ("+", f, g)
     h = memo.get(key)
     if h is None:
@@ -395,9 +418,9 @@ def _sub(f, g, one):
     if not g.numer:
         return f
     if not f.numer:
-        return -g
+        return _neg(g)
     if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
-        return f.raw_new(f.numer - g.numer, one)
+        return f.raw_new(_int_add(f.numer, g.numer, -1), one)
     return f - g
 
 
@@ -412,14 +435,14 @@ def _mul(f, g, one, mone, memo):
         if dict.__eq__(gn, one):
             return f
         if dict.__eq__(gn, mone):
-            return -f
+            return _neg(f)
     if dict.__eq__(f.denom, one):
         if dict.__eq__(fn, one):
             return g
         if dict.__eq__(fn, mone):
-            return -g
+            return _neg(g)
         if g_poly:
-            return f.raw_new(fn * gn, one)
+            return f.raw_new(_int_mul(fn, gn), one)
     key = ("*", f, g)
     h = memo.get(key)
     if h is None:
@@ -432,8 +455,51 @@ def _div(f, g, one, mone):
         if dict.__eq__(g.numer, one):
             return f
         if dict.__eq__(g.numer, mone):
-            return -f
+            return _neg(f)
     return f / g
+
+
+# ---------------------------------------------------------------------------
+# integer-coefficient kernels (see the module docstring); every polynomial
+# they take is a canonical numerator, so its coefficients are integers
+
+
+def _int_add(p, q, sign):
+    """p + sign * q for sign = 1 or -1."""
+    acc = {m: c.numerator for m, c in p.items()}
+    get = acc.get
+    for m, c in q.items():
+        acc[m] = get(m, 0) + sign * c.numerator
+    return p.new({m: _mpq(c, 1) for m, c in acc.items() if c})
+
+
+def _int_mul(p, q):
+    monomial_mul = p.ring.monomial_mul
+    qs = [(m, c.numerator) for m, c in q.items()]
+    acc = {}
+    get = acc.get
+    for m1, c1 in p.items():
+        a = c1.numerator
+        for m2, b in qs:
+            m = monomial_mul(m1, m2)
+            acc[m] = get(m, 0) + a * b
+    return p.new({m: _mpq(c, 1) for m, c in acc.items() if c})
+
+
+def _int_diff(p, i):
+    """d/dx_i of p; the exponents stay natural numbers, so no term cancels."""
+    out = {}
+    for m, c in p.items():
+        e = m[i]
+        if e:
+            out[m[:i] + (e - 1,) + m[i + 1:]] = _mpq(c.numerator * e, 1)
+    return p.new(out)
+
+
+def _neg(f):
+    """-f: the numerator's ints negated, the denominator shared."""
+    return f.raw_new(f.numer.new({m: _mpq(-c.numerator, 1)
+                                  for m, c in f.numer.items()}), f.denom)
 
 
 def _power(f, n):

@@ -1,17 +1,24 @@
-"""Scalar-op budgets of two fixed rounds.
+"""Scalar-op and coefficient-op budgets of fixed rounds.
 
 The kernels add only nonzero terms.  A refactor that quietly brings back
 dense arithmetic (multiplying and adding every zero entry of a table,
 anchor or Gram matrix) keeps every verdict and report the same, so only a
 count shows it.  These tests count the binary ScalarField operations of
 two deterministic rounds (no random trials) and hold each below 1.1 times
-the count the kernels make with the bracket memos and the zero skips in
-Section.__sub__, the pairings and omega_map.  In these rounds the dense
-kernels made 145,010 and 388,158 operations, and the sparse kernels
-without those 18,348 and 54,334.
+the count the kernels make with the bracket memos, the zero skips in
+Section.__sub__ and __rmul__, the pairings and omega_map, and sparse sums
+that start from their first nonzero term.  In these rounds the dense
+kernels made 145,010 and 388,158 operations, the sparse kernels without
+the memos and skips 18,348 and 54,334, and the sums that started from
+patch.zero 3,346 and 12,230.
+
+Polynomials over 1 are added, multiplied and differentiated on their
+integer coefficients, so a polynomial round makes no rational coefficient
+arithmetic at all; the last test counts it.
 """
 
 import pytest
+from sympy.external.pythonmpq import PythonMPQ
 
 from algebroids import cli, instances, zoo
 from algebroids.bialgebroid import build_courant_C, verify_appendix_lemmas
@@ -35,7 +42,7 @@ coords = x, y
 """
 
 
-def count_ops(monkeypatch, round_):
+def count_ops(monkeypatch, round_, cls=ScalarField, names=BINARY):
     count = [0]
 
     def counting(op):
@@ -45,17 +52,17 @@ def count_ops(monkeypatch, round_):
         return wrapper
 
     with monkeypatch.context() as m:
-        for name in BINARY:
-            m.setattr(ScalarField, name, counting(getattr(ScalarField, name)))
+        for name in names:
+            m.setattr(cls, name, counting(getattr(cls, name)))
         round_()
     return count[0]
 
 
-def lemma_round():
+def lemma_round(trials=0):
     triple = cli._triple_of(
         instances.instance_from_preset(zoo.zoo_preset("poisson-xy")))
     return lambda: verify_appendix_lemmas(triple,
-                                          CheckConfig(seed=0, trials=0))
+                                          CheckConfig(seed=0, trials=trials))
 
 
 def quotient_round():
@@ -69,9 +76,17 @@ def quotient_round():
 
 
 @pytest.mark.parametrize("round_, count", [
-    (lemma_round, 3_346), (quotient_round, 12_230)],
+    (lemma_round, 2_389), (quotient_round, 8_092)],
     ids=["lemmas-poisson-xy", "quotient-rational"])
 def test_scalar_op_budget(monkeypatch, round_, count):
     ops = count_ops(monkeypatch, round_())
     assert ops <= 1.1 * count, \
         "%d binary scalar ops, budget %d" % (ops, 1.1 * count)
+
+
+def test_polynomial_round_makes_no_rational_coefficient_ops(monkeypatch):
+    # one random trial, so the round multiplies genuine polynomials; with
+    # sympy's PolyElement arithmetic it made 84,709 of these ops
+    ops = count_ops(monkeypatch, lemma_round(trials=1), PythonMPQ,
+                    ("__mul__", "__add__", "__sub__"))
+    assert ops == 0, "%d PythonMPQ ops in a polynomial round" % ops

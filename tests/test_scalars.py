@@ -6,18 +6,21 @@ directly over Q at sample points.  Agreement at enough points certifies the
 symbolic result.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
+from sympy.external.pythonmpq import PythonMPQ
 from sympy.polys.fields import FracElement
 
 from algebroids.scalars import (
     Patch, PoleError, ScalarField, ScalarParseError,
     evaluate, parse_scalar, partial_derivative, random_scalar,
 )
+from algebroids.scalars import _int_add, _int_diff, _int_mul, _neg
 
 
 @pytest.fixture
@@ -505,6 +508,89 @@ def test_negative_power_is_canonical(patch):
     assert parse_scalar("(-x)^-1", patch) == parse_scalar("-1/x", patch)
     assert patch.scalar(-1) ** -1 == -1
     assert patch.scalar(Fraction(-2, 3)) ** -3 == Fraction(-27, 8)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the integer-coefficient kernels against sympy's PolyElement
+#
+# The oracle is sympy's own polynomial arithmetic, which works on PythonMPQ
+# coefficients.  Coefficients reach 2^70, past any machine word, and every
+# case includes operands equal to 0 and sums that cancel completely.
+
+BIG = 2 ** 70
+big_coeffs = st.one_of(st.sampled_from([1, -1, BIG, -BIG]),
+                       st.integers(-BIG, BIG)).filter(bool)
+
+
+@st.composite
+def int_poly_pairs(draw):
+    n = draw(st.integers(1, 3))
+    monom = st.tuples(*[st.integers(0, 3)] * n)
+    terms = st.dictionaries(monom, big_coeffs, max_size=5)
+    return n, draw(terms), draw(terms)
+
+
+def assert_same_poly(patch, got, want):
+    assert dict.__eq__(got, want) and hash(got) == hash(want)
+    assert all(type(c) is QQ.dtype and c.denominator == 1
+               for c in got.values())
+    assert str(got) == str(want)
+    one, field = patch._one, patch.field
+    assert (str(ScalarField(patch, field.raw_new(got, one)))
+            == str(ScalarField(patch, field.raw_new(want, one))))
+
+
+@contextlib.contextmanager
+def counting_mpq_ops():
+    """The list of PythonMPQ arithmetic calls made inside the with block."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+            def counting(*args, _name=name, _real=getattr(PythonMPQ, name)):
+                calls.append(_name)
+                return _real(*args)
+            m.setattr(PythonMPQ, name, counting)
+        yield calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_poly_pairs())
+def test_integer_kernels_match_sympy(case):
+    n, d1, d2 = case
+    patch = Patch(["x", "y", "z"][:n])
+    ring = patch.field.ring
+    p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
+    for a, b in [(p, q), (q, p), (p, p), (p, -p), (p + q, -q),
+                 (p, ring.zero), (ring.zero, q)]:
+        assert_same_poly(patch, _int_add(a, b, 1), a + b)
+        assert_same_poly(patch, _int_add(a, b, -1), a - b)
+        assert_same_poly(patch, _int_mul(a, b), a * b)
+    for i, x in enumerate(ring.gens):
+        assert_same_poly(patch, _int_diff(p, i), p.diff(x))
+    for den in (patch._one, ring.from_dict({ring.zero_monom: QQ(3)}), q):
+        if den:
+            fe = patch.field.raw_new(p, den)
+            assert_same_poly(patch, _neg(fe).numer, -p)
+            assert _neg(fe).denom is den
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_poly_pairs())
+def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
+    n, d1, d2 = case
+    patch = Patch(["x", "y", "z"][:n])
+    ring, one = patch.field.ring, patch._one
+    p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
+    f, g = (ScalarField(patch, patch.field.raw_new(h, one)) for h in (p, q))
+    with counting_mpq_ops() as calls:
+        results = [f + g, f - g, f * g, -f, f - f, f + (-f)]
+        results += [f.diff(i) for i in range(n)]
+    assert calls == []
+    wants = [p + q, p - q, p * q, -p, ring.zero, ring.zero]
+    wants += [p.diff(x) for x in ring.gens]
+    for got, want in zip(results, wants):
+        assert got.fe.denom == one
+        assert_same_poly(patch, got.fe.numer, want)
 
 
 # ---------------------------------------------------------------------------

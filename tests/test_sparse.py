@@ -17,6 +17,7 @@ from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
                                 degenerate_pairing)
 from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
                                pair_form_vf, tangent)
+from algebroids.courant import CourantPresentation
 from algebroids.scalars import Patch
 
 PATCH = Patch(["x", "y"])
@@ -49,6 +50,15 @@ def matrices(rows, cols):
 
 def sections(bundle):
     return entries(bundle.rank).map(lambda c: Section(bundle, c))
+
+
+@st.composite
+def partly_zero_sections(draw, bundle):
+    """A section with at least one component planted as 0."""
+    comps = draw(entries(bundle.rank))
+    for k in draw(st.sets(st.integers(0, bundle.rank - 1), min_size=1)):
+        comps[k] = ZERO
+    return Section(bundle, comps)
 
 
 vector_fields = sections(TM)
@@ -120,6 +130,12 @@ def dense_degenerate_pairing(t1, t2, rho, ra):
     rho_a2 = dense_apply_matrix(rho, t2.components[:ra])
     return dense_sum(t2.components[ra + k] * rho_a1[k]
                      + t1.components[ra + k] * rho_a2[k] for k in range(dim))
+
+
+def dense_gram_pairing(c1, c2, gram):
+    n = len(gram)
+    return dense_sum(c1.components[i] * gram[i][j] * c2.components[j]
+                     for i in range(n) for j in range(n))
 
 
 def dense_combination(coeffs, sections, rank):
@@ -236,6 +252,33 @@ def test_section_sub(rank, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_section_sub_of_partly_zero_sections(rank, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    a = data.draw(partly_zero_sections(bundle))
+    b = data.draw(partly_zero_sections(bundle))
+    got = a - b
+    assert_same(got, [p - q for p, q in zip(a.components, b.components)])
+    # a zero component of b keeps a's component itself
+    for p, q, r in zip(a.components, b.components, got.components):
+        if not q:
+            assert r is p
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, scalars, st.data())
+def test_scalar_times_partly_zero_section(rank, f, data):
+    bundle = TrivialBundle(PATCH, rank, "E")
+    a = data.draw(partly_zero_sections(bundle))
+    for got in (f * a, a * f):
+        assert_same(got, [f * p for p in a.components])
+        # f * 0 is the shared patch.zero
+        for p, r in zip(a.components, got.components):
+            if not p:
+                assert r is ZERO
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3), st.data())
 def test_canonical_pairing(ra, data):
     Q = TrivialBundle(PATCH, PATCH.dim + ra, "TM+A*")
@@ -252,6 +295,56 @@ def test_degenerate_pairing(ra, data):
     t1, t2 = data.draw(sections(B)), data.draw(sections(B))
     assert_same([degenerate_pairing(t1, t2, rho)],
                 [dense_degenerate_pairing(t1, t2, rho, ra)])
+
+
+# ---------------------------------------------------------------------------
+# courant
+
+
+@st.composite
+def presentations(draw, rank):
+    """A degenerate Courant presentation whose symmetric Gram table, anchor,
+    bracket table and differential plant 0 and +-1 among rational entries."""
+    bundle = TrivialBundle(PATCH, rank, "E")
+    upper = draw(matrices(rank, rank))
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(rank)]
+            for i in range(rank)]
+    anchor = draw(matrices(PATCH.dim, rank))
+    table = [[draw(sections(bundle)) for _ in range(rank)]
+             for _ in range(rank)]
+    dmat = draw(matrices(rank, PATCH.dim))
+    return CourantPresentation(bundle, anchor, gram, table, dmat,
+                               degenerate=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_courant_pairing(rank, data):
+    C = data.draw(presentations(rank))
+    c1, c2 = data.draw(sections(C.bundle)), data.draw(sections(C.bundle))
+    assert_same([C.pairing(c1, c2)], [dense_gram_pairing(c1, c2, C.gram)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks, st.data())
+def test_courant_bracket_weight(rank, data):
+    C = data.draw(presentations(rank))
+    bundle = C.bundle
+    c1, c2 = data.draw(sections(bundle)), data.draw(sections(bundle))
+    g = c2.components
+
+    def weight(i):
+        return dense_sum(g[j] * C.gram[i][j] for j in range(rank))
+
+    def D(h):
+        grad = [h.diff(k) for k in range(PATCH.dim)]
+        return Section(bundle, dense_apply_matrix(C.dmat, grad))
+
+    X1 = Section(TM, dense_apply_matrix(C.anchor, c1.components))
+    X2 = Section(TM, dense_apply_matrix(C.anchor, g))
+    assert_same(C.bracket(c1, c2),
+                dense_leibniz(rank, C.table, c1.components, g, X1, X2,
+                              weight, D, None))
 
 
 # ---------------------------------------------------------------------------
