@@ -6,12 +6,12 @@ _leibniz.  Its callers are bracket_eval, CourantPresentation.bracket,
 dorfman_eval and extend_lie_bracket_to_dull; nothing else in the package
 expands brackets by hand, which keeps the formula in a single place.
 
-Sparse rule: _leibniz, rho_transpose and the dual Lie derivative sum only
-nonzero terms into one component list.  Structure tables, anchors and
-frames are mostly 0 and +-1, so most products of a dense expansion are
-products with 0.  Skipping them cannot change a result: every scalar is
-canonical, so a sum has one representation whatever the order of its
-terms.
+Sparse rule: _leibniz and the dual Lie derivative sum only nonzero terms
+into one component list, and rho_transpose delegates to the transpose
+kernel bundles._apply_transpose.  Structure tables, anchors and frames
+are mostly 0 and +-1, so most products of a dense expansion are products
+with 0.  Skipping them cannot change a result: every scalar is canonical,
+so a sum has one representation whatever the order of its terms.
 
 Memo rule: a DullAlgebroid keeps the brackets bracket_eval computes on
 constant arguments (every component of both sections constant, as for
@@ -41,8 +41,9 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .bundles import (Section, TrivialBundle, _accumulate, _constant_key,
-                      apply_matrix, membership, random_section)
+from .bundles import (Section, TrivialBundle, _accumulate, _apply_transpose,
+                      _constant_key, apply_matrix, membership,
+                      random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
@@ -361,17 +362,7 @@ def _lie_derivative_dual(alg, a, rho_a, xi):
 
 def rho_transpose(alg, theta_comps):
     """rho^t theta as A*-components: (rho^t theta)_j = sum_i rho_ij theta_i."""
-    anchor = alg.anchored.anchor
-    nonzero = [(i, t) for i, t in enumerate(theta_comps) if t]
-    out = []
-    for j in range(alg.rank):
-        total = alg.patch.zero
-        for i, t in nonzero:
-            r = anchor[i][j]
-            if r:
-                total = total + r * t
-        out.append(total)
-    return out
+    return _apply_transpose(alg.anchored.anchor, theta_comps, alg.patch)
 
 
 def rho_rhot(alg, t, target=None):

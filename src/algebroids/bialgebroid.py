@@ -133,21 +133,14 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     if K.rank != ann.rank:
         check.witness("rank %d != %d" % (K.rank, ann.rank))
     for m, k in enumerate(K.frame):
-        inside, _ = membership(k, ann)
-        if not inside:
-            check.witness(k, k="k%d" % m)
+        check.witness_outside(k, ann, k="k%d" % m)
     for m, k in enumerate(ann.frame):
-        inside, _ = membership(k, K)
-        if not inside:
-            check.witness(k, annihilator_basis="a%d" % m)
+        check.witness_outside(k, K, annihilator_basis="a%d" % m)
     results.append(check.result())
 
     check = Check("%s.rho_rhot_into_U" % prefix, config)
     for m, k in enumerate(K.frame):
-        image = rho_rhot(alg, k, target=Q)
-        inside, _ = membership(image, U)
-        if not inside:
-            check.witness(image, k="k%d" % m)
+        check.witness_outside(rho_rhot(alg, k, target=Q), U, k="k%d" % m)
     results.append(check.result())
 
     check = Check("%s.bracket_closed" % prefix, config)
@@ -168,10 +161,8 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     for i in range(ra):
         a = alg.bundle.basis_section(i)
         for p in range(U.rank):
-            value = nabla_bas_TMAs(D, alg, a, U.frame[p])
-            inside, _ = membership(value, U)
-            if not inside:
-                check.witness(value, a="e%d" % i, u="u%d" % p)
+            check.witness_outside(nabla_bas_TMAs(D, alg, a, U.frame[p]), U,
+                                  a="e%d" % i, u="u%d" % p)
     results.append(check.result())
 
     check = Check("%s.basic_curvature_into_K" % prefix, config)
@@ -180,20 +171,16 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
             a1 = alg.bundle.basis_section(i)
             a2 = alg.bundle.basis_section(j)
             for p in range(U.rank):
-                value = basic_curvature(D, alg, a1, a2, U.frame[p])
-                inside, _ = membership(value, K)
-                if not inside:
-                    check.witness(value, a1="e%d" % i, a2="e%d" % j,
-                                  u="u%d" % p)
+                check.witness_outside(
+                    basic_curvature(D, alg, a1, a2, U.frame[p]), K,
+                    a1="e%d" % i, a2="e%d" % j, u="u%d" % p)
     results.append(check.result())
 
     check = Check("%s.delta_preserves_K" % prefix, config)
     for p in range(U.rank):
         for m, k in enumerate(K.frame):
-            value = dorfman_eval(D, U.frame[p], k)
-            inside, _ = membership(value, K)
-            if not inside:
-                check.witness(value, u="u%d" % p, k="k%d" % m)
+            check.witness_outside(dorfman_eval(D, U.frame[p], k), K,
+                                  u="u%d" % p, k="k%d" % m)
     results.append(check.result())
 
     check = Check("%s.quotient_flat" % prefix, config)
@@ -204,10 +191,8 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
                 combinations(labelled("u", U.frame), 2),
                 ("random#%d.1", draw), ("random#%d.2", draw)):
             for lt, tau in taus:
-                value = dorfman_curvature(D, u1, u2, tau)
-                inside, _ = membership(value, K)
-                if not inside:
-                    check.witness(value, **{l1: u1, l2: u2, lt: tau})
+                check.witness_outside(dorfman_curvature(D, u1, u2, tau), K,
+                                      **{l1: u1, l2: u2, lt: tau})
         results.append(check.result())
     else:
         results.append(check.skipped("bracket does not close on U"))
@@ -597,9 +582,10 @@ def check_manin_pair(mp, config=None, prefix="manin"):
         image = Section(C.bundle, apply_matrix(
             mp.Phi, dc.bundle.basis_section(j).components, patch))
         images.append(C.coordinates(image))
-    if matrix_rank([list(v) for v in images], patch) != n:
+    rank = matrix_rank(images, patch)
+    if rank != n:
         check.witness("iota and Phi images span rank %d, carrier has %d"
-                      % (matrix_rank([list(v) for v in images], patch), n))
+                      % (rank, n))
     results.append(check.result())
 
     check = Check("%s.pairing_compat" % prefix, config)
@@ -700,13 +686,9 @@ def bialgebroids_equivalent(db1, db2, config=None, prefix="equivalence"):
     if U1.rank != U2.rank:
         check.witness("rank %d != %d" % (U1.rank, U2.rank))
     for p, col in enumerate(db1.columns):
-        inside, _ = membership(col, U2)
-        if not inside:
-            check.witness(col, iota1_column="u%d" % p)
+        check.witness_outside(col, U2, iota1_column="u%d" % p)
     for p, col in enumerate(db2.columns):
-        inside, _ = membership(col, U1)
-        if not inside:
-            check.witness(col, iota2_column="u%d" % p)
+        check.witness_outside(col, U1, iota2_column="u%d" % p)
     span = check.result()
     results.append(span)
 

@@ -38,11 +38,11 @@ the complement coefficients.  The Courant algebroid of an LA-Dirac triple
 (phi = (rho, rho^t)) and the quotient algebroid of an infinitesimal ideal
 system (phi = rho) are its two instances.
 
-Sparse rule: apply_matrix, Frame.combination, canonical_pairing,
-degenerate_pairing and the private accumulator the bracket kernel shares
-add only nonzero terms; Section.__add__ returns the other operand when one
-side is all zero, and Section.__sub__ returns the left operand when the
-right one is.  Bundle maps and frames are mostly 0 and +-1, and canonical
+Sparse rule: apply_matrix, its transpose _apply_transpose,
+Frame.combination, canonical_pairing, degenerate_pairing and the private
+accumulator the bracket kernel shares add only nonzero terms;
+Section.__add__ returns the other operand when one side is all zero, and
+Section.__sub__ returns the left operand when the right one is.  Bundle maps and frames are mostly 0 and +-1, and canonical
 scalars make the result independent of which zero terms are left out and
 of the order of the rest.
 
@@ -471,6 +471,21 @@ def apply_matrix(m, comps, patch):
     for row in m:
         total = None
         for j, c in nonzero:
+            a = row[j]
+            if a:
+                total = a * c if total is None else total + a * c
+        out.append(patch.zero if total is None else total)
+    return out
+
+
+def _apply_transpose(m, comps, patch):
+    """Transposed product: entry j is sum_i m[i][j] * comps[i], summed over
+    the nonzero comps[i]."""
+    nonzero = [(m[i], c) for i, c in enumerate(comps) if c]
+    out = []
+    for j in range(len(m[0]) if m else 0):
+        total = None
+        for row, c in nonzero:
             a = row[j]
             if a:
                 total = a * c if total is None else total + a * c

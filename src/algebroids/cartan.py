@@ -19,7 +19,7 @@ terms, and a skipped term is 0.
 
 from __future__ import annotations
 
-from .bundles import Section, TrivialBundle
+from .bundles import Section, TrivialBundle, _apply_transpose, _dot
 
 __all__ = [
     "tangent", "cotangent",
@@ -53,11 +53,7 @@ def apply_vf(X, f):
 
 def pair_form_vf(theta, X):
     """theta(X) for a 1-form and a vector field."""
-    total = theta.bundle.patch.zero
-    for t, x in zip(theta.components, X.components):
-        if t and x:
-            total = total + t * x
-    return total
+    return _dot(theta.bundle.patch, theta.components, X.components)
 
 
 def lie_bracket_vf(X, Y):
@@ -101,16 +97,8 @@ def d_oneform(theta):
 def interior_vf_2form(X, omega):
     """(i_X omega)_j = sum_i X^i omega_{ij}."""
     patch = X.bundle.patch
-    xs = [(i, c) for i, c in enumerate(X.components) if c]
-    comps = []
-    for j in range(patch.dim):
-        total = patch.zero
-        for i, c in xs:
-            w = omega[i][j]
-            if w:
-                total = total + c * w
-        comps.append(total)
-    return Section(cotangent(patch), comps)
+    return Section(cotangent(patch),
+                   _apply_transpose(omega, X.components, patch))
 
 
 def lie_derivative_1form(X, theta):

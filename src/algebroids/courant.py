@@ -30,9 +30,10 @@ from functools import partial
 from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
-from .bundles import (Frame, Section, Subbundle, TrivialBundle, _constant_key,
-                      _dot, apply_matrix, det, direct_sum, membership,
-                      nullspace, random_combination, random_section)
+from .bundles import (Frame, Section, Subbundle, TrivialBundle,
+                      _apply_transpose, _constant_key, _dot, apply_matrix,
+                      det, direct_sum, membership, nullspace,
+                      random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
 from .scalars import random_scalar
@@ -62,7 +63,7 @@ class CourantPresentation:
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("pairing must be symmetric on frames")
-        if not degenerate and det([list(r) for r in gram], patch).is_zero():
+        if not degenerate and det(gram, patch).is_zero():
             raise ValueError("pairing Gram determinant vanishes; construct "
                              "with degenerate=True to allow this")
         table = [list(row) for row in table]
@@ -326,16 +327,10 @@ def check_dirac(C, D, config=None, prefix="dirac"):
         results.append(check.skipped(
             "degenerate pairing: perpendicular not defined"))
     else:
-        rows = []
-        for d in D.frame:
-            rows.append([sum((d.components[i] * C.gram[i][j]
-                              for i in range(n)), patch.zero)
-                         for j in range(n)])
+        rows = [_apply_transpose(C.gram, d.components, patch)
+                for d in D.frame]
         for v in nullspace(rows, patch, ncols=n):
-            s = Section(C.bundle, v)
-            inside, _ = membership(s, D)
-            if not inside:
-                check.witness(s, perp="basis vector")
+            check.witness_outside(Section(C.bundle, v), D, perp="basis vector")
         results.append(check.result())
 
     check = Check("%s.closed" % prefix, config)
@@ -343,10 +338,7 @@ def check_dirac(C, D, config=None, prefix="dirac"):
     for (l1, d1), (l2, d2) in check.tuples(
             product(labelled("d", D.frame), repeat=2),
             ("random#%d.1", draw), ("random#%d.2", draw)):
-        value = C.bracket(d1, d2)
-        inside, _ = membership(value, D)
-        if not inside:
-            check.witness(value, **{l1: d1, l2: d2})
+        check.witness_outside(C.bracket(d1, d2), D, **{l1: d1, l2: d2})
     results.append(check.result())
     return results
 
@@ -511,8 +503,6 @@ def bott_dorfman(C, D, config=None, prefix="bott"):
     for i, d1 in enumerate(D.frame):
         for j, d2 in enumerate(D.frame):
             for _, f in functions:
-                value = C.bracket(d1, f * d2)
-                inside, _ = membership(value, D)
-                if not inside:
-                    check.witness(value, d1="d%d" % i, d2="d%d" % j, f=f)
+                check.witness_outside(C.bracket(d1, f * d2), D,
+                                      d1="d%d" % i, d2="d%d" % j, f=f)
     return bott, [check.result()]

@@ -14,6 +14,10 @@ stream.  Frame entries are labelled by a tag and an index (e0, u1, q2,
 ...; see labelled); drawn entries by trial and slot, "random#<t>.<slot>"
 with slot 0/1/2, 1/2 or a letter, "random#<t>" for a single slot, or
 "random<t>" in the zoo checks.  Function slots print the function itself.
+
+A membership verdict is recorded in one place, Check.witness_outside: it
+witnesses a value that is not a section of a subbundle and returns the
+membership coefficients of one that is.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+
+from .bundles import membership
 
 __all__ = ["CheckConfig", "Witness", "CheckResult", "Check", "Report",
            "labelled"]
@@ -132,6 +138,15 @@ class Check:
             return
         printed = {k: str(v) for k, v in inputs.items()}
         self.witnesses.append(Witness(printed, str(residual)))
+
+    def witness_outside(self, value, sub, **inputs):
+        """Witness value unless it is a section of the subbundle sub;
+        returns its coefficients over the frame of sub, or None."""
+        inside, data = membership(value, sub)
+        if inside:
+            return data
+        self.witness(value, **inputs)
+        return None
 
     @property
     def failed(self):

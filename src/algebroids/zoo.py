@@ -33,8 +33,9 @@ from .bialgebroid import (AManinPair, DiracBialgebroid, LADiracTriple,
                           build_courant_C, check_la_dirac, check_manin_pair,
                           triple_from_bialgebroid)
 from .bundles import (Frame, GraphQuotient, Section, Subbundle, TrivialBundle,
-                      apply_matrix, det, direct_sum, matrix_rank, membership,
-                      nullspace, random_combination, random_section, rref)
+                      _accumulate, _apply_transpose, _dot, apply_matrix, det,
+                      direct_sum, matrix_rank, membership, nullspace,
+                      random_combination, random_section, rref)
 from .cartan import (apply_vf, cotangent, d_function, d_oneform,
                      interior_vf_2form, lie_bracket_vf, lie_derivative_1form,
                      pair_form_vf, tangent, two_form_matrix)
@@ -42,7 +43,7 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig, labelled
-from .scalars import Patch, _coeff_fraction, parse_scalar
+from .scalars import Patch, _coeff_fraction, _monomials, parse_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +64,7 @@ def interior_d_dual(alg, b, xi):
     """Contraction of the algebroid differential of a dual section,
     i_b d xi = L_b xi - d<xi, b>:
     <i_b d xi, e_j> = rho(b)<xi, e_j> - rho(e_j)<xi, b> - <xi, [b, e_j]>."""
-    pair_b = alg.patch.zero
-    for l in range(alg.rank):
-        pair_b = pair_b + xi.components[l] * b.components[l]
+    pair_b = _dot(alg.patch, xi.components, b.components)
     lie = _lie_derivative_dual(alg, b, alg.anchor_vf(b), xi.components)
     return Section(xi.bundle, [
         v - apply_vf(alg.anchor_vf(alg.bundle.basis_section(j)), pair_b)
@@ -75,14 +74,19 @@ def interior_d_dual(alg, b, xi):
 def dual_connection_eval(conn, X, xi):
     """Dual of a linear connection, on a rank-equal partner section:
     <nabla*_X xi, e_j> = X<xi, e_j> - <xi, nabla_X e_j>."""
-    comps = []
-    for j in range(conn.bundle.rank):
-        val = apply_vf(X, xi.components[j])
-        ce = conn.eval(X, conn.bundle.basis_section(j))
-        for l in range(conn.bundle.rank):
-            val = val - xi.components[l] * ce.components[l]
-        comps.append(val)
-    return Section(xi.bundle, comps)
+    patch = conn.bundle.patch
+    return Section(xi.bundle, [
+        apply_vf(X, x) - _dot(patch, xi.components, conn.eval(X, e).components)
+        for x, e in zip(xi.components, conn.bundle.basis_sections())])
+
+
+def _dual_pairing_form(conn, xi, a):
+    """The 1-form <nabla*_. xi, a>: its l-th component pairs
+    nabla*_{d/dx_l} xi with a."""
+    patch = conn.bundle.patch
+    return Section(cotangent(patch), [
+        _dot(patch, a.components, dual_connection_eval(conn, X, xi).components)
+        for X in tangent(patch).basis_sections()])
 
 
 def _conn_curvature(conn, X, Y, s):
@@ -228,22 +232,10 @@ def poisson_bialgebroid(patch, pi):
 def anchor_anomaly(lb):
     """Matrix of rho . rho_*^t + rho_* . rho^t acting on T*M; it vanishes
     exactly when the two transposed anchors anti-commute."""
-    patch = lb.patch
-    r, dim = lb.rank, patch.dim
     rho = lb.alg_A.anchored.anchor
     rho_star = lb.alg_Astar.anchored.anchor
-    out = []
-    for k in range(dim):
-        row = []
-        for l in range(dim):
-            val = patch.zero
-            for i in range(r):
-                val = val + rho[k][i] * rho_star[l][i]
-            for j in range(r):
-                val = val + rho_star[k][j] * rho[l][j]
-            row.append(val)
-        out.append(row)
-    return out
+    return [[_dot(lb.patch, rk + sk, sl + rl) for rl, sl in zip(rho, rho_star)]
+            for rk, sk in zip(rho, rho_star)]
 
 
 def _rho_star_transpose(lb, theta_comps):
@@ -251,9 +243,25 @@ def _rho_star_transpose(lb, theta_comps):
     return Section(lb.alg_A.bundle, rho_transpose(lb.alg_Astar, theta_comps))
 
 
-def _rho_transpose_section(lb, theta_comps):
-    """rho^t theta as a section of the A* frame bundle."""
-    return Section(lb.alg_Astar.bundle, rho_transpose(lb.alg_A, theta_comps))
+def _frame_dorfman(alg, partner, delta):
+    """The Dorfman connection on TM + A* over A + T*M whose frame table
+    holds delta(X, alpha, a, theta) = (A-part, T*M-part), for alpha a
+    section of partner, the bundle of the A* frame."""
+    patch = alg.patch
+    tm, ct = tangent(patch), cotangent(patch)
+    B = side_B(alg)
+    rows = ([(X, partner.zero_section()) for X in tm.basis_sections()]
+            + [(tm.zero_section(), al) for al in partner.basis_sections()])
+    cols = ([(a, ct.zero_section()) for a in alg.bundle.basis_sections()]
+            + [(alg.bundle.zero_section(), th) for th in ct.basis_sections()])
+    table = []
+    for X, alpha in rows:
+        row = []
+        for a, theta in cols:
+            apart, tpart = delta(X, alpha, a, theta)
+            row.append(Section(B, apart.components + tpart.components))
+        table.append(row)
+    return DorfmanConnection(side_Q(alg), B, table)
 
 
 def adapted_dorfman_poisson(lb, conn=None):
@@ -269,53 +277,25 @@ def adapted_dorfman_poisson(lb, conn=None):
     is the basic connection of A* paired with the dual connection."""
     A, As = lb.alg_A, lb.alg_Astar
     patch = lb.patch
-    r, dim = lb.rank, patch.dim
     if conn is None:
         conn = LinearConnection.flat(A.bundle)
-    Q = side_Q(A)
-    B = side_B(A)
-    ct = cotangent(patch)
-    tm = tangent(patch)
 
     def delta(X, alpha, a, theta):
         apart = conn.eval(X, a)
-        if not alpha.is_zero():
-            rs_alpha = As.anchor_vf(alpha)
-            term1 = []
-            for k in range(r):
-                nb = bracket_eval(As, As.bundle.basis_section(k), alpha)
-                nb = nb + dual_connection_eval(conn, rs_alpha,
-                                               As.bundle.basis_section(k))
-                val = patch.zero
-                for m in range(r):
-                    val = val + a.components[m] * nb.components[m]
-                term1.append(val)
-            eta = []
-            for l in range(dim):
-                na = dual_connection_eval(conn, tm.basis_section(l), alpha)
-                val = patch.zero
-                for m in range(r):
-                    val = val + a.components[m] * na.components[m]
-                eta.append(val)
-            apart = apart + Section(A.bundle, term1)
-            apart = apart - _rho_star_transpose(lb, eta)
-            tpart = lie_derivative_1form(X, theta) + Section(ct, eta)
-        else:
-            tpart = lie_derivative_1form(X, theta)
-        return Section(B, list(apart.components) + list(tpart.components))
+        tpart = lie_derivative_1form(X, theta)
+        if alpha.is_zero():
+            return apart, tpart
+        rs_alpha = As.anchor_vf(alpha)
+        term1 = [_dot(patch, a.components,
+                      (bracket_eval(As, eps, alpha)
+                       + dual_connection_eval(conn, rs_alpha, eps)).components)
+                 for eps in As.bundle.basis_sections()]
+        eta = _dual_pairing_form(conn, alpha, a)
+        apart = (apart + Section(A.bundle, term1)
+                 - _rho_star_transpose(lb, eta.components))
+        return apart, tpart + eta
 
-    table = []
-    for i in range(dim + r):
-        X = tm.basis_section(i) if i < dim else tm.zero_section()
-        alpha = (As.bundle.basis_section(i - dim) if i >= dim
-                 else As.bundle.zero_section())
-        row = []
-        for j in range(r + dim):
-            a = A.bundle.basis_section(j) if j < r else A.bundle.zero_section()
-            theta = (ct.basis_section(j - r) if j >= r else ct.zero_section())
-            row.append(delta(X, alpha, a, theta))
-        table.append(row)
-    return DorfmanConnection(Q, B, table)
+    return _frame_dorfman(A, As.bundle, delta)
 
 
 def poisson_triple(lb, conn=None):
@@ -378,9 +358,10 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
         a = random_section(A.bundle, rng, config.max_degree)
         theta = random_section(ct, rng, config.max_degree)
         lt = lie_derivative_1form(A.anchor_vf(a), theta)
-        lhs = _rho_star_transpose(lb, list(lt.components))
-        rhs = bracket_eval(A, a, _rho_star_transpose(lb, list(theta.components)))
-        rhs = rhs - interior_d_dual(As, _rho_transpose_section(lb, list(theta.components)), a)
+        lhs = _rho_star_transpose(lb, lt.components)
+        rhs = bracket_eval(A, a, _rho_star_transpose(lb, theta.components))
+        rho_t_theta = Section(As.bundle, rho_transpose(A, theta.components))
+        rhs = rhs - interior_d_dual(As, rho_t_theta, a)
         if not (lhs - rhs).is_zero():
             check.witness(lhs - rhs, a=a, theta=theta, trial=t)
     results.append(check.result())
@@ -436,18 +417,6 @@ def _sigma_apply(alg, sigma, a):
     """sigma(a) as a 1-form."""
     patch = alg.patch
     return Section(cotangent(patch), apply_matrix(sigma, a.components, patch))
-
-
-def _sigma_transpose(alg, sigma, X):
-    """A*-frame components of sigma^t X: (sigma^t X)_j = <sigma(e_j), X>."""
-    patch = alg.patch
-    comps = []
-    for j in range(alg.rank):
-        val = patch.zero
-        for i in range(patch.dim):
-            val = val + sigma[i][j] * X.components[i]
-        comps.append(val)
-    return comps
 
 
 def im2form_defects(alg, sigma, a1, a2):
@@ -516,9 +485,9 @@ def bialgebroid_from_im2form(alg, sigma):
     return db, mp
 
 
-def _adapted_table(alg, conn, sigma=None):
-    """Dorfman table of the connection adapted to a bundle map
-    sigma: A -> T*M (zero map when sigma is None):
+def _adapted_dorfman(alg, conn, sigma=None):
+    """Dorfman connection adapted to a bundle map sigma: A -> T*M (zero
+    map when sigma is None):
 
     Delta_{(X, alpha)}(a, theta) = (nabla_X a,
         L_X(theta - sigma a) + <nabla*_.(sigma^t X + alpha), a>
@@ -527,55 +496,30 @@ def _adapted_table(alg, conn, sigma=None):
     The T*M columns come out zero, so the table is a valid Dorfman
     connection for any inputs."""
     patch = alg.patch
-    dim, ra = patch.dim, alg.rank
-    B = side_B(alg)
-    ct = cotangent(patch)
-    tm = tangent(patch)
     partner = dual_partner(alg.bundle)
 
     def sig(a):
         if sigma is None:
-            return ct.zero_section()
+            return cotangent(patch).zero_section()
         return _sigma_apply(alg, sigma, a)
 
-    def delta(X, alpha_comps, a, theta):
+    def delta(X, alpha, a, theta):
         apart = conn.eval(X, a)
-        xi_comps = list(alpha_comps)
+        xi = alpha
         if sigma is not None:
-            st = _sigma_transpose(alg, sigma, X)
-            xi_comps = [xi_comps[j] + st[j] for j in range(ra)]
-        xi = Section(partner, xi_comps)
-        eta = []
-        for l in range(dim):
-            na = dual_connection_eval(conn, tm.basis_section(l), xi)
-            val = patch.zero
-            for m in range(ra):
-                val = val + a.components[m] * na.components[m]
-            eta.append(val)
+            xi = xi + Section(partner,
+                              _apply_transpose(sigma, X.components, patch))
         tpart = lie_derivative_1form(X, theta - sig(a))
-        tpart = tpart + Section(ct, eta) + sig(apart)
-        return Section(B, list(apart.components) + list(tpart.components))
+        return apart, tpart + _dual_pairing_form(conn, xi, a) + sig(apart)
 
-    table = []
-    for i in range(dim + ra):
-        X = tm.basis_section(i) if i < dim else tm.zero_section()
-        alpha = [patch.one if (i >= dim and s == i - dim) else patch.zero
-                 for s in range(ra)]
-        row = []
-        for j in range(ra + dim):
-            a = alg.bundle.basis_section(j) if j < ra else alg.bundle.zero_section()
-            theta = ct.basis_section(j - ra) if j >= ra else ct.zero_section()
-            row.append(delta(X, alpha, a, theta))
-        table.append(row)
-    return table
+    return _frame_dorfman(alg, partner, delta)
 
 
 def adapted_dorfman_presymplectic(alg, sigma, conn=None):
     """Dorfman connection on TM + A* adapted to a bundle map sigma."""
     if conn is None:
         conn = LinearConnection.flat(alg.bundle)
-    return DorfmanConnection(side_Q(alg), side_B(alg),
-                             _adapted_table(alg, conn, sigma))
+    return _adapted_dorfman(alg, conn, sigma)
 
 
 def presymplectic_triple(alg, sigma, conn=None):
@@ -711,8 +655,7 @@ def parallel_frame_search(iis, degree=2):
         return []
     proj = adapted.solver().T[J.rank:]
 
-    monos = sorted(m for m in itertools.product(range(degree + 1), repeat=dim)
-                   if sum(m) <= degree)
+    monos = _monomials(dim, degree)
     nunk = t * len(monos)
     stem = "uc"
     while any(name.startswith(stem) for name in patch.coords):
@@ -725,43 +668,44 @@ def parallel_frame_search(iis, degree=2):
     def lift_all(rows):
         return [[lift(v) for v in row] for row in rows]
 
-    gamma_l = [[ [lift(v) for v in conn.gamma[i][j].components]
-                 for j in range(ra)] for i in range(dim)]
-    W_l = lift_all([list(s.components) for s in W])
-    proj_l = lift_all(proj)
-    F_l = lift_all([list(X.components) for X in F.frame])
+    def monomials(p):
+        out = []
+        for m in monos:
+            v = p.one
+            for i, e in enumerate(m):
+                if e:
+                    v = v * p.coordinate(i) ** e
+            out.append(v)
+        return out
 
-    unknown = [aux.coordinate(dim + u) for u in range(nunk)]
-    smono = []
-    for m in monos:
-        v = aux.one
-        for i, e in enumerate(m):
-            for _ in range(e):
-                v = v * aux.coordinate(i)
-        smono.append(v)
-    scomp = [aux.zero] * ra
-    for mi in range(t):
-        f = aux.zero
-        for u, mono in enumerate(smono):
-            f = f + unknown[mi * len(monos) + u] * mono
-        for k in range(ra):
-            scomp[k] = scomp[k] + f * W_l[mi][k]
+    def ansatz(p, mono, coeffs, frame):
+        """sum over mi of (sum_u coeffs[mi, u] mono[u]) frame[mi] on p."""
+        comps = [p.zero] * ra
+        for mi, w in enumerate(frame):
+            f = _dot(p, coeffs[mi * len(monos):(mi + 1) * len(monos)], mono)
+            if f:
+                _accumulate(comps, f, w)
+        return comps
+
+    gamma_l = [lift_all([g.components for g in row]) for row in conn.gamma]
+    proj_l = lift_all(proj)
+    scomp = ansatz(aux, monomials(aux),
+                   [aux.coordinate(dim + u) for u in range(nunk)],
+                   lift_all([s.components for s in W]))
+    # d_i s + sum_j s^j gamma[i][j], the covariant derivative along d/dx_i
+    cov = []
+    for i in range(dim):
+        comps = [c.diff(i) for c in scomp]
+        for sj, g in zip(scomp, gamma_l[i]):
+            if sj:
+                _accumulate(comps, sj, g)
+        cov.append(comps)
 
     equations = {}
-    for X in F_l:
-        nab = []
-        for k in range(ra):
-            val = aux.zero
-            for i in range(dim):
-                term = scomp[k].diff(i)
-                for j in range(ra):
-                    term = term + scomp[j] * gamma_l[i][j][k]
-                val = val + X[i] * term
-            nab.append(val)
+    for X in lift_all([X.components for X in F.frame]):
+        nab = [_dot(aux, X, [c[k] for c in cov]) for k in range(ra)]
         for w in range(t):
-            cond = aux.zero
-            for l in range(ra):
-                cond = cond + proj_l[w][l] * nab[l]
+            cond = _dot(aux, proj_l[w], nab)
             for exps, coeff in cond.fe.numer.terms():
                 cexps = exps[dim:]
                 total = sum(cexps)
@@ -781,31 +725,18 @@ def parallel_frame_search(iis, degree=2):
         [Fraction(1) if v == u else Fraction(0) for v in range(nunk)]
         for u in range(nunk)]
 
-    xmono = []
-    for m in monos:
-        v = patch.one
-        for i, e in enumerate(m):
-            for _ in range(e):
-                v = v * patch.coordinate(i)
-        xmono.append(v)
+    # the kept rows stay independent, so their rank is J.rank + len(selected)
+    xmono = monomials(patch)
     selected = []
-    span_rows = [list(s.components) for s in J.frame]
+    span_rows = [s.components for s in J.frame]
     for vec in solutions:
-        comps = [patch.zero] * ra
-        for mi in range(t):
-            f = patch.zero
-            for u, mono in enumerate(xmono):
-                q = vec[mi * len(monos) + u]
-                if q:
-                    f = f + patch.scalar(q) * mono
-            for k in range(ra):
-                comps[k] = comps[k] + f * W[mi].components[k]
-        cand = Section(alg.bundle, comps)
+        cand = Section(alg.bundle, ansatz(patch, xmono,
+                                          [patch.scalar(q) for q in vec],
+                                          [w.components for w in W]))
         if cand.is_zero():
             continue
-        trial = span_rows + [list(cand.components)]
-        if matrix_rank([list(r) for r in trial], patch) > matrix_rank(
-                [list(r) for r in span_rows], patch):
+        trial = span_rows + [cand.components]
+        if matrix_rank(trial, patch) > J.rank + len(selected):
             selected.append(cand)
             span_rows = trial
         if len(selected) == t:
@@ -833,29 +764,24 @@ def check_iis(iis, config=None, prefix="iis"):
             for m in range(alg.rank):
                 R = _conn_curvature(conn, F.frame[p], F.frame[q],
                                     alg.bundle.basis_section(m))
-                inside, _ = membership(R, J)
-                if not inside:
-                    check.witness(R, X1="F%d" % p, X2="F%d" % q, a="e%d" % m)
+                check.witness_outside(R, J, X1="F%d" % p, X2="F%d" % q,
+                                      a="e%d" % m)
     results.append(check.result())
 
     check = Check(prefix + ".alt.basic_vector", config)
     for m in range(alg.rank):
         em = alg.bundle.basis_section(m)
         for p in range(F.rank):
-            nb = bas.on_vector_fields(em, F.frame[p])
-            inside, _ = membership(nb, F)
-            if not inside:
-                check.witness(nb, a="e%d" % m, X="F%d" % p)
+            check.witness_outside(bas.on_vector_fields(em, F.frame[p]), F,
+                                  a="e%d" % m, X="F%d" % p)
     results.append(check.result())
 
     check = Check(prefix + ".alt.basic_section", config)
     for m in range(alg.rank):
         em = alg.bundle.basis_section(m)
         for q in range(J.rank):
-            nb = bas.on_sections(J.frame[q], em)
-            inside, _ = membership(nb, J)
-            if not inside:
-                check.witness(nb, j="J%d" % q, a="e%d" % m)
+            check.witness_outside(bas.on_sections(J.frame[q], em), J,
+                                  j="J%d" % q, a="e%d" % m)
     results.append(check.result())
 
     check = Check(prefix + ".alt.basic_curvature", config)
@@ -864,9 +790,8 @@ def check_iis(iis, config=None, prefix="iis"):
             for p in range(F.rank):
                 R = bas.curvature(alg.bundle.basis_section(m),
                                   alg.bundle.basis_section(n), F.frame[p])
-                inside, _ = membership(R, J)
-                if not inside:
-                    check.witness(R, a1="e%d" % m, a2="e%d" % n, X="F%d" % p)
+                check.witness_outside(R, J, a1="e%d" % m, a2="e%d" % n,
+                                      X="F%d" % p)
     results.append(check.result())
     alt_ok = all(r.status == "pass" for r in results)
 
@@ -889,10 +814,8 @@ def check_iis(iis, config=None, prefix="iis"):
         check = Check(prefix + ".def.ideal", config)
         for r_i, s in enumerate(frame):
             for q in range(J.rank):
-                br = bracket_eval(alg, s, J.frame[q])
-                inside, _ = membership(br, J)
-                if not inside:
-                    check.witness(br, parallel="s%d" % r_i, j="J%d" % q)
+                check.witness_outside(bracket_eval(alg, s, J.frame[q]), J,
+                                      parallel="s%d" % r_i, j="J%d" % q)
         results.append(check.result())
 
         check = Check(prefix + ".def.bracket_parallel", config)
@@ -900,21 +823,17 @@ def check_iis(iis, config=None, prefix="iis"):
             for r_j in range(r_i + 1, len(frame)):
                 br = bracket_eval(alg, s1, frame[r_j])
                 for p in range(F.rank):
-                    nb = conn.eval(F.frame[p], br)
-                    inside, _ = membership(nb, J)
-                    if not inside:
-                        check.witness(nb, s1="s%d" % r_i, s2="s%d" % r_j,
-                                      X="F%d" % p)
+                    check.witness_outside(conn.eval(F.frame[p], br), J,
+                                          s1="s%d" % r_i, s2="s%d" % r_j,
+                                          X="F%d" % p)
         results.append(check.result())
 
         check = Check(prefix + ".def.anchor_parallel", config)
         for r_i, s in enumerate(frame):
             rs = alg.anchor_vf(s)
             for p in range(F.rank):
-                lb_vf = lie_bracket_vf(F.frame[p], rs)
-                inside, _ = membership(lb_vf, F)
-                if not inside:
-                    check.witness(lb_vf, s="s%d" % r_i, X="F%d" % p)
+                check.witness_outside(lie_bracket_vf(F.frame[p], rs), F,
+                                      s="s%d" % r_i, X="F%d" % p)
         results.append(check.result())
         def_ok = all(r.status == "pass" for r in results[-4:])
     else:
@@ -938,8 +857,7 @@ def check_iis(iis, config=None, prefix="iis"):
 def adapted_dorfman_iis(iis):
     """Dorfman connection on TM + A* adapted to an ideal system:
     Delta_{(X, alpha)}(a, theta) = (nabla_X a, L_X theta + <nabla*_. alpha, a>)."""
-    return DorfmanConnection(side_Q(iis.alg), side_B(iis.alg),
-                             _adapted_table(iis.alg, iis.conn, None))
+    return _adapted_dorfman(iis.alg, iis.conn)
 
 
 def iis_triple(iis):
@@ -1137,7 +1055,7 @@ def bialgebroid_from_iis(iis, config=None, verify=True):
     zero_u = Section(ubundle, [patch.zero] * (rF + t))
     for p in range(rF):
         for q in range(rF):
-            inside, xc = membership(lie_bracket_vf(F.frame[p], F.frame[q]), F)
+            _, xc = membership(lie_bracket_vf(F.frame[p], F.frame[q]), F)
             table[p][q] = Section(ubundle, list(xc) + [patch.zero] * t)
         for s in range(t):
             nb = dual_connection_eval(conn, F.frame[p],
@@ -1163,14 +1081,9 @@ def bialgebroid_from_iis(iis, config=None, verify=True):
     db = DiracBialgebroid(alg, alg_U, iota)
 
     frames = [C.bundle.basis_section(p) for p in range(rF)]
-    for s in range(t):
-        comps = [patch.zero] * (n + rF)
-        for w in abar.W:
-            val = patch.zero
-            for l in range(ra):
-                val = val + j0[s][l] * w.components[l]
-            comps.append(val)
-        frames.append(Section(C.bundle, comps))
+    for al in j0:
+        frames.append(Section(C.bundle, [patch.zero] * (n + rF) + [
+            _dot(patch, al, w.components) for w in abar.W]))
     U_in_C = Subbundle(C.bundle, Frame(C.bundle, frames))
 
     # Phi(a, theta) = (class of 0 (+) a, the functional
@@ -1302,31 +1215,25 @@ def ideal_and_bialgebra_from(db):
         for b in range(k)] for a in range(k)]
     alg_h = DullAlgebroid(AnchoredBundle(hb, anchor), h_table)
 
-    P = [[None] * k for _ in range(k)]
-    for a in range(k):
-        for r in range(k):
-            val = patch.zero
-            for i in range(n):
-                val = val + db.iota[i][r] * W[a].components[i]
-            P[a][r] = val
-    if det([list(r) for r in P], patch).is_zero():
+    P = [_apply_transpose(db.iota, w.components, patch) for w in W]
+    if det(P, patch).is_zero():
         raise ValueError("iota does not pair p perfectly with g / p-polar")
     Pinv = rref(P, patch, track=True)[1]
 
     hsb = dual_partner(hb)
     hstar_table = [[None] * k for _ in range(k)]
+    # P carries p-coordinates to h*-coordinates, so each bracket of p is
+    # transported once
+    p_table = [[apply_matrix(P, cp.components, patch) for cp in row]
+               for row in p.bracket]
     for a in range(k):
         for b in range(k):
             comps = [patch.zero] * k
             for r in range(k):
                 for s in range(k):
                     f = Pinv[r][a] * Pinv[s][b]
-                    if f.is_zero():
-                        continue
-                    cp = p.bracket[r][s]
-                    for u in range(k):
-                        for c in range(k):
-                            comps[c] = comps[c] + f * cp.components[u] * P[c][u]
+                    if f:
+                        _accumulate(comps, f, p_table[r][s])
             hstar_table[a][b] = Section(hsb, comps)
     alg_hstar = DullAlgebroid(
         AnchoredBundle(hsb, [[patch.zero] * k for _ in range(patch.dim)]),
@@ -1335,8 +1242,7 @@ def ideal_and_bialgebra_from(db):
     double = courant_double(LieBialgebroidData(alg_h, alg_hstar))
     phi = [[h_coords[a][i] for i in range(n)] for a in range(k)]
     phi += [[patch.zero] * n for _ in range(k)]
-    p_in_double = [[patch.zero] * k for _ in range(k)]
-    p_in_double = p_in_double + [[P[a][r] for r in range(k)] for a in range(k)]
+    p_in_double = [[patch.zero] * k for _ in range(k)] + [list(r) for r in P]
     return PointReduction(p_polar=p0, alg_h=alg_h, alg_hstar=alg_hstar,
                           duality=P, h_coords=h_coords, double=double,
                           phi=phi, p_in_double=p_in_double)
@@ -1355,8 +1261,7 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     results += check_algebroid(p, config, prefix=prefix + ".p")
 
     check = Check(prefix + ".iota_injective", config)
-    rank = matrix_rank([[db.iota[i][r] for r in range(k)] for i in range(n)],
-                       patch)
+    rank = matrix_rank(db.iota, patch)
     if rank != k:
         check.witness("rank %d < %d" % (rank, k), rank=rank, expected=k)
     results.append(check.result())
@@ -1387,7 +1292,7 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
 
     red = reduction
     check = Check(prefix + ".duality", config)
-    d = det([list(r) for r in red.duality], patch)
+    d = det(red.duality, patch)
     if d.is_zero():
         check.witness(d)
     results.append(check.result())
@@ -1401,51 +1306,29 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     A_mats = [[[red.alg_h.bracket[a][b].components[c] for b in range(k)]
                for c in range(k)] for a in range(k)]
 
-    def mat_comb(coeffs, mats):
-        out = [[patch.zero] * k for _ in range(k)]
-        for w, m in zip(coeffs, mats):
-            for i in range(k):
-                for j in range(k):
-                    out[i][j] = out[i][j] + w * m[i][j]
-        return out
-
-    def mat_mul(m1, m2, t2=False):
-        out = [[patch.zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                v = patch.zero
-                for l in range(k):
-                    v = v + m1[i][l] * (m2[j][l] if t2 else m2[l][j])
-                out[i][j] = v
-        return out
-
+    # entry (i, j) of A_a D_b + D_b A_a^t pairs row i of A_a and D_b with
+    # column j of D_b and row j of A_a
+    D_cols = [[list(col) for col in zip(*m)] for m in D_mats]
     for a in range(k):
         for b in range(a + 1, k):
-            lhs = mat_comb(red.alg_h.bracket[a][b].components, D_mats)
-            rhs = [[patch.zero] * k for _ in range(k)]
-            for m in (mat_mul(A_mats[a], D_mats[b]),
-                      mat_mul(D_mats[b], A_mats[a], t2=True)):
-                rhs = [[rhs[i][j] + m[i][j] for j in range(k)] for i in range(k)]
-            for m in (mat_mul(A_mats[b], D_mats[a]),
-                      mat_mul(D_mats[a], A_mats[b], t2=True)):
-                rhs = [[rhs[i][j] - m[i][j] for j in range(k)] for i in range(k)]
+            coeffs = red.alg_h.bracket[a][b].components
             for i in range(k):
                 for j in range(k):
-                    if not (lhs[i][j] - rhs[i][j]).is_zero():
-                        check.witness(lhs[i][j] - rhs[i][j], a=a, b=b,
-                                      row=i, col=j)
+                    lhs = _dot(patch, coeffs, [m[i][j] for m in D_mats])
+                    rhs = (_dot(patch, A_mats[a][i] + D_mats[b][i],
+                                D_cols[b][j] + A_mats[a][j])
+                           - _dot(patch, A_mats[b][i] + D_mats[a][i],
+                                  D_cols[a][j] + A_mats[b][j]))
+                    if not (lhs - rhs).is_zero():
+                        check.witness(lhs - rhs, a=a, b=b, row=i, col=j)
     results.append(check.result())
 
     results += check_courant_axioms(red.double, config,
                                     prefix=prefix + ".double")
 
-    def to_double(col):
-        return Section(red.double.bundle, [col[m] for m in range(2 * k)])
-
-    phi_cols = [to_double([red.phi[m][i] for m in range(2 * k)])
-                for i in range(n)]
-    p_cols = [to_double([red.p_in_double[m][r] for m in range(2 * k)])
-              for r in range(k)]
+    phi_cols = [Section(red.double.bundle, col) for col in zip(*red.phi)]
+    p_cols = [Section(red.double.bundle, col)
+              for col in zip(*red.p_in_double)]
 
     check = Check(prefix + ".phi_morphism", config)
     for i in range(n):
@@ -1453,9 +1336,7 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
             want_g = bracket_eval(g, g.bundle.basis_section(i),
                                   g.bundle.basis_section(j))
             want = Section(red.double.bundle,
-                           [patch.zero] * (2 * k))
-            for m in range(n):
-                want = want + want_g.components[m] * phi_cols[m]
+                           apply_matrix(red.phi, want_g.components, patch))
             got = red.double.bracket(phi_cols[i], phi_cols[j])
             if not red.double.is_zero(got - want):
                 check.witness(got - want, e1="e%d" % i, e2="e%d" % j)
@@ -1478,10 +1359,10 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
                 check.witness(val, xi1="xi%d" % r, xi2="xi%d" % s)
     for r in range(k):
         for s in range(k):
-            br = red.double.bracket(p_cols[r], p_cols[s])
-            inside, coeffs = membership(br, psub)
-            if not inside:
-                check.witness(br, xi1="xi%d" % r, xi2="xi%d" % s)
+            coeffs = check.witness_outside(
+                red.double.bracket(p_cols[r], p_cols[s]), psub,
+                xi1="xi%d" % r, xi2="xi%d" % s)
+            if coeffs is None:
                 continue
             want = p.bracket[r][s].components
             for u in range(k):
@@ -1500,8 +1381,7 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     results.append(check.result())
 
     check = Check(prefix + ".spanning", config)
-    rows = [list(c.components) for c in phi_cols + p_cols]
-    rank = matrix_rank(rows, patch)
+    rank = matrix_rank([c.components for c in phi_cols + p_cols], patch)
     if rank != 2 * k:
         check.witness("rank %d < %d" % (rank, 2 * k), rank=rank,
                       expected=2 * k)
@@ -1509,24 +1389,26 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     return results
 
 
-def aff1_bialgebra():
-    """The affine line's Lie algebra [e1, e2] = e2 with p spanned by e1*;
-    the polar of p is the ideal spanned by e2."""
+def _aff1(iota):
+    """The affine line's Lie algebra [e1, e2] = e2 and a one-dimensional
+    abelian p, paired with g by iota."""
     patch = point_patch()
     g = lie_algebra_algebroid(patch, "g", [[[0, 0], [0, 1]],
                                            [[0, -1], [0, 0]]])
     p = lie_algebra_algebroid(patch, "p", [[[0]]])
-    return DiracBialgebraData(g, p, [[1], [0]])
+    return DiracBialgebraData(g, p, iota)
+
+
+def aff1_bialgebra():
+    """aff(1) with p spanned by e1*; the polar of p is the ideal spanned
+    by e2."""
+    return _aff1([[1], [0]])
 
 
 def aff1_non_ideal_mutant():
     """Same g, but p spanned by e2*: the polar is spanned by e1, which is
     not an ideal ([e2, e1] = -e2)."""
-    patch = point_patch()
-    g = lie_algebra_algebroid(patch, "g", [[[0, 0], [0, 1]],
-                                           [[0, -1], [0, 0]]])
-    p = lie_algebra_algebroid(patch, "p", [[[0]]])
-    return DiracBialgebraData(g, p, [[0], [1]])
+    return _aff1([[0], [1]])
 
 
 # ---------------------------------------------------------------------------
@@ -1601,6 +1483,17 @@ def zoo_preset(name):
     return ZOO_PRESETS[name]()
 
 
+def _triple_checks(triple, config):
+    """The checks every triple pipeline ends with: its adapted Dorfman
+    connection, the LA-Dirac conditions and the Courant algebroid of the
+    quotient."""
+    results = check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
+    results += check_la_dirac(triple, config)
+    pair = build_courant_C(triple, config, verify=False)
+    return results + check_courant_axioms(pair.C, config,
+                                          prefix="quotient_courant")
+
+
 def _pipeline_poisson(instance, config):
     patch, pi = instance["patch"], instance["pi"]
     results = list(check_dirac(standard_courant(patch),
@@ -1612,10 +1505,7 @@ def _pipeline_poisson(instance, config):
         return results
     triple = poisson_triple(lb)
     results += check_poisson_extras(lb, config, dorfman=triple.D)
-    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
-    results += check_la_dirac(triple, config)
-    pair = build_courant_C(triple, config, verify=False)
-    results += check_courant_axioms(pair.C, config, prefix="quotient_courant")
+    results += _triple_checks(triple, config)
     db, mp = bialgebroid_from_lie_bialgebroid(lb, config, verify=False)
     results += check_manin_pair(mp, config)
     db2 = bialgebroid_from_triple(triple)
@@ -1639,10 +1529,7 @@ def _pipeline_presymplectic(instance, config):
     if any(r.status == "fail" for r in results):
         return results
     triple = presymplectic_triple(alg, sigma)
-    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
-    results += check_la_dirac(triple, config)
-    pair = build_courant_C(triple, config, verify=False)
-    results += check_courant_axioms(pair.C, config, prefix="quotient_courant")
+    results += _triple_checks(triple, config)
     results += bialgebroids_equivalent(db, flip_astar(bialgebroid_from_triple(triple)),
                                        config, prefix="flip")
     triple2 = triple_from_bialgebroid(db, config)
@@ -1664,10 +1551,7 @@ def _pipeline_iis(instance, config):
     if not iis_ok:
         return results
     triple = iis_triple(iis)
-    results += check_dorfman_axioms(triple.D, config, prefix="adapted_dorfman")
-    results += check_la_dirac(triple, config)
-    pair = build_courant_C(triple, config, verify=False)
-    results += check_courant_axioms(pair.C, config, prefix="quotient_courant")
+    results += _triple_checks(triple, config)
     db2 = bialgebroid_from_triple(triple)
     results += bialgebroids_equivalent(db, db2, config, prefix="round_trip")
     return results

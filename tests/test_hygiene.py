@@ -1,11 +1,15 @@
-"""Dead names in the package: module-level imports nothing reads, and
-function locals that are stored but never loaded.
+"""Dead names in the package: module-level imports nothing reads,
+function locals that are stored but never loaded, and top-level functions
+that nothing calls.
 
 The scan is syntactic (ast).  A module-level import counts as read when
 its bound name is loaded anywhere in the module or listed in __all__;
 __init__.py re-exports by design and is exempt.  A function local counts
 as read when it is loaded anywhere in the function, nested functions
-included; names starting with "_" are placeholders and exempt."""
+included; names starting with "_" are placeholders and exempt.  A
+top-level function counts as used when its module's __all__ exports it,
+or when any file under src/, demos/ or perfbench/ loads its name, bare
+or as an attribute; ORPHANS_ALLOWED names the few kept on purpose."""
 
 import ast
 from pathlib import Path
@@ -16,6 +20,16 @@ import algebroids
 
 PACKAGE = Path(algebroids.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+READERS = sorted(p for d in ("src", "demos", "perfbench")
+                 for p in (REPO / d).rglob("*.py"))
+
+# top-level functions that only tests call, kept on purpose
+ORPHANS_ALLOWED = {
+    # the negative control of acceptance criterion 9: a Dirac bialgebra
+    # whose p-polar is not an ideal
+    "aff1_non_ideal_mutant",
+}
 
 
 def _tree(path):
@@ -70,6 +84,20 @@ def dead_locals(tree):
     return out
 
 
+def orphan_functions(modules, readers):
+    """(module, name) of the top-level functions of the (module, tree)
+    pairs that no reader tree loads and their module does not export."""
+    loaded = set()
+    for tree in readers:
+        loaded |= _loaded(tree)
+        loaded.update(n.attr for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute))
+    return [(module, stmt.name) for module, tree in modules
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and stmt.name not in loaded and stmt.name not in _exported(tree)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -94,3 +122,30 @@ def test_scanners_catch_planted_dead_names():
         "    return g\n")
     assert unused_imports(tree) == [("os", 1), ("dumps", 2)]
     assert dead_locals(tree) == [("f", "y", 5)]
+
+
+def test_no_orphan_functions():
+    assert READERS, "src/, demos/ and perfbench/ not found next to tests/"
+    modules = [(p.name, _tree(p)) for p in MODULES]
+    orphans = orphan_functions(modules, [_tree(p) for p in READERS])
+    assert [name for _, name in orphans
+            if name not in ORPHANS_ALLOWED] == []
+
+
+def test_orphan_scan_catches_planted_orphans():
+    module = ast.parse(
+        "__all__ = ['exported']\n"
+        "def called(): pass\n"
+        "def by_attribute(): pass\n"
+        "def exported(): pass\n"
+        "def orphan(): pass\n"
+        "def _private_orphan(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n")
+    reader = ast.parse(
+        "import m\n"
+        "from m import called, orphan\n"
+        "called()\n"
+        "m.by_attribute()\n")
+    assert orphan_functions([("m.py", module)], [module, reader]) == [
+        ("m.py", "orphan"), ("m.py", "_private_orphan")]

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                                   rho_transpose)
 from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
-                                apply_matrix, canonical_pairing,
-                                degenerate_pairing)
+                                _apply_transpose, apply_matrix,
+                                canonical_pairing, degenerate_pairing)
 from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
                                pair_form_vf, tangent)
 from algebroids.courant import CourantPresentation
@@ -109,6 +109,11 @@ def dense_interior(X, omega):
 def dense_apply_matrix(m, comps):
     return [dense_sum(row[j] * comps[j] for j in range(len(comps)))
             for row in m]
+
+
+def dense_apply_transpose(m, comps):
+    return [dense_sum(m[i][j] * comps[i] for i in range(len(comps)))
+            for j in range(len(m[0]))]
 
 
 def dense_rho_transpose(anchor, rank, theta):
@@ -208,6 +213,11 @@ def test_apply_matrix(rows, cols, data):
     m = data.draw(matrices(rows, cols))
     comps = data.draw(entries(cols))
     assert_same(apply_matrix(m, comps, PATCH), dense_apply_matrix(m, comps))
+    # the transpose product of the same rectangular matrix
+    row_comps = data.draw(entries(rows))
+    got = _apply_transpose(m, row_comps, PATCH)
+    assert len(got) == cols
+    assert_same(got, dense_apply_transpose(m, row_comps))
 
 
 @settings(max_examples=60, deadline=None)
