@@ -105,6 +105,8 @@ class TrivialBundle:
     def __eq__(self, other):
         # name participates: TM+A* and A+T*M have equal ranks but must not
         # mix, and the name is the only layout marker a trivial bundle has
+        if other is self:
+            return True
         if isinstance(other, TrivialBundle):
             return (self.patch == other.patch and self.rank == other.rank
                     and self.name == other.name)
@@ -503,16 +505,14 @@ def _accumulate(out, c, comps):
 
 def _constant_key(s1, s2):
     """The memo key of a bracket of s1 and s2 on one structure: the two
-    tuples of component values (FracElements, whose hashes sympy caches),
-    or None unless every component of both is constant.
+    tuples of component values as ints and Fractions, or None unless every
+    component of both is constant.
 
     Constant arguments are the frame sections and their constant
     combinations, so the keys a structure stores are bounded by its frame
     test sets and do not grow with random trials."""
-    c1, c2 = s1.components, s2.components
-    if all(c.is_constant() for c in c1) and all(c.is_constant() for c in c2):
-        return tuple(c.fe for c in c1), tuple(c.fe for c in c2)
-    return None
+    key = tuple(tuple(c.as_constant() for c in s.components) for s in (s1, s2))
+    return None if None in key[0] or None in key[1] else key
 
 
 def degenerate_pairing(t1, t2, rho):

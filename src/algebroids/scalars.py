@@ -4,56 +4,46 @@ Every certification in this package bottoms out here: a geometric identity
 holds iff some rational function in the patch coordinates is the zero
 function, and zero-testing rational functions over Q is decidable.  So the
 coefficient "field of functions" is the field Q(x_1, ..., x_n) of rational
-functions.  Every stored value is in sympy's canonical form: numerator and
+functions.  Every value is stored in one canonical form: numerator and
 denominator with integer coefficients and no common factor (content
-included), graded-lex monomial order, positive leading coefficient in the
+included), positive leading coefficient (graded-lex order) in the
 denominator.  Equality and is_zero() are therefore tests on the stored
-polynomials.  No floating point anywhere.
+terms.  No floating point anywhere.
 
-Multivariate polynomial arithmetic and the gcd cancellation that restores
-the canonical form are delegated to sympy's sparse polynomial fields; this
-module owns the patch bookkeeping, the expression grammar, the printer, and
-a fast path that skips the cancellation where it cannot change anything:
+A value has exactly one of two representations:
 
-* A canonical value whose denominator is the polynomial 1 has integer
-  coefficients, so +, -, * and d/dx of two such values are again integer
-  polynomials over 1: already reduced, with a positive leading coefficient
-  in the denominator.  They are built without a gcd.
-* Those four, and negation (a canonical numerator has integer
-  coefficients whatever the denominator), run on Python ints rather than
-  on sympy's PythonMPQ coefficients.  Each kernel reads every term's
-  c.numerator, accumulates in a plain dict keyed by exponent tuple
-  (ring.monomial_mul for products), drops the zero sums and wraps each
-  surviving int once as a QQ element.  Integer sums and products are
-  exact, and an integer over 1 is already in lowest terms, so no gcd is
-  needed; PythonMPQ's own + and * spend one or two gcds per coefficient
-  operation to learn that.  The wrapper is PythonMPQ._new (bound once at import as
-  _mpq), the unchecked constructor that skips the gcd and the sign fix;
-  that is safe because the denominator is the positive 1, so the pair
-  (n, 1) is exactly what the checked constructor would store, with the
-  same hash.  The terms come out in the order sympy's own operator would
-  give them, so the results are the same PolyElements, equal and hashed
-  alike, and print the same.
-* This relies on sympy's pure-Python ground types, where QQ.dtype is
-  PythonMPQ.  They are the only ones available: gmpy2 and python-flint
-  are not installed, and there is no second path.
-* The test is "denominator == 1", not "denominator is constant": x/2 is
-  stored as x over 2, and x/2 + x/2 must cancel the 2.
-* Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
-  operand, its negation, or 0, which are canonical already.
-* Everything else (a genuinely rational operand, a constant denominator
-  other than 1, any other division) takes sympy's general path, which
-  cancels: the sum or product of two reduced fractions need not be
-  reduced.
+* A polynomial over 1 (denominator the polynomial 1) is a plain dict
+  {exponent tuple: nonzero int}; 0 is the empty dict.  On the presets
+  almost every value is one.  +, -, * and d/dx of two such values are
+  again integer polynomials over 1, already reduced, so the kernels
+  _int_add, _int_mul and _int_diff build them on Python ints with no gcd;
+  negation (_neg) and powers n >= 0 (repeated _int_mul) likewise.
+* Every other value, 1/2 and x/2 included, is a sympy FracElement of
+  Patch.field, whose denominator is never 1.  The test is "denominator ==
+  1", not "denominator is constant": x/2 is stored as x over 2, and
+  x/2 + x/2 must cancel the 2.
+
+An operation with a genuinely rational operand (or a division by anything
+but +-1, or a negative power) converts its polynomial operands, which needs
+no gcd because their coefficients are integers, and takes sympy's path,
+which cancels.  A result whose denominator is 1 goes back to a dict, so
+equal values never differ in representation.  sympy is imported in one
+place, Patch.field, on the first value that needs it; a polynomial
+instance file is parsed, checked and printed without it.
+
+Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
+operand, its negation, or 0, which are canonical already; 0 divided by
+anything is 0.
 
 Partial derivatives are taken once per distinct value, because the
 kernels differentiate the same components again for every vector field:
 
-* A constant (numerator and denominator both ground, 0 and 1/2 included)
-  has derivative 0 and returns the shared patch.zero without building
+* A constant (the empty dict, a dict whose one key is the zero exponent,
+  or a FracElement with ground numerator and denominator such as 1/2) has
+  derivative 0 and returns the shared patch.zero without building
   anything.  Most diff calls are on constants, most of those on 0.
-* A polynomial over 1 keeps the cancel-free path above; it is cheap, so
-  it is not memoised.
+* A polynomial over 1 is differentiated by _int_diff; it is cheap, so it
+  is not memoised.
 * Any other value is differentiated by sympy's FracElement.diff, which
   cancels with a gcd, and the result is memoised in a dict on the Patch
   keyed by (fe, coord).  The key is the value, not the object: equal
@@ -61,7 +51,7 @@ kernels differentiate the same components again for every vector field:
   each object would miss where the value key hits.  Only rational values
   are kept, which are few and costly; keeping the many cheap polynomial
   ones would only cost memory.  The memo lives exactly as long as its
-  patch, and no ScalarField is ever mutated, so sharing a result is safe.
+  patch, and no value is ever mutated, so sharing a result is safe.
 
 Sums and products that take sympy's cancelling path are memoised the same
 way, because the kernels form the same few rational products again and
@@ -69,18 +59,19 @@ again (a quotient Courant round forms about 1,500 such products from fewer
 than 200 distinct operand pairs):
 
 * The memo is one dict on the Patch, next to the diff memo, keyed by
-  ("+", f, g) or ("*", f, g) with f and g the operand FracElements.  The
-  operator is part of the key, so a sum and a product of the same pair
-  never share an entry, and the operands are values, not objects, for the
-  reason given above.
+  ("+", f, g) or ("*", f, g) with f and g the hashable forms of the
+  operands: a FracElement itself, a dict as the frozenset of its items.
+  A hit therefore converts nothing; only a miss converts its operands.
+  The operator is part of the key, so a sum and a product of the same
+  pair never share an entry, and the operands are values, not objects,
+  for the reason given above.
 * Only operands that miss every fast path reach it: at least one is not a
   polynomial over 1, and neither is 0 (nor, for a product, +-1).  Sums and
   products of polynomials over 1 never touch it, so polynomial data pay
   nothing and leave it empty.  Differences and quotients are not memoised.
-* The memo lives exactly as long as its patch.  Sharing a result is safe
-  for the same reason as above: nothing mutates a FracElement or a
-  ScalarField, and canonical values are unique, so a memoised result is
-  the value sympy would rebuild.
+* Sharing a result is safe for the same reason as above: nothing mutates
+  a stored dict, FracElement or ScalarField, and canonical values are
+  unique, so a memoised result is the value sympy would rebuild.
 
 Grammar accepted by parse_scalar (whitespace insignificant)::
 
@@ -99,12 +90,6 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-
-from sympy import QQ
-from sympy.polys.fields import FracField
-
-# PythonMPQ's unchecked constructor: no gcd, no sign normalisation
-_mpq = QQ.dtype._new
 
 __all__ = [
     "Patch",
@@ -133,6 +118,13 @@ class PoleError(ZeroDivisionError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
+def _monomial_mul(n):
+    """The exponent-wise sum of two n-tuples, unrolled for speed as sympy
+    unrolls its own monomial_mul; the source holds only indices."""
+    terms = ", ".join("a[%d] + b[%d]" % (i, i) for i in range(n))
+    return eval("lambda a, b: (%s,)" % terms)
+
+
 class Patch:
     """An ordered coordinate chart.
 
@@ -141,8 +133,8 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "field", "_gens", "_axes", "_one", "_mone",
-                 "zero", "one", "_diffs", "_ops")
+    __slots__ = ("coords", "_field", "_gens", "_axes", "_origin",
+                 "_monomial_mul", "zero", "one", "_diffs", "_ops")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -154,28 +146,37 @@ class Patch:
             if not _IDENT.match(name):
                 raise ValueError("bad coordinate name %r" % (name,))
         self.coords = coords
-        self.field = FracField(list(coords), QQ, order="grlex")
-        ring = self.field.ring
-        # _axes[i] is coordinate i as a non-negative int, with the list
-        # semantics of field.gens[i] (negative i counts from the end, an
-        # out-of-range i raises IndexError), for the exponent slicing of
-        # _int_diff
-        self._axes = tuple(range(len(coords)))
-        # ring.one builds a new polynomial on every read, so the fast path
-        # keeps one.  Every fast-path result shares it as its denominator;
-        # that is safe because nothing mutates a denominator in place.
-        self._one = ring.one
-        self._mone = -self._one
-        self._gens = tuple(ScalarField(self, g) for g in self.field.gens)
+        n = len(coords)
+        self._field = None
+        # _axes[i] is coordinate i as a non-negative int, with list
+        # semantics (negative i counts from the end, an out-of-range i
+        # raises IndexError), for the exponent slicing of _int_diff
+        self._axes = tuple(range(n))
+        # the exponent tuple of a constant
+        self._origin = (0,) * n
+        self._monomial_mul = _monomial_mul(n)
+        self._gens = tuple(
+            ScalarField(self, {self._origin[:i] + (1,) + self._origin[i + 1:]: 1})
+            for i in range(n))
         # the kernels read zero and one as the start of every sum and in
         # every basis section; one shared object each is safe because no
         # ScalarField is ever mutated
-        self.zero = ScalarField(self, self.field.zero)
-        self.one = ScalarField(self, self.field.one)
+        self.zero = ScalarField(self, {})
+        self.one = ScalarField(self, {self._origin: 1})
         # ScalarField.diff of rational values, keyed by (fe, coord)
         self._diffs = {}
-        # cancelling sums and products, keyed by ("+" or "*", fe, fe)
+        # cancelling sums and products, keyed by ("+" or "*", key, key)
         self._ops = {}
+
+    @property
+    def field(self):
+        """sympy's fraction field Q(coords) in grlex order, built on first
+        use.  This is the one place the package imports sympy."""
+        if self._field is None:
+            from sympy import QQ
+            from sympy.polys.fields import FracField
+            self._field = FracField(list(self.coords), QQ, order="grlex")
+        return self._field
 
     @property
     def dim(self):
@@ -198,17 +199,24 @@ class Patch:
         raise TypeError("cannot coerce %r to a scalar" % (value,))
 
     def _ground(self, value):
-        """The canonical constant FracElement of an int or Fraction.
+        """The representation of an int or a Fraction; a Fraction other
+        than an integer is a constant FracElement."""
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                ring = self.field.ring
+                return self.field.new(ring(value.numerator),
+                                      ring(value.denominator))
+            value = value.numerator
+        return {self._origin: int(value)} if value else {}
 
-        A Fraction is already reduced with a positive denominator, so its
-        numerator and denominator are the canonical pair and no gcd is
-        needed.
-        """
-        ring = self.field.ring
-        if isinstance(value, int):
-            return self.field.raw_new(ring.ground_new(value), self._one)
-        return self.field.raw_new(ring.ground_new(value.numerator),
-                                  ring.ground_new(value.denominator))
+    def _frac(self, r):
+        """A representation as a FracElement of self.field.  A dict has
+        integer coefficients over 1, so field_new keeps it as it is, with
+        no gcd."""
+        if type(r) is not dict:
+            return r
+        field = self.field
+        return field.field_new(field.ring.from_dict(r))
 
     def __eq__(self, other):
         if isinstance(other, Patch):
@@ -225,20 +233,20 @@ class Patch:
 class ScalarField:
     """A rational function of the patch coordinates in canonical form.
 
-    Wraps a sympy FracElement.  Every operation returns the canonical form
-    (see the module docstring), so equality and is_zero() are tests on the
-    stored numerator and denominator.  Polynomial operands (denominator 1)
-    take integer-coefficient kernels and 0/+-1 operands a short cut, both
-    without sympy's gcd cancellation; the others go through sympy, which
-    cancels, and a sum or product of such operands is computed once per
-    patch.
+    `rep` is a dict {exponent tuple: int} for a polynomial over 1 and a
+    sympy FracElement otherwise (see the module docstring).  Every
+    operation returns the canonical form, so equality and is_zero() are
+    tests on the stored terms.  Polynomial operands take the
+    integer-coefficient kernels and 0/+-1 operands a short cut, both
+    without sympy; the others go through sympy, which cancels, and a sum
+    or product of such operands is computed once per patch.
     """
 
-    __slots__ = ("patch", "fe")
+    __slots__ = ("patch", "rep")
 
-    def __init__(self, patch, fe):
+    def __init__(self, patch, rep):
         self.patch = patch
-        self.fe = fe
+        self.rep = rep
 
     # -- arithmetic ---------------------------------------------------
 
@@ -246,128 +254,153 @@ class ScalarField:
         if isinstance(other, ScalarField):
             if other.patch is not self.patch and other.patch != self.patch:
                 raise ValueError("scalars from different patches")
-            return other.fe
+            return other.rep
         if isinstance(other, (int, Fraction)):
             return self.patch._ground(other)
         return None
 
     def __add__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        patch = self.patch
-        return ScalarField(patch, _add(self.fe, fe, patch._one, patch._ops))
+        return ScalarField(self.patch, _add(self.patch, self.rep, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        return ScalarField(self.patch, _sub(self.fe, fe, self.patch._one))
+        return ScalarField(self.patch, _sub(self.patch, self.rep, g))
 
     def __rsub__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        return ScalarField(self.patch, _sub(fe, self.fe, self.patch._one))
+        return ScalarField(self.patch, _sub(self.patch, g, self.rep))
 
     def __mul__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        patch = self.patch
-        return ScalarField(patch, _mul(self.fe, fe, patch._one, patch._mone,
-                                       patch._ops))
+        return ScalarField(self.patch, _mul(self.patch, self.rep, g))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        if not fe:
+        if not g:
             raise ZeroDivisionError("division by the zero polynomial")
-        patch = self.patch
-        return ScalarField(patch, _div(self.fe, fe, patch._one, patch._mone))
+        return ScalarField(self.patch, _div(self.patch, self.rep, g))
 
     def __rtruediv__(self, other):
-        fe = self._operand(other)
-        if fe is None:
+        g = self._operand(other)
+        if g is None:
             return NotImplemented
-        if not self.fe:
+        if not self.rep:
             raise ZeroDivisionError("division by the zero polynomial")
-        patch = self.patch
-        return ScalarField(patch, _div(fe, self.fe, patch._one, patch._mone))
+        return ScalarField(self.patch, _div(self.patch, g, self.rep))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:
             return self.patch.one  # 0^0 = 1, as for Fraction
-        if n < 0 and not self.fe:
+        if n < 0 and not self.rep:
             raise ZeroDivisionError("division by the zero polynomial")
-        return ScalarField(self.patch, _power(self.fe, n))
+        return ScalarField(self.patch, _power(self.patch, self.rep, n))
 
     def __neg__(self):
-        return ScalarField(self.patch, _neg(self.fe))
+        return ScalarField(self.patch, _negate(self.rep))
 
     def __pos__(self):
         return self
 
-    # -- predicates ---------------------------------------------------
+    # -- predicates and parts -----------------------------------------
 
     def is_zero(self):
-        return not self.fe.numer
+        return not self.rep
 
     def __bool__(self):
-        return bool(self.fe.numer)
+        return bool(self.rep)
 
     def is_constant(self):
         """Numerator and denominator both ground (0 and 1/2 included): the
-        one constant test behind diff, cartan.apply_vf and the bracket
-        memos (bundles._constant_key)."""
-        fe = self.fe
-        return fe.numer.is_ground and fe.denom.is_ground
+        one constant test behind diff and cartan.apply_vf."""
+        return self.as_constant() is not None
+
+    def as_constant(self):
+        """The value of a constant as an int, or as a Fraction when it is
+        not an integer; None when the value is not constant.  O(1): a dict
+        is constant iff it is empty or its one key is the zero exponent.
+        The bracket memos key on it (bundles._constant_key)."""
+        r = self.rep
+        if type(r) is dict:
+            if not r:
+                return 0
+            return r.get(self.patch._origin) if len(r) == 1 else None
+        if r.numer.is_ground and r.denom.is_ground:
+            return Fraction(r.numer.LC.numerator, r.denom.LC.numerator)
+        return None
+
+    @property
+    def numer(self):
+        """The canonical numerator as a term dict {exponent tuple: int}.
+        Read only: it may be the stored dict itself."""
+        r = self.rep
+        return r if type(r) is dict else _terms(r.numer)
+
+    @property
+    def denom(self):
+        """The canonical denominator as a term dict, like numer."""
+        r = self.rep
+        return self.patch.one.rep if type(r) is dict else _terms(r.denom)
+
+    @property
+    def fe(self):
+        """The value itself, read as a fraction through numer and denom;
+        perfbench's tracer reads values as f.fe.numer and f.fe.denom."""
+        return self
 
     def __eq__(self, other):
         if isinstance(other, ScalarField):
             if other.patch is not self.patch and other.patch != self.patch:
                 return False
-            g = other.fe
+            g = other.rep
         elif isinstance(other, (int, Fraction)):
-            g = self.patch._ground(other)
+            return self.as_constant() == other
         else:
             return NotImplemented
-        # both sides are canonical, so equal values have equal polynomials
-        f = self.fe
+        # both sides are canonical, so equal values have equal terms
+        f = self.rep
+        if type(f) is dict or type(g) is dict:
+            return type(f) is type(g) and f == g
         return dict.__eq__(f.numer, g.numer) and dict.__eq__(f.denom, g.denom)
 
     def __hash__(self):
         # equal values must hash equally, and a constant equals its int or
         # Fraction (patch.scalar(3) == 3), so a constant hashes as one
-        if self.is_constant():
-            n, d = self.fe.numer.LC, self.fe.denom.LC
-            return hash(Fraction(n.numerator * d.denominator,
-                                 n.denominator * d.numerator))
-        return hash((self.patch.coords, self.fe))
+        c = self.as_constant()
+        if c is not None:
+            return hash(c)
+        return hash((self.patch.coords, _key(self.rep)))
 
     # -- calculus -----------------------------------------------------
 
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
-        patch, fe = self.patch, self.fe
+        patch, r = self.patch, self.rep
         if self.is_constant():
             return patch.zero
-        one = patch._one
-        if dict.__eq__(fe.denom, one):
-            return ScalarField(
-                patch, fe.raw_new(_int_diff(fe.numer, patch._axes[coord]), one))
-        key = (fe, coord)
+        if type(r) is dict:
+            return ScalarField(patch, _int_diff(r, patch._axes[coord]))
+        key = (r, coord)
         d = patch._diffs.get(key)
         if d is None:
             d = patch._diffs[key] = ScalarField(
-                patch, fe.diff(patch.field.gens[coord]))
+                patch, _canonical(r.diff(patch.field.gens[coord])))
         return d
 
     def evaluate(self, point):
@@ -376,10 +409,10 @@ class ScalarField:
             raise ValueError("point dimension %d, patch dimension %d"
                              % (len(point), self.patch.dim))
         vals = [Fraction(p) for p in point]
-        den = _eval_poly(self.fe.denom, vals)
+        den = _eval_poly(self.denom, vals)
         if den == 0:
             raise PoleError("pole at (%s)" % ", ".join(str(v) for v in vals))
-        return _eval_poly(self.fe.numer, vals) / den
+        return _eval_poly(self.numer, vals) / den
 
     # -- printing -----------------------------------------------------
 
@@ -391,99 +424,141 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on canonical FracElements
+# arithmetic on canonical representations
 #
-# The arguments are canonical; "one" and "mone" are the patch's shared
-# polynomials 1 and -1, and "memo" is the patch's dict of cancelling sums
-# and products (see the module docstring).  Denominators are compared
-# with dict.__eq__, which is what PolyElement.__eq__ does after its ring
-# checks.
+# The arguments are canonical representations (dicts or FracElements) of
+# one patch; the patch supplies the monomial product, the sympy field and
+# the memo of cancelling sums and products (see the module docstring).
 
 
-def _add(f, g, one, memo):
-    if not g.numer:
-        return f
-    if not f.numer:
-        return g
-    if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
-        return f.raw_new(_int_add(f.numer, g.numer, 1), one)
-    key = ("+", f, g)
+def _key(r):
+    """The hashable form of a representation, for the memos and hashes."""
+    return frozenset(r.items()) if type(r) is dict else r
+
+
+def _terms(poly):
+    """A sympy polynomial with integer coefficients as a term dict."""
+    return {m: c.numerator for m, c in poly.items()}
+
+
+def _canonical(fe):
+    """A FracElement computed by sympy, as the one representation of its
+    value: its numerator's term dict when its denominator is 1."""
+    return _terms(fe.numer) if fe.denom.is_one else fe
+
+
+def _unit(patch, r):
+    """1 or -1 when r is that constant, else None."""
+    if type(r) is dict and len(r) == 1:
+        c = r.get(patch._origin)
+        if c == 1 or c == -1:
+            return c
+    return None
+
+
+def _negate(r):
+    return _neg(r) if type(r) is dict else -r
+
+
+def _cancelling(patch, op, f, g):
+    """f + g or f * g on sympy's cancelling path, once per patch."""
+    memo = patch._ops
+    key = (op, _key(f), _key(g))
     h = memo.get(key)
     if h is None:
-        h = memo[key] = f + g
+        F, G = patch._frac(f), patch._frac(g)
+        h = memo[key] = _canonical(F + G if op == "+" else F * G)
     return h
 
 
-def _sub(f, g, one):
-    if not g.numer:
+def _add(patch, f, g):
+    if not g:
         return f
-    if not f.numer:
-        return _neg(g)
-    if dict.__eq__(f.denom, one) and dict.__eq__(g.denom, one):
-        return f.raw_new(_int_add(f.numer, g.numer, -1), one)
-    return f - g
-
-
-def _mul(f, g, one, mone, memo):
-    fn, gn = f.numer, g.numer
-    if not fn:
-        return f
-    if not gn:
+    if not f:
         return g
-    g_poly = dict.__eq__(g.denom, one)
-    if g_poly:
-        if dict.__eq__(gn, one):
-            return f
-        if dict.__eq__(gn, mone):
-            return _neg(f)
-    if dict.__eq__(f.denom, one):
-        if dict.__eq__(fn, one):
-            return g
-        if dict.__eq__(fn, mone):
-            return _neg(g)
-        if g_poly:
-            return f.raw_new(_int_mul(fn, gn), one)
-    key = ("*", f, g)
-    h = memo.get(key)
-    if h is None:
-        h = memo[key] = f * g
-    return h
+    if type(f) is dict and type(g) is dict:
+        return _int_add(f, g, 1)
+    return _cancelling(patch, "+", f, g)
 
 
-def _div(f, g, one, mone):
-    if dict.__eq__(g.denom, one):
-        if dict.__eq__(g.numer, one):
-            return f
-        if dict.__eq__(g.numer, mone):
-            return _neg(f)
-    return f / g
+def _sub(patch, f, g):
+    if not g:
+        return f
+    if not f:
+        return _negate(g)
+    if type(f) is dict and type(g) is dict:
+        return _int_add(f, g, -1)
+    return _canonical(patch._frac(f) - patch._frac(g))
+
+
+def _mul(patch, f, g):
+    if not f:
+        return f
+    if not g:
+        return g
+    u = _unit(patch, g)
+    if u is not None:
+        return f if u == 1 else _negate(f)
+    u = _unit(patch, f)
+    if u is not None:
+        return g if u == 1 else _negate(g)
+    if type(f) is dict and type(g) is dict:
+        return _int_mul(f, g, patch._monomial_mul)
+    return _cancelling(patch, "*", f, g)
+
+
+def _div(patch, f, g):
+    u = _unit(patch, g)
+    if u is not None:
+        return f if u == 1 else _negate(f)
+    if not f:
+        return f
+    return _canonical(patch._frac(f) / patch._frac(g))
+
+
+def _power(patch, f, n):
+    """f^n for n != 0 (f nonzero when n < 0)."""
+    if n < 0:
+        # 1 / f^-n cancels the sign into the denominator; sympy's own
+        # FracElement.__pow__ would leave 1 over -x for (-x)^-1
+        return _div(patch, patch.one.rep, _power(patch, f, -n))
+    if type(f) is not dict:
+        # coprime numerator and denominator stay coprime, and the
+        # denominator stays other than 1 with a positive leading coefficient
+        return f ** n
+    result = f
+    for _ in range(n - 1):
+        result = _int_mul(result, f, patch._monomial_mul)
+    return result
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient kernels (see the module docstring); every polynomial
-# they take is a canonical numerator, so its coefficients are integers
+# integer-coefficient kernels on term dicts {exponent tuple: nonzero int};
+# they never mutate an argument
 
 
 def _int_add(p, q, sign):
     """p + sign * q for sign = 1 or -1."""
-    acc = {m: c.numerator for m, c in p.items()}
+    acc = dict(p)
     get = acc.get
     for m, c in q.items():
-        acc[m] = get(m, 0) + sign * c.numerator
-    return p.new({m: _mpq(c, 1) for m, c in acc.items() if c})
+        s = get(m, 0) + sign * c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+    return acc
 
 
-def _int_mul(p, q):
-    monomial_mul = p.ring.monomial_mul
-    qs = [(m, c.numerator) for m, c in q.items()]
+def _int_mul(p, q, monomial_mul):
+    qs = list(q.items())
     acc = {}
     get = acc.get
-    for m1, c1 in p.items():
-        a = c1.numerator
+    for m1, a in p.items():
         for m2, b in qs:
             m = monomial_mul(m1, m2)
             acc[m] = get(m, 0) + a * b
-    return p.new({m: _mpq(c, 1) for m, c in acc.items() if c})
+    return {m: c for m, c in acc.items() if c}
 
 
 def _int_diff(p, i):
@@ -492,23 +567,12 @@ def _int_diff(p, i):
     for m, c in p.items():
         e = m[i]
         if e:
-            out[m[:i] + (e - 1,) + m[i + 1:]] = _mpq(c.numerator * e, 1)
-    return p.new(out)
+            out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+    return out
 
 
-def _neg(f):
-    """-f: the numerator's ints negated, the denominator shared."""
-    return f.raw_new(f.numer.new({m: _mpq(-c.numerator, 1)
-                                  for m, c in f.numer.items()}), f.denom)
-
-
-def _power(f, n):
-    # sympy's FracElement.__pow__ swaps numerator and denominator for n < 0
-    # without a sign fix, so (-x)^-1 would come out as 1 over -x.
-    p = f ** n
-    if p.denom.LC < 0:
-        p = p.raw_new(-p.numer, -p.denom)
-    return p
+def _neg(p):
+    return {m: -c for m, c in p.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +608,13 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over ScalarField arithmetic, so a polynomial
+    expression never leaves the integer kernels."""
+
     def __init__(self, text, patch):
         self.toks = _tokenize(text)
         self.k = 0
         self.patch = patch
-        self.field = patch.field
 
     def peek(self):
         return self.toks[self.k]
@@ -559,63 +625,61 @@ class _Parser:
         return tok
 
     def parse(self):
-        fe = self.expr()
+        f = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ScalarParseError("unexpected %r" % val, pos)
-        return fe
+        return f
 
     def expr(self):
-        fe = self.term()
+        f = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            fe = fe + rhs if op == "+" else fe - rhs
-        return fe
+            f = f + rhs if op == "+" else f - rhs
+        return f
 
     def term(self):
-        fe = self.factor()
+        f = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.advance()
             rhs = self.factor()
             if op == "*":
-                fe = fe * rhs
+                f = f * rhs
             else:
                 if not rhs:
                     raise ZeroDivisionError(
                         "division by the zero polynomial (at position %d)" % pos)
-                fe = fe / rhs
-        return fe
+                f = f / rhs
+        return f
 
     def factor(self):
-        fe = self.base()
+        f = self.base()
         if self.peek()[0] == "^":
             _, _, pos = self.advance()
             n = self.exponent()
-            if n == 0:
-                return self.field.one  # 0^0 = 1, as for Fraction
-            if n < 0 and not fe:
+            if n < 0 and not f:
                 raise ZeroDivisionError(
                     "division by the zero polynomial (at position %d)" % pos)
-            fe = _power(fe, n)
-        return fe
+            f = f ** n
+        return f
 
     def base(self):
         kind, val, pos = self.advance()
         if kind == "int":
-            return self.field.ground_new(QQ(int(val)))
+            return self.patch.scalar(int(val))
         if kind == "name":
             try:
                 i = self.patch.coords.index(val)
             except ValueError:
                 raise ScalarParseError("unknown identifier %r" % val, pos) from None
-            return self.field.gens[i]
+            return self.patch.coordinate(i)
         if kind == "(":
-            fe = self.expr()
+            f = self.expr()
             k2, _, p2 = self.advance()
             if k2 != ")":
                 raise ScalarParseError("expected ')'", p2)
-            return fe
+            return f
         if kind == "-":
             return -self.factor()
         if kind == "+":
@@ -641,21 +705,24 @@ def parse_scalar(text, patch):
     errors and unknown identifiers, ZeroDivisionError on division by a
     polynomial that reduces to zero.
     """
-    return ScalarField(patch, _Parser(text, patch).parse())
+    return _Parser(text, patch).parse()
 
 
 # ---------------------------------------------------------------------------
 # printing
 
 
-def _coeff_fraction(c):
-    return Fraction(int(c.numerator), int(c.denominator))
+def _grlex(term):
+    """Sort key of a (monomial, coefficient) pair in sympy's grlex order:
+    total degree, then the exponents."""
+    return sum(term[0]), term[0]
 
 
-def _print_poly(poly, coords, scale=Fraction(1)):
+def _print_poly(terms, coords, scale=1):
     parts = []
-    for monom, coeff in poly.terms():
-        c = _coeff_fraction(coeff) * scale
+    for monom, coeff in sorted(terms.items(), key=_grlex,
+                               reverse=True):
+        c = coeff * scale
         vars_part = "*".join(
             name if e == 1 else "%s^%d" % (name, e)
             for name, e in zip(coords, monom) if e)
@@ -672,14 +739,14 @@ def _print_poly(poly, coords, scale=Fraction(1)):
 
 
 def _print_scalar(f):
-    fe = f.fe
-    if not fe:
-        return "0"
+    r = f.rep
     coords = f.patch.coords
-    num, den = fe.numer, fe.denom
-    if den.is_ground:
+    if type(r) is dict:
+        return _print_poly(r, coords)
+    num, den = f.numer, f.denom
+    if r.denom.is_ground:
         # fold the constant denominator into the coefficients
-        return _print_poly(num, coords, Fraction(1) / _coeff_fraction(den.LC))
+        return _print_poly(num, coords, Fraction(1, den[f.patch._origin]))
     return "(%s)/(%s)" % (_print_poly(num, coords), _print_poly(den, coords))
 
 
@@ -695,10 +762,10 @@ def evaluate(f, point):
     return f.evaluate(point)
 
 
-def _eval_poly(poly, vals):
+def _eval_poly(terms, vals):
     total = Fraction(0)
-    for monom, coeff in poly.terms():
-        term = _coeff_fraction(coeff)
+    for monom, coeff in terms.items():
+        term = coeff
         for v, e in zip(vals, monom):
             if e:
                 term *= v ** e
@@ -721,13 +788,10 @@ def random_scalar(patch, rng, max_degree=2):
     (identities are polynomial in the inputs, so polynomial samples are as
     discriminating as rational ones and keep intermediate expressions small).
     """
-    ring = patch.field.ring
     d = {}
     for monom in _monomials(patch.dim, max_degree):
         c = rng.choice(_COEFF_POOL)
         if c:
-            d[monom] = QQ(c)
-    if not d:
-        return patch.zero
-    # integer coefficients over 1: canonical already, no gcd needed
-    return ScalarField(patch, patch.field.raw_new(ring.from_dict(d), patch._one))
+            d[monom] = c
+    # integer coefficients over 1: canonical already
+    return ScalarField(patch, d) if d else patch.zero

@@ -43,7 +43,7 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig, labelled
-from .scalars import Patch, _coeff_fraction, _monomials, parse_scalar
+from .scalars import Patch, _monomials, parse_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +706,7 @@ def parallel_frame_search(iis, degree=2):
         nab = [_dot(aux, X, [c[k] for c in cov]) for k in range(ra)]
         for w in range(t):
             cond = _dot(aux, proj_l[w], nab)
-            for exps, coeff in cond.fe.numer.terms():
+            for exps, coeff in cond.numer.items():
                 cexps = exps[dim:]
                 total = sum(cexps)
                 if total == 0 and coeff:
@@ -718,7 +718,7 @@ def parallel_frame_search(iis, degree=2):
                 idx = cexps.index(1)
                 key = exps[:dim]
                 row = equations.setdefault(key, [Fraction(0)] * nunk)
-                row[idx] += _coeff_fraction(coeff)
+                row[idx] += coeff
 
     rows = [equations[k] for k in sorted(equations)]
     solutions = _fraction_nullspace(rows, nunk) if rows else [

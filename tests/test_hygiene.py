@@ -9,7 +9,10 @@ as read when it is loaded anywhere in the function, nested functions
 included; names starting with "_" are placeholders and exempt.  A
 top-level function counts as used when its module's __all__ exports it,
 or when any file under src/, demos/ or perfbench/ loads its name, bare
-or as an attribute; ORPHANS_ALLOWED names the few kept on purpose."""
+or as an attribute; ORPHANS_ALLOWED names the few kept on purpose.
+
+sympy is imported by scalars.py alone, and only inside a function, so
+`import algebroids` does not load it."""
 
 import ast
 from pathlib import Path
@@ -84,6 +87,26 @@ def dead_locals(tree):
     return out
 
 
+def sympy_imports(tree):
+    """(line, inside a function) of every import of sympy or a submodule."""
+    out = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                out.append((child.lineno, in_function))
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return out
+
+
 def orphan_functions(modules, readers):
     """(module, name) of the top-level functions of the (module, tree)
     pairs that no reader tree loads and their module does not export."""
@@ -149,3 +172,25 @@ def test_orphan_scan_catches_planted_orphans():
         "m.by_attribute()\n")
     assert orphan_functions([("m.py", module)], [module, reader]) == [
         ("m.py", "orphan"), ("m.py", "_private_orphan")]
+
+
+def test_only_scalars_imports_sympy_inside_a_function():
+    found = {p.name: sympy_imports(_tree(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, where in found.items() if where} == {"scalars.py"}
+    assert all(in_function for _, in_function in found["scalars.py"])
+
+
+def test_sympy_scan_catches_planted_imports():
+    tree = ast.parse(
+        "import sympy\n"
+        "from sympy.polys.fields import FracField\n"
+        "import sympyx\n"
+        "from .sympy import x\n"
+        "class K:\n"
+        "    from sympy import QQ\n"
+        "    def f(self):\n"
+        "        import sympy.polys as p\n"
+        "        return p\n")
+    assert sympy_imports(tree) == [(1, False), (2, False), (6, False),
+                                   (8, True)]

@@ -1,0 +1,73 @@
+"""sympy stays unloaded until a genuinely rational value needs it.
+
+Polynomial values are dicts of Python ints and the parser and printer work
+on them, so importing the package, building and emitting polynomial
+presets and running `algebroids zoo aff1-bialgebra` load no sympy.  Each
+case runs in a fresh interpreter, because the test process itself has
+sympy loaded (the other tests use it as an oracle)."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from algebroids import instances, zoo
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the presets the zoo-cli benchmark emits in its set-up
+EMITTED = ("nonclosed-zdxdy", "iis-curved-negative", "aff1-bialgebra")
+
+
+def _run(script):
+    """Run script in a fresh interpreter; return its stdout lines."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_polynomial_presets_and_zoo_run_load_no_sympy():
+    out = _run("""
+        import contextlib, io, sys
+        loaded = lambda: "sympy" in sys.modules
+        import algebroids
+        from algebroids import cli, instances, zoo
+        print("import", loaded())
+        for name in %r:
+            text = instances.emit_instance(zoo.zoo_preset(name))
+            instances.ingest_text(text)
+        print("emit", loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["zoo", "aff1-bialgebra"])
+        print("zoo", code, loaded())
+    """ % (EMITTED,))
+    assert out == ["import", "False", "emit", "False", "zoo", "0", "False"]
+
+
+def test_a_rational_instance_loads_sympy():
+    out = _run("""
+        import sys
+        from algebroids import instances
+        print("sympy" in sys.modules)
+        data = instances.ingest_text(
+            "[patch]\\ncoords = x, y\\n\\n[pi]\\n0,1 = (x^2 + 1)/y\\n")
+        print("sympy" in sys.modules, data.pi[0][1])
+    """)
+    assert out == ["False", "True", "(x^2", "+", "1)/(y)"]
+
+
+@pytest.mark.parametrize("name", sorted(zoo.ZOO_PRESETS))
+def test_emitted_file_is_a_fixed_point_of_ingest(name):
+    # emit -> ingest -> emit gives the same bytes, so the printer and the
+    # parser invert each other on every value a preset file holds
+    text = instances.emit_instance(zoo.zoo_preset(name))
+    back = instances.ingest_text(text)
+    assert instances.emit_instance(back.to_zoo_dict()) == text

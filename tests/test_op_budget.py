@@ -12,13 +12,16 @@ kernels made 145,010 and 388,158 operations, the sparse kernels without
 the memos and skips 18,348 and 54,334, and the sums that started from
 patch.zero 3,346 and 12,230.
 
-Polynomials over 1 are added, multiplied and differentiated on their
-integer coefficients, so a polynomial round makes no rational coefficient
-arithmetic at all; the last test counts it.
+Polynomials over 1 are dicts of Python ints, added, multiplied and
+differentiated without sympy, so a polynomial round makes no sympy
+arithmetic at all (no PythonMPQ coefficient, PolyElement or FracElement
+operation); the last test counts it.
 """
 
 import pytest
 from sympy.external.pythonmpq import PythonMPQ
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 from algebroids import cli, instances, zoo
 from algebroids.bialgebroid import build_courant_C, verify_appendix_lemmas
@@ -42,18 +45,20 @@ coords = x, y
 """
 
 
-def count_ops(monkeypatch, round_, cls=ScalarField, names=BINARY):
+def count_ops(monkeypatch, round_, targets=((ScalarField, BINARY),)):
+    """Calls of the (class, method names) targets made by round_()."""
     count = [0]
 
     def counting(op):
-        def wrapper(a, b):
+        def wrapper(*args):
             count[0] += 1
-            return op(a, b)
+            return op(*args)
         return wrapper
 
     with monkeypatch.context() as m:
-        for name in names:
-            m.setattr(cls, name, counting(getattr(cls, name)))
+        for cls, names in targets:
+            for name in names:
+                m.setattr(cls, name, counting(getattr(cls, name)))
         round_()
     return count[0]
 
@@ -86,7 +91,10 @@ def test_scalar_op_budget(monkeypatch, round_, count):
 
 def test_polynomial_round_makes_no_rational_coefficient_ops(monkeypatch):
     # one random trial, so the round multiplies genuine polynomials; with
-    # sympy's PolyElement arithmetic it made 84,709 of these ops
-    ops = count_ops(monkeypatch, lemma_round(trials=1), PythonMPQ,
-                    ("__mul__", "__add__", "__sub__"))
-    assert ops == 0, "%d PythonMPQ ops in a polynomial round" % ops
+    # sympy's PolyElement arithmetic it made 84,709 PythonMPQ ops
+    names = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__",
+             "__pow__", "diff", "cofactors")
+    targets = [(cls, [n for n in names if n in vars(cls)])
+               for cls in (PythonMPQ, PolyElement, FracElement)]
+    ops = count_ops(monkeypatch, lemma_round(trials=1), targets)
+    assert ops == 0, "%d sympy ops in a polynomial round" % ops

@@ -3,7 +3,10 @@
 The independent oracle here is direct Fraction arithmetic: expression ASTs
 are generated first, rendered to strings for the parser, and evaluated
 directly over Q at sample points.  Agreement at enough points certifies the
-symbolic result.
+symbolic result.  The second oracle is sympy, which the package imports only
+for genuinely rational values: its canonical FracElement for every
+operation, its PolyElement arithmetic for the integer kernels, and the
+printer as it was written on sympy's polynomials.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 from sympy.external.pythonmpq import PythonMPQ
 from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 from algebroids.scalars import (
     Patch, PoleError, ScalarField, ScalarParseError,
@@ -270,13 +274,36 @@ def test_parser_against_fraction_oracle(ast):
 # hypothesis: every operation returns sympy's canonical form
 #
 # The oracle is FracField.new, which always cancels.  Operands are built
-# through it too, so they are canonical whatever ScalarField does; results
-# are compared on the stored (numerator, denominator) pair, which is what
-# the cancel-free fast path must get exactly right.
+# from its results too (from_sympy), so they are canonical whatever
+# ScalarField does; results are compared term for term on the stored
+# numerator and denominator, which is what the cancel-free fast paths must
+# get exactly right, and a value must be held as a dict exactly when its
+# denominator is 1.
 
 def _qq(v):
     v = Fraction(v)
     return QQ(v.numerator, v.denominator)
+
+
+def terms(poly):
+    """A sympy polynomial with integer coefficients as {exponent: int}."""
+    assert all(c.denominator == 1 for c in poly.values())
+    return {m: int(c.numerator) for m, c in poly.items()}
+
+
+def from_sympy(patch, fe):
+    """The ScalarField of a canonical FracElement, built from its parts
+    and not by ScalarField arithmetic."""
+    if fe.denom == 1:
+        return ScalarField(patch, terms(fe.numer))
+    return ScalarField(patch, fe)
+
+
+def assert_same(got, want):
+    """got is the canonical FracElement want, in its one representation."""
+    assert (got.numer, got.denom) == (terms(want.numer), terms(want.denom))
+    assert (type(got.rep) is dict) == (want.denom == 1)
+    assert all(type(c) is int and c for c in got.numer.values())
 
 
 small_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-4, 4))
@@ -310,13 +337,12 @@ def build(patch, spec):
         num = ring.from_dict({m: _qq(c) for m, c in spec[1].items()})
         den = ring.from_dict({m: _qq(c) for m, c in spec[2].items()})
         fe = field.new(num, den or ring.gens[0] + 1)
-    return ScalarField(patch, fe), fe
+    return from_sympy(patch, fe), fe
 
 
 def assert_canonical(patch, got, num, den):
     ring = patch.field.ring
-    want = patch.field.new(ring(num), ring(den))
-    assert (got.fe.numer, got.fe.denom) == (want.numer, want.denom)
+    assert_same(got, patch.field.new(ring(num), ring(den)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,6 +365,9 @@ def test_arithmetic_matches_sympy_canonical_form(spec_f, spec_g):
     if F:
         assert_canonical(patch, g / f, G.numer * F.denom, G.denom * F.numer)
         assert_canonical(patch, f ** -1, F.denom, F.numer)
+    for n in (2, 3):
+        assert_canonical(patch, f ** n, F.numer ** n, F.denom ** n)
+    assert_canonical(patch, -f, -F.numer, F.denom)
 
 
 @settings(max_examples=100, deadline=None)
@@ -379,7 +408,7 @@ def test_rational_diff_is_memoised_per_value(monkeypatch):
     monkeypatch.setattr(FracElement, "diff", counting_diff)
     f = parse_scalar("(x^2 + 1)/y", patch)
     g = parse_scalar("(1 + x*x)/y", patch)
-    assert f == g and f is not g and f.fe is not g.fe
+    assert f == g and f is not g and f.rep is not g.rep
     assert f.diff(0) == g.diff(0) == parse_scalar("2*x/y", patch)
     assert len(calls) == 1
     # d/dx and d/dy of the same value are kept apart
@@ -389,6 +418,7 @@ def test_rational_diff_is_memoised_per_value(monkeypatch):
     # a constant denominator other than 1 is rational for the memo
     h = parse_scalar("x^2/2", patch)
     assert h.diff(0) == patch.coordinate(0) and h.diff(1) == 0
+    assert type(h.diff(0).rep) is dict
     assert len(calls) == 4
     # another patch keeps its own memo
     other = Patch(["x", "y"])
@@ -396,15 +426,15 @@ def test_rational_diff_is_memoised_per_value(monkeypatch):
     assert len(calls) == 5
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, cls=FracElement):
     calls = []
-    real = getattr(FracElement, name)
+    real = getattr(cls, name)
 
-    def counting(f, g):
-        calls.append((f, g))
-        return real(f, g)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(FracElement, name, counting)
+    monkeypatch.setattr(cls, name, counting)
     return calls
 
 
@@ -416,7 +446,7 @@ def test_rational_sum_and_product_are_memoised_per_value(op, name,
     f, g = parse_scalar("(x^2 + 1)/y", patch), parse_scalar("x/(y + 1)", patch)
     f2, g2 = parse_scalar("(1 + x*x)/y", patch), parse_scalar("x/(1 + y)", patch)
     f3, g3 = parse_scalar("(x^2 + 1)/y", other), parse_scalar("x/(y + 1)", other)
-    assert (f, g) == (f2, g2) and f.fe is not f2.fe and g.fe is not g2.fe
+    assert (f, g) == (f2, g2) and f.rep is not f2.rep and g.rep is not g2.rep
     calls = _count_calls(monkeypatch, name)
     first = op(f, g)
     assert len(calls) == 1
@@ -424,6 +454,19 @@ def test_rational_sum_and_product_are_memoised_per_value(op, name,
     # another patch keeps its own memo
     assert op(f3, g3) == first and len(calls) == 2
     assert op(f, g) == first and len(calls) == 2
+
+
+def test_memo_hit_converts_no_polynomial_operand(patch, monkeypatch):
+    # the memo key of a polynomial is its frozen terms, so only a miss
+    # builds the polynomial's FracElement
+    f = parse_scalar("(x^2 + 1)/y", patch)
+    p, p2 = parse_scalar("x*y + 3", patch), parse_scalar("3 + y*x", patch)
+    assert p.rep is not p2.rep
+    calls = _count_calls(monkeypatch, "_frac", Patch)
+    first = [f * p, p + f]
+    conversions = [r for _, r in calls if type(r) is dict]
+    assert conversions == [p.rep, p.rep]
+    assert [f * p2, p2 + f] == first and len(calls) == 4
 
 
 def test_polynomial_operands_never_reach_the_memo(patch, monkeypatch):
@@ -440,6 +483,14 @@ def test_polynomial_operands_never_reach_the_memo(patch, monkeypatch):
 MEMO_PATCH = Patch(["x", "y"])
 
 
+def _unkey(patch, key):
+    """The FracElement of a memo key (a FracElement or frozen terms)."""
+    if isinstance(key, frozenset):
+        ring = patch.field.ring
+        return patch.field.new(ring.from_dict({m: QQ(c) for m, c in key}))
+    return key
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(scalar_specs, scalar_specs), min_size=1,
                 max_size=4))
@@ -450,10 +501,10 @@ def test_memoised_sums_and_products_match_sympy(pairs):
         # FracElement's own operators cancel, so they are the oracle
         for got, want in ((f * g, F * G), (f + g, F + G), (g * f, G * F),
                           (g + f, G + F)):
-            assert (got.fe.numer, got.fe.denom) == (want.numer, want.denom)
+            assert_same(got, want)
     for (op, a, b), got in MEMO_PATCH._ops.items():
-        want = a * b if op == "*" else a + b
-        assert (got.numer, got.denom) == (want.numer, want.denom)
+        a, b = _unkey(MEMO_PATCH, a), _unkey(MEMO_PATCH, b)
+        assert_same(ScalarField(MEMO_PATCH, got), a * b if op == "*" else a + b)
 
 
 def test_polynomial_lemma_round_adds_nothing_to_the_memo():
@@ -496,11 +547,13 @@ def test_constant_denominator_is_not_one(patch):
     # denominator instead of the denominator 1 gets these sums wrong
     x = patch.coordinate(0)
     half = x / 2
-    assert (half.fe.numer, half.fe.denom) == (x.fe.numer, 2 * patch.field.ring.one)
+    assert (half.numer, half.denom) == (x.numer, {(0, 0): 2})
+    assert type(half.rep) is not dict
     for total in (half + half, 2 * half, half * 2, (x + x) / 2):
         assert total == x
-        assert (total.fe.numer, total.fe.denom) == (x.fe.numer, x.fe.denom)
-    assert half - half == 0 and (half * half).fe.denom == 4
+        assert (total.numer, total.denom) == (x.numer, x.denom)
+        assert type(total.rep) is dict
+    assert half - half == 0 and (half * half).denom == {(0, 0): 4}
 
 
 def test_negative_power_is_canonical(patch):
@@ -508,6 +561,83 @@ def test_negative_power_is_canonical(patch):
     assert parse_scalar("(-x)^-1", patch) == parse_scalar("-1/x", patch)
     assert patch.scalar(-1) ** -1 == -1
     assert patch.scalar(Fraction(-2, 3)) ** -3 == Fraction(-27, 8)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: the printer against the sympy-based printer it replaced, and
+# parse_scalar as its inverse
+
+def sympy_str(fe, coords):
+    """The scalar printer as it was written on sympy's FracElement: terms in
+    PolyElement.terms() order, coefficients read from PythonMPQ."""
+    def poly(p, scale=Fraction(1)):
+        parts = []
+        for monom, coeff in p.terms():
+            c = Fraction(int(coeff.numerator), int(coeff.denominator)) * scale
+            vars_part = "*".join(
+                name if e == 1 else "%s^%d" % (name, e)
+                for name, e in zip(coords, monom) if e)
+            mag = abs(c)
+            if vars_part:
+                body = vars_part if mag == 1 else "%s*%s" % (mag, vars_part)
+            else:
+                body = str(mag)
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts) if parts else "0"
+
+    if not fe:
+        return "0"
+    num, den = fe.numer, fe.denom
+    if den.is_ground:
+        lc = den.LC
+        return poly(num, Fraction(int(lc.denominator), int(lc.numerator)))
+    return "(%s)/(%s)" % (poly(num), poly(den))
+
+
+cubic_monoms = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+printable_specs = st.one_of(
+    scalar_specs.map(lambda spec: (2, spec)),
+    st.tuples(st.just(3), st.tuples(
+        st.just("ratfn"), st.dictionaries(cubic_monoms, coeffs, max_size=6),
+        st.dictionaries(cubic_monoms, coeffs, max_size=3))),
+    st.tuples(st.just(3), st.tuples(
+        st.just("poly"), st.dictionaries(cubic_monoms, coeffs, max_size=8))),
+)
+PRINT_PATCHES = {2: Patch(["x", "y"]), 3: Patch(["x", "y", "z"])}
+
+
+def printable(case):
+    """The patch, ScalarField and canonical FracElement of a case."""
+    n, spec = case
+    patch = PRINT_PATCHES[n]
+    if n == 2:
+        return (patch,) + build(patch, spec)
+    ring = patch.field.ring
+    num = ring.from_dict({m: QQ(c) for m, c in spec[1].items()})
+    den = ring.one
+    if spec[0] == "ratfn":
+        den = ring.from_dict({m: QQ(c) for m, c in spec[2].items()})
+        den = den or ring.gens[2] - 1
+    fe = patch.field.new(num, den)
+    return patch, from_sympy(patch, fe), fe
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_specs)
+def test_printer_matches_the_sympy_printer(case):
+    patch, f, fe = printable(case)
+    assert str(f) == sympy_str(fe, patch.coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(printable_specs)
+def test_parse_inverts_print(case):
+    patch, f, _ = printable(case)
+    back = parse_scalar(str(f), patch)
+    assert back == f and type(back.rep) is type(f.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -531,25 +661,29 @@ def int_poly_pairs(draw):
 
 
 def assert_same_poly(patch, got, want):
-    assert dict.__eq__(got, want) and hash(got) == hash(want)
-    assert all(type(c) is QQ.dtype and c.denominator == 1
-               for c in got.values())
-    assert str(got) == str(want)
-    one, field = patch._one, patch.field
-    assert (str(ScalarField(patch, field.raw_new(got, one)))
-            == str(ScalarField(patch, field.raw_new(want, one))))
+    assert type(got) is dict and got == terms(want)
+    assert all(type(c) is int and c for c in got.values())
+    field = patch.field
+    assert str(ScalarField(patch, got)) == sympy_str(field.new(want),
+                                                     patch.coords)
 
 
 @contextlib.contextmanager
-def counting_mpq_ops():
-    """The list of PythonMPQ arithmetic calls made inside the with block."""
+def counting_sympy_ops():
+    """The list of arithmetic calls of sympy's rational coefficients,
+    polynomials and fractions made inside the with block."""
     calls = []
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+             "__rmul__", "__truediv__", "__neg__", "__pow__", "diff",
+             "cofactors")
     with pytest.MonkeyPatch.context() as m:
-        for name in ("__add__", "__sub__", "__mul__", "__neg__"):
-            def counting(*args, _name=name, _real=getattr(PythonMPQ, name)):
-                calls.append(_name)
-                return _real(*args)
-            m.setattr(PythonMPQ, name, counting)
+        for cls in (PythonMPQ, PolyElement, FracElement):
+            for name in names:
+                if name in vars(cls):
+                    def counting(*args, _name=name, _real=getattr(cls, name)):
+                        calls.append(_name)
+                        return _real(*args)
+                    m.setattr(cls, name, counting)
         yield calls
 
 
@@ -558,20 +692,18 @@ def counting_mpq_ops():
 def test_integer_kernels_match_sympy(case):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    ring = patch.field.ring
+    ring, mul = patch.field.ring, patch._monomial_mul
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
     for a, b in [(p, q), (q, p), (p, p), (p, -p), (p + q, -q),
                  (p, ring.zero), (ring.zero, q)]:
-        assert_same_poly(patch, _int_add(a, b, 1), a + b)
-        assert_same_poly(patch, _int_add(a, b, -1), a - b)
-        assert_same_poly(patch, _int_mul(a, b), a * b)
+        ta, tb = terms(a), terms(b)
+        assert_same_poly(patch, _int_add(ta, tb, 1), a + b)
+        assert_same_poly(patch, _int_add(ta, tb, -1), a - b)
+        assert_same_poly(patch, _int_mul(ta, tb, mul), a * b)
+        assert (ta, tb) == (terms(a), terms(b))   # arguments untouched
     for i, x in enumerate(ring.gens):
-        assert_same_poly(patch, _int_diff(p, i), p.diff(x))
-    for den in (patch._one, ring.from_dict({ring.zero_monom: QQ(3)}), q):
-        if den:
-            fe = patch.field.raw_new(p, den)
-            assert_same_poly(patch, _neg(fe).numer, -p)
-            assert _neg(fe).denom is den
+        assert_same_poly(patch, _int_diff(terms(p), i), p.diff(x))
+    assert_same_poly(patch, _neg(terms(p)), -p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,18 +711,30 @@ def test_integer_kernels_match_sympy(case):
 def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    ring, one = patch.field.ring, patch._one
+    ring = patch.field.ring
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
-    f, g = (ScalarField(patch, patch.field.raw_new(h, one)) for h in (p, q))
-    with counting_mpq_ops() as calls:
-        results = [f + g, f - g, f * g, -f, f - f, f + (-f)]
+    f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
+    with counting_sympy_ops() as calls:
+        results = [f + g, f - g, f * g, -f, f - f, f + (-f), f ** 3]
         results += [f.diff(i) for i in range(n)]
     assert calls == []
-    wants = [p + q, p - q, p * q, -p, ring.zero, ring.zero]
+    wants = [p + q, p - q, p * q, -p, ring.zero, ring.zero, p ** 3]
     wants += [p.diff(x) for x in ring.gens]
     for got, want in zip(results, wants):
-        assert got.fe.denom == one
-        assert_same_poly(patch, got.fe.numer, want)
+        assert got.denom == {(0,) * n: 1}
+        assert_same_poly(patch, got.numer, want)
+
+
+def test_polynomial_values_never_build_the_field():
+    patch = Patch(["x", "y"])
+    f = parse_scalar("x^2*y - 3*x + 2", patch)
+    g = random_scalar(patch, random.Random(1), max_degree=3)
+    for h in (f + g, f - g, f * g, f ** 4, -f, f.diff(0), f / -1,
+              0 / f, f * 1, g - g):
+        str(h), hash(h), h == f, h.is_constant(), h.evaluate([1, 2])
+    assert patch._field is None
+    half = f / 2       # the first genuinely rational value builds it
+    assert patch._field is not None and type(half.rep) is not dict
 
 
 # ---------------------------------------------------------------------------
