@@ -5,6 +5,11 @@ constant-rank frames.  All linear algebra happens over the field of
 rational functions, with deterministic lowest-index pivoting so that rank
 certificates, annihilator frames and membership witnesses are reproducible.
 
+rref and nullspace are the package's one exact elimination.  Their entries
+need only be exact field values with +, -, *, 1 / x and truthiness (false
+iff zero).  Two types are in use: ScalarField, and Fraction for the
+constant linear systems of zoo.parallel_frame_search.
+
 A frame is certified by the column index set of a maximal minor whose
 determinant is a nonzero rational function; everything downstream is valid
 on the Zariski-open locus where that minor does not vanish, and the minor
@@ -310,6 +315,8 @@ def rref(rows, patch, track=False):
 
     Returns (R, T, pivots) where R is the echelon matrix, pivots the list
     of pivot column indices, and T (if track) the transform with T*M = R.
+    Entries are exact field values tested by truthiness (ScalarField or
+    Fraction, see the module docstring); patch supplies the 1 and 0 of T.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -325,7 +332,7 @@ def rref(rows, patch, track=False):
             break
         piv = None
         for i in range(r, nrows):
-            if not m[i][c].is_zero():
+            if m[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -339,7 +346,7 @@ def rref(rows, patch, track=False):
         if track:
             T[r] = [inv * v for v in T[r]]
         for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
                 if track:
@@ -354,7 +361,8 @@ def matrix_rank(rows, patch):
 
 
 def nullspace(rows, patch, ncols=None):
-    """Basis of the right nullspace {v : M v = 0} as component lists."""
+    """Basis of the right nullspace {v : M v = 0} as component lists; the
+    rows may hold any exact field values (see rref)."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows:
@@ -614,17 +622,21 @@ def complement(U):
 
 
 def _complement_sections(U):
-    """One elimination of the n x (k+n) matrix whose columns are the k frame
-    sections and then e_0..e_{n-1}: pivot columns are the greedy
-    left-to-right independent set, so e_i is kept exactly when column k+i
-    is a pivot (the frame's own k columns are independent)."""
-    patch, n = U.patch, U.ambient.rank
+    return _independent_extension(U, U.ambient.basis_sections())
+
+
+def _independent_extension(U, candidates):
+    """One elimination of the n x (k+m) matrix whose columns are the k frame
+    sections of U and then the m candidate sections: pivot columns are the
+    greedy left-to-right independent set, so a candidate is kept exactly
+    when it is independent of the frame and of the candidates kept before
+    it (the frame's own k columns are independent; a zero or dependent
+    candidate is never a pivot)."""
     k = U.frame.rank
-    rows = [[s.components[i] for s in U.frame]
-            + [patch.one if i == j else patch.zero for j in range(n)]
-            for i in range(n)]
-    _, _, pivots = rref(rows, patch)
-    return [U.ambient.basis_section(c - k) for c in pivots if c >= k]
+    cols = U.frame.sections + tuple(candidates)
+    rows = [[s.components[i] for s in cols] for i in range(U.ambient.rank)]
+    _, _, pivots = rref(rows, U.patch)
+    return [cols[c] for c in pivots if c >= k]
 
 
 def random_section(bundle, rng, max_degree=2):

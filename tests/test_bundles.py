@@ -1,6 +1,7 @@
 """Bundles, frames, pairings, and the exact linear algebra toolkit."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -217,22 +218,16 @@ def test_complement_full_rank(patch):
     assert matrix_rank(rows, patch) == 4
 
 
-def greedy_complement(U):
-    """Reference: append standard basis sections in index order, keeping
-    each one that raises the rank of the rows kept so far."""
-    patch = U.patch
+def greedy_extension(U, candidates):
+    """Reference: append the candidates in order, keeping each one that
+    raises the rank of the frame rows and the candidates kept so far."""
     rows = [list(s.components) for s in U.frame]
     kept = []
-    current = len(rows)
-    for i in range(U.ambient.rank):
-        e = U.ambient.basis_section(i)
-        candidate = rows + [list(e.components)]
-        if matrix_rank(candidate, patch) > current:
-            rows = candidate
-            current += 1
-            kept.append(e)
-        if current == U.ambient.rank:
-            break
+    for cand in candidates:
+        trial = rows + [list(cand.components)]
+        if matrix_rank(trial, U.patch) > len(rows):
+            rows = trial
+            kept.append(cand)
     return kept
 
 
@@ -254,8 +249,67 @@ def complement_cases(draw):
 @given(complement_cases())
 def test_complement_matches_greedy_loop(U):
     got = [s.components for s in complement(U)]
-    assert got == [s.components for s in greedy_complement(U)]
+    want = greedy_extension(U, U.ambient.basis_sections())
+    assert got == [s.components for s in want]
     assert len(got) == U.ambient.rank - U.rank
+
+
+@st.composite
+def extension_cases(draw):
+    """A subbundle and candidates mixing zero sections, repeats, function
+    multiples of the frame or of earlier candidates, and fresh sections."""
+    U = draw(complement_cases())
+    bundle = U.ambient
+    pool = list(U.frame)
+    candidates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "fresh"]))
+        if kind == "zero":
+            cand = bundle.zero_section()
+        elif kind != "fresh" and pool:
+            cand = draw(st.sampled_from(pool))
+            if kind == "multiple":
+                cand = draw(entries) * cand
+        else:
+            cand = Section(bundle, [draw(entries) for _ in range(bundle.rank)])
+        candidates.append(cand)
+        pool.append(cand)
+    return U, candidates
+
+
+@settings(max_examples=100, deadline=None)
+@given(extension_cases())
+def test_independent_extension_matches_greedy_loop(case):
+    U, candidates = case
+    got = bundles._independent_extension(U, candidates)
+    want = greedy_extension(U, candidates)
+    assert [s.components for s in got] == [s.components for s in want]
+    rows = [list(s.components) for s in list(U.frame) + candidates]
+    assert len(got) == matrix_rank(rows, SOLVER_PATCH) - U.rank
+
+
+def test_independent_extension_edge_cases(patch):
+    TM = TrivialBundle(patch, 3, "TM")
+    x = patch.coordinate(0)
+    e0, e1, e2 = TM.basis_sections()
+    u = TM.section(["1", "x", "0"])
+    zero = TM.zero_section()
+    empty = Subbundle(TM, Frame(TM, []))
+    U = Subbundle(TM, Frame(TM, [u]))
+    cases = [
+        (empty, [], []),
+        (U, [], []),
+        (empty, [zero, zero], []),
+        # zero, repeated and dependent candidates are never kept
+        (empty, [zero, u, u, x * u, e0, e1, e2], [u, e0, e2]),
+        (U, [zero, u, x * u, e1, e0, e1, e2], [e1, e2]),
+    ]
+    for sub, candidates, want in cases:
+        got = bundles._independent_extension(sub, candidates)
+        assert [s.components for s in got] == [s.components for s in want]
+        assert got == greedy_extension(sub, candidates)
+    # the kept sections are the candidate objects themselves
+    assert bundles._independent_extension(U, [zero, e1])[0] is e1
 
 
 def test_complement_eliminates_once(patch, monkeypatch):
@@ -326,6 +380,103 @@ def test_det_triangular_and_singular(patch):
     assert det([[one, one], [one, one]], patch).is_zero()
     # swap changes sign
     assert det([[zero, one], [one, zero]], patch) == -1
+
+
+# ---------------------------------------------------------------------------
+# the one elimination on Fraction entries, against the Fraction-only
+# elimination it replaced in zoo.parallel_frame_search
+
+def fraction_rref(rows, ncols):
+    """Reference: reduced row echelon form over Fraction; returns (rows,
+    pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    rix = 0
+    for col in range(ncols):
+        pick = None
+        for i in range(rix, len(m)):
+            if m[i][col] != 0:
+                pick = i
+                break
+        if pick is None:
+            continue
+        m[rix], m[pick] = m[pick], m[rix]
+        inv = Fraction(1, 1) / m[rix][col]
+        m[rix] = [v * inv for v in m[rix]]
+        for i in range(len(m)):
+            if i != rix and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rix])]
+        pivots.append(col)
+        rix += 1
+        if rix == len(m):
+            break
+    return m[:rix], pivots
+
+
+def fraction_nullspace(rows, ncols):
+    """Reference: basis of the right nullspace of a Fraction matrix."""
+    red, pivots = fraction_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+fractions = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(3, 4),
+                             Fraction(-5, 2)]).map(Fraction)
+
+
+@st.composite
+def fraction_matrices(draw):
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    rows = [[draw(fractions) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        # last row a multiple of the first: rank-deficient
+        f = draw(fractions)
+        rows[-1] = [f * v for v in rows[0]]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_matrices())
+def test_rref_and_nullspace_on_fractions_match_fraction_reference(case):
+    rows, ncols = case
+    patch = SOLVER_PATCH
+    R, _, pivots = rref(rows, patch)
+    red, want_pivots = fraction_rref(rows, ncols)
+    assert pivots == want_pivots
+    assert R[:len(pivots)] == red
+    assert all(type(v) is Fraction for row in R for v in row)
+    assert not any(v for row in R[len(pivots):] for v in row)
+    basis = nullspace(rows, patch, ncols)
+    want = fraction_nullspace(rows, ncols)
+    assert [[patch.scalar(v) for v in vec] for vec in basis] == \
+        [[patch.scalar(v) for v in vec] for vec in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_matrices())
+def test_constant_scalars_eliminate_like_fractions(case):
+    rows, ncols = case
+    patch = SOLVER_PATCH
+    scalars = [[patch.scalar(v) for v in row] for row in rows]
+    R, _, pivots = rref(scalars, patch)
+    R_frac, _, frac_pivots = rref(rows, patch)
+    assert pivots == frac_pivots
+    assert R == [[patch.scalar(v) for v in row] for row in R_frac]
+    basis = nullspace(scalars, patch, ncols)
+    assert basis == [[patch.scalar(v) for v in vec]
+                     for vec in nullspace(rows, patch, ncols)]
+    for vec in basis:
+        for row in scalars:
+            assert not bundles._dot(patch, row, vec)
 
 
 def test_solve_with_witness_consistency(patch):

@@ -10,6 +10,8 @@ included; names starting with "_" are placeholders and exempt.  A
 top-level function counts as used when its module's __all__ exports it,
 or when any file under src/, demos/ or perfbench/ loads its name, bare
 or as an attribute; ORPHANS_ALLOWED names the few kept on purpose.
+Exact elimination lives in bundles.py alone: no other module defines a
+top-level function whose name contains "rref" or "nullspace".
 
 sympy is imported by scalars.py alone, and only inside a function, so
 `import algebroids` does not load it."""
@@ -121,6 +123,15 @@ def orphan_functions(modules, readers):
             and stmt.name not in loaded and stmt.name not in _exported(tree)]
 
 
+def elimination_functions(modules):
+    """(module, name) of the top-level functions outside bundles.py, in the
+    (module, tree) pairs, whose name contains rref or nullspace."""
+    return [(module, stmt.name) for module, tree in modules
+            if module != "bundles.py" for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and ("rref" in stmt.name or "nullspace" in stmt.name)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -172,6 +183,28 @@ def test_orphan_scan_catches_planted_orphans():
         "m.by_attribute()\n")
     assert orphan_functions([("m.py", module)], [module, reader]) == [
         ("m.py", "orphan"), ("m.py", "_private_orphan")]
+
+
+def test_one_exact_elimination():
+    modules = [(p.name, _tree(p)) for p in MODULES]
+    assert "bundles.py" in dict(modules)
+    assert elimination_functions(modules) == []
+
+
+def test_elimination_scan_catches_planted_solvers():
+    bundles = ast.parse(
+        "def rref(rows, patch): pass\n"
+        "def nullspace(rows, patch): pass\n")
+    zoo = ast.parse(
+        "from .bundles import nullspace, rref\n"
+        "def _fraction_rref(rows, ncols): pass\n"
+        "def _fraction_nullspace(rows, ncols): pass\n"
+        "def solve(rows): return nullspace(rows, None)\n"
+        "class K:\n"
+        "    def rref(self): pass\n")
+    assert elimination_functions([("bundles.py", bundles),
+                                  ("zoo.py", zoo)]) == [
+        ("zoo.py", "_fraction_rref"), ("zoo.py", "_fraction_nullspace")]
 
 
 def test_only_scalars_imports_sympy_inside_a_function():

@@ -16,7 +16,7 @@ from algebroids.cartan import cotangent, tangent
 from algebroids.dorfman import check_dorfman_axioms
 from algebroids.reporting import CheckConfig
 from algebroids.scalars import Patch
-from algebroids import zoo
+from algebroids import bundles, cli, zoo
 
 LIGHT = CheckConfig(seed=0, trials=4, max_degree=1)
 
@@ -324,9 +324,35 @@ def test_parallel_frame_search_with_rational_connection():
     gamma[0][1] = (x / (patch.one + x)) * alg.bundle.basis_section(0)
     iis = zoo.IISData(alg, F, J, LinearConnection(alg.bundle, gamma))
     frame = zoo.parallel_frame_search(iis, degree=1)
-    assert len(frame) == 1
+    assert [[str(v) for v in s.components] for s in frame] == [["0", "1"]]
     res = zoo.check_iis(iis, LIGHT)
     assert not names(res)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("foliation-x", [["0", "1"]]),
+    ("iis-curved-negative", []),
+])
+def test_parallel_frame_search_on_presets(name, want):
+    frame = zoo.parallel_frame_search(zoo.zoo_preset(name)["iis"], degree=2)
+    assert [[str(v) for v in s.components] for s in frame] == want
+
+
+def test_parallel_frame_search_skips_dependent_solutions():
+    # J = 0 and nabla_{d/dx} e_1 = e_2: the solutions of degree <= 2 are
+    # spanned by e_2, y e_2, y^2 e_2, -e_1 + x e_2 and y(-e_1 + x e_2);
+    # the multiples are dependent over the functions and never selected.
+    patch = xy()
+    alg = tangent_algebroid(patch)
+    tm = tangent(patch)
+    F = Subbundle(tm, Frame(tm, [tm.basis_section(0)]))
+    J = Subbundle(alg.bundle, Frame(alg.bundle, []))
+    gamma = [[alg.bundle.zero_section() for _ in range(2)] for _ in range(2)]
+    gamma[0][0] = alg.bundle.basis_section(1)
+    iis = zoo.IISData(alg, F, J, LinearConnection(alg.bundle, gamma))
+    frame = zoo.parallel_frame_search(iis, degree=2)
+    assert [[str(v) for v in s.components] for s in frame] == [
+        ["0", "1"], ["-1", "x"]]
 
 
 def test_iis_both_routes_pass_on_foliation():
@@ -443,6 +469,35 @@ def test_non_ideal_mutant_fails_with_witness():
     assert names(res, "skipped")  # downstream structure not evaluated
     with pytest.raises(ValueError, match="not an ideal"):
         zoo.ideal_and_bialgebra_from(zoo.aff1_non_ideal_mutant())
+    duality = [r for r in res if r.name == "bialgebra.duality"][0]
+    assert duality.status == "skipped"
+    assert duality.note == "the polar of p is not an ideal"
+
+
+def test_duality_check_reads_the_reduction_not_det(monkeypatch):
+    def no_det(rows, patch):
+        raise AssertionError("det called for the duality pairing")
+
+    monkeypatch.setattr(bundles, "det", no_det)
+    # covers a det imported into zoo by name as well
+    monkeypatch.setattr(zoo, "det", no_det, raising=False)
+    report = cli.run("aff1-bialgebra", "all")
+    duality = [r for r in report.results if r.name == "bialgebra.duality"]
+    assert [r.status for r in duality] == ["pass"]
+    assert report.all_passed
+
+
+def test_reduction_rejects_non_injective_iota():
+    # iota(xi_1) = iota(xi_2) = e_1*: the polar, spanned by e_2, is an
+    # ideal, but P has one row for k = 2
+    patch = zoo.point_patch()
+    g = zoo.lie_algebra_algebroid(patch, "g", [[[0, 0], [0, 1]],
+                                               [[0, -1], [0, 0]]])
+    p = zoo.lie_algebra_algebroid(patch, "p", [[[0, 0], [0, 0]],
+                                               [[0, 0], [0, 0]]])
+    data = zoo.DiracBialgebraData(g, p, [[1, 1], [0, 0]])
+    with pytest.raises(ValueError, match="pair p perfectly"):
+        zoo.ideal_and_bialgebra_from(data)
 
 
 def test_full_dual_bialgebra_transports_cobracket():
