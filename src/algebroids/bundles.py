@@ -5,9 +5,15 @@ constant-rank frames.  All linear algebra happens over the field of
 rational functions, with deterministic lowest-index pivoting so that rank
 certificates, annihilator frames and membership witnesses are reproducible.
 
-rref and nullspace are the package's one exact elimination.  Their entries
-need only be exact field values with +, -, *, 1 / x and truthiness (false
-iff zero).  Two types are in use: ScalarField, and Fraction for the
+Pivots, ranks and determinants (Frame's certificate, matrix_rank, det and
+the greedy extension behind complement) come from one fraction-free
+(Bareiss) forward elimination over Z[x], _bareiss: each of its divisions is
+exact, so integer polynomial entries stay polynomials over 1 and no
+fraction is ever formed.  rref divides by its pivots and is kept only for
+what needs the reduced matrix R or the transform T, whose entries are
+genuinely rational: nullspace, Solver and zoo's elimination of P.  Entries
+of both need only be exact field values with +, -, *, / and truthiness
+(false iff zero).  Two types are in use: ScalarField, and Fraction for the
 constant linear systems of zoo.parallel_frame_search.
 
 A frame is certified by the column index set of a maximal minor whose
@@ -212,8 +218,7 @@ class Frame:
         for s in sections:
             if s.bundle != bundle:
                 raise ValueError("frame section from a different bundle")
-        rows = [list(s.components) for s in sections]
-        _, _, pivots = rref(rows, bundle.patch)
+        pivots = _bareiss([s.components for s in sections])[0]
         if len(pivots) != len(sections):
             raise FrameError("frame sections are dependent over the function "
                              "field (rank %d < %d)" % (len(pivots), len(sections)))
@@ -356,8 +361,53 @@ def rref(rows, patch, track=False):
     return m, T, pivots
 
 
+def _bareiss(rows):
+    """Fraction-free forward elimination with rref's lowest-index pivots and
+    row swaps; returns (pivots, sign, last) with the pivot columns, the sign
+    of the row permutation and the last pivot (1 if there is none).
+
+    Each step replaces an entry a of a lower row by (p*a - f*b) / prev, with
+    p the pivot, f the row's entry in the pivot column, b the pivot row's
+    entry and prev the previous pivot (1 at the first step).  By Sylvester's
+    identity every entry is then a minor of the row-swapped matrix, so the
+    division is exact and integer polynomial entries never leave Z[x].  A
+    lower row only changes by the nonzero factor p / prev and multiples of
+    the pivot row, so its zeros, and with them the pivots, are rref's; the
+    last pivot of a square matrix of full rank is sign * det.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p, tail = m[r][c], m[r][c + 1:]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            m[i][c + 1:] = [(p * a - f * b) / prev
+                            for a, b in zip(m[i][c + 1:], tail)]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, sign, prev
+
+
 def matrix_rank(rows, patch):
-    return len(rref(rows, patch)[2])
+    return len(_bareiss(rows)[0])
 
 
 def nullspace(rows, patch, ncols=None):
@@ -383,33 +433,17 @@ def nullspace(rows, patch, ncols=None):
 
 
 def det(rows, patch):
-    """Determinant by elimination (product of pivots, swap signs tracked)."""
+    """Determinant by fraction-free elimination: the swap sign times the
+    last pivot, or 0 when a column has no pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return patch.one
-    m = [list(r) for r in rows]
-    sign = 1
-    result = patch.one
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return patch.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result = result * m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result if sign == 1 else -result
+    pivots, sign, last = _bareiss(rows)
+    if len(pivots) < n:
+        return patch.zero
+    return last if sign == 1 else -last
 
 
 class Solver:
@@ -635,7 +669,7 @@ def _independent_extension(U, candidates):
     k = U.frame.rank
     cols = U.frame.sections + tuple(candidates)
     rows = [[s.components[i] for s in cols] for i in range(U.ambient.rank)]
-    _, _, pivots = rref(rows, U.patch)
+    pivots = _bareiss(rows)[0]
     return [cols[c] for c in pivots if c >= k]
 
 

@@ -17,19 +17,22 @@ A value has exactly one of two representations:
   almost every value is one.  +, -, * and d/dx of two such values are
   again integer polynomials over 1, already reduced, so the kernels
   _int_add, _int_mul and _int_diff build them on Python ints with no gcd;
-  negation (_neg) and powers n >= 0 (repeated _int_mul) likewise.
+  negation (_neg) and powers n >= 0 (repeated _int_mul) likewise.  A
+  quotient of two of them is tried by _int_quo, exact division in Z[x],
+  which succeeds exactly when the quotient is a polynomial over 1.
 * Every other value, 1/2 and x/2 included, is a sympy FracElement of
   Patch.field, whose denominator is never 1.  The test is "denominator ==
   1", not "denominator is constant": x/2 is stored as x over 2, and
   x/2 + x/2 must cancel the 2.
 
-An operation with a genuinely rational operand (or a division by anything
-but +-1, or a negative power) converts its polynomial operands, which needs
-no gcd because their coefficients are integers, and takes sympy's path,
-which cancels.  A result whose denominator is 1 goes back to a dict, so
-equal values never differ in representation.  sympy is imported in one
-place, Patch.field, on the first value that needs it; a polynomial
-instance file is parsed, checked and printed without it.
+An operation with a genuinely rational operand (or a division, unless the
+quotient is a polynomial over 1, or a negative power) converts its
+polynomial operands, which needs no gcd because their coefficients are
+integers, and takes sympy's path, which cancels.  A result whose
+denominator is 1 goes back to a dict, so equal values never differ in
+representation.  sympy is imported in one place, Patch.field, on the first
+value that needs it; a polynomial instance file is parsed, checked and
+printed without it.
 
 Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
 operand, its negation, or 0, which are canonical already; 0 divided by
@@ -513,6 +516,10 @@ def _div(patch, f, g):
         return f if u == 1 else _negate(f)
     if not f:
         return f
+    if type(f) is dict and type(g) is dict:
+        q = _int_quo(f, g, patch._monomial_mul)
+        if q is not None:
+            return q
     return _canonical(patch._frac(f) / patch._frac(g))
 
 
@@ -559,6 +566,33 @@ def _int_mul(p, q, monomial_mul):
             m = monomial_mul(m1, m2)
             acc[m] = get(m, 0) + a * b
     return {m: c for m, c in acc.items() if c}
+
+
+def _int_quo(p, q, monomial_mul):
+    """p / q when the quotient is a polynomial with integer coefficients,
+    else None.  Divides by the leading term of q in grlex order: if p = s*q
+    with s in Z[x], the leading term of what is left is always the leading
+    term of q times a term of s, so a monomial or a coefficient that does
+    not divide proves that there is no such s."""
+    lm, lc = max(q.items(), key=_grlex)
+    rest = [(m, c) for m, c in q.items() if m != lm]
+    left = dict(p)
+    out = {}
+    while left:
+        m, c = max(left.items(), key=_grlex)
+        e = tuple(a - b for a, b in zip(m, lm))
+        if min(e) < 0 or c % lc:
+            return None
+        k = out[e] = c // lc
+        del left[m]
+        for m2, c2 in rest:
+            m2 = monomial_mul(e, m2)
+            s = left.get(m2, 0) - k * c2
+            if s:
+                left[m2] = s
+            else:
+                del left[m2]
+    return out
 
 
 def _int_diff(p, i):

@@ -1128,7 +1128,6 @@ class PointReduction:
     p_polar: list
     alg_h: DullAlgebroid
     alg_hstar: DullAlgebroid
-    duality: list
     h_coords: list
     double: CourantPresentation
     phi: list
@@ -1194,8 +1193,8 @@ def ideal_and_bialgebra_from(db):
     phi += [[patch.zero] * n for _ in range(k)]
     p_in_double = [[patch.zero] * k for _ in range(k)] + [list(r) for r in P]
     return PointReduction(p_polar=p0, alg_h=alg_h, alg_hstar=alg_hstar,
-                          duality=P, h_coords=h_coords, double=double,
-                          phi=phi, p_in_double=p_in_double)
+                          h_coords=h_coords, double=double, phi=phi,
+                          p_in_double=p_in_double)
 
 
 def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):

@@ -313,16 +313,22 @@ def test_independent_extension_edge_cases(patch):
 
 
 def test_complement_eliminates_once(patch, monkeypatch):
+    # both eliminations count: rref and the fraction-free one
     calls = []
-    real_rref = bundles.rref
+    real_rref, real_bareiss = bundles.rref, bundles._bareiss
 
     def counting_rref(rows, patch, track=False):
         calls.append(len(rows))
         return real_rref(rows, patch, track)
 
+    def counting_bareiss(rows):
+        calls.append(len(rows))
+        return real_bareiss(rows)
+
     TM = TrivialBundle(patch, 4, "TM")
     U = Subbundle(TM, Frame(TM, [TM.section(["0", "1", "x", "0"])]))
     monkeypatch.setattr(bundles, "rref", counting_rref)
+    monkeypatch.setattr(bundles, "_bareiss", counting_bareiss)
     W = complement(U)
     # one elimination, plus the certificate of the returned frame
     assert calls == [4, 3]
@@ -383,8 +389,8 @@ def test_det_triangular_and_singular(patch):
 
 
 # ---------------------------------------------------------------------------
-# the one elimination on Fraction entries, against the Fraction-only
-# elimination it replaced in zoo.parallel_frame_search
+# both eliminations on Fraction entries, against the Fraction-only
+# elimination rref replaced in zoo.parallel_frame_search
 
 def fraction_rref(rows, ncols):
     """Reference: reduced row echelon form over Fraction; returns (rows,
@@ -452,6 +458,7 @@ def test_rref_and_nullspace_on_fractions_match_fraction_reference(case):
     R, _, pivots = rref(rows, patch)
     red, want_pivots = fraction_rref(rows, ncols)
     assert pivots == want_pivots
+    assert bundles._bareiss(rows)[0] == want_pivots
     assert R[:len(pivots)] == red
     assert all(type(v) is Fraction for row in R for v in row)
     assert not any(v for row in R[len(pivots):] for v in row)
@@ -606,3 +613,147 @@ def test_frame_eliminates_once(patch, monkeypatch):
     V = Subbundle(TM, Frame(TM, sections))
     assert membership(inside, V) == membership(inside, U)
     assert len(tracked) == 2
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the dividing eliminations it
+# replaced for pivots, ranks and determinants
+
+def dividing_pivots(rows):
+    """Reference: the pivot columns of the Gauss-Jordan elimination that
+    scales each pivot row by 1 / pivot (rref as Frame and matrix_rank used
+    it before)."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [inv * v for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def dividing_det(rows, patch):
+    """Reference: the product of the pivots of a Gaussian elimination that
+    divides by each pivot, with the swap signs (det as it was before)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign, result = 1, patch.one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return patch.zero
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        result = result * m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return result if sign == 1 else -result
+
+
+POLY_ENTRIES = ["0", "0", "0", "1", "-1", "2", "x", "y", "x + 1", "x*y - 2",
+                "x^2 - y"]
+RATIONAL_ENTRIES = POLY_ENTRIES + ["(x^2 + 1)/y", "1/x", "x/2"]
+
+
+@st.composite
+def pivot_matrices(draw):
+    """Matrices over Q(x, y), all polynomial or with genuinely rational
+    entries, with pivots of +-1 and non-constant ones, zero rows and
+    columns, and a row that depends on two others."""
+    pool = draw(st.sampled_from([POLY_ENTRIES, RATIONAL_ENTRIES]))
+    entry = st.sampled_from(pool).map(lambda e: parse_scalar(e, SOLVER_PATCH))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero = SOLVER_PATCH.zero
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        a, b = draw(entry), draw(entry)
+        rows[k] = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = zero
+    return rows
+
+
+def corner_squares(rows):
+    """The largest leading and trailing square submatrices."""
+    n = min(len(rows), len(rows[0]) if rows else 0)
+    lead = [r[:n] for r in rows[:n]]
+    trail = [r[len(r) - n:] for r in rows[len(rows) - n:]]
+    return lead, trail
+
+
+@settings(max_examples=200, deadline=None)
+@given(pivot_matrices())
+def test_fraction_free_elimination_matches_dividing_one(rows):
+    patch = SOLVER_PATCH
+    pivots = dividing_pivots(rows)
+    assert bundles._bareiss(rows)[0] == pivots
+    assert matrix_rank(rows, patch) == len(pivots)
+    for square in corner_squares(rows):
+        assert det(square, patch) == dividing_det(square, patch)
+    if not rows:
+        return
+    E = TrivialBundle(patch, len(rows[0]), "E")
+    sections = [Section(E, r) for r in rows]
+    if len(pivots) == len(rows):
+        assert Frame(E, sections).rank_certificate == tuple(pivots)
+    else:
+        with pytest.raises(FrameError):
+            Frame(E, sections)
+    # the longest independent prefix frames U, the rest are candidates
+    k = max(j for j in range(len(rows) + 1)
+            if len(dividing_pivots(rows[:j])) == j)
+    U = Subbundle(E, Frame(E, sections[:k]))
+    cols = sections
+    matrix = [[s.components[i] for s in cols] for i in range(E.rank)]
+    want = [cols[c] for c in dividing_pivots(matrix) if c >= k]
+    assert bundles._independent_extension(U, sections[k:]) == want
+
+
+def test_fraction_free_pivots_and_determinants_stay_in_z_x():
+    patch = Patch(["x", "y"])
+    p = lambda e: parse_scalar(e, patch)
+    # non-constant pivots, so every step after the first divides exactly by
+    # a non-constant previous pivot
+    m = [[p("x"), p("y"), p("1")],
+         [p("y"), p("x + 1"), p("x*y")],
+         [p("1"), p("x^2"), p("y - 2")]]
+    # a swap at the first and at the second step
+    zero_first = [[p("0"), p("x"), p("1")], [p("0"), p("y"), p("x")],
+                  [p("x + 1"), p("1"), p("y")]]
+    # a row that only the second elimination step makes zero
+    dependent = [m[0], m[1], [a + b for a, b in zip(m[0], m[1])]]
+    TM = TrivialBundle(patch, 3, "TM")
+    got = [det(m, patch), det([m[1], m[0], m[2]], patch),
+           det(zero_first, patch), det(dependent, patch),
+           matrix_rank(dependent, patch),
+           Frame(TM, [Section(TM, r) for r in m]).rank_certificate,
+           det([[p("1"), p("x")], [p("-1"), p("y")]], patch)]
+    # integer polynomial entries never build sympy's field
+    assert patch._field is None
+    want = [dividing_det(m, patch), -dividing_det(m, patch),
+            dividing_det(zero_first, patch), patch.zero, 2, (0, 1, 2),
+            p("x + y")]
+    assert got == want
+    assert all(type(v.rep) is dict for v in got[:4])

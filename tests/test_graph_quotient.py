@@ -248,14 +248,20 @@ def test_one_elimination_per_subbundle(monkeypatch):
     J = Subbundle(alg.bundle,
                   Frame(alg.bundle, [alg.bundle.section(["1", "1"])]))
     iis = zoo.IISData(alg, F, J, LinearConnection.flat(alg.bundle))
+    # both eliminations count; the fraction-free one never tracks
     eliminated = []
-    real_rref = bundles.rref
+    real_rref, real_bareiss = bundles.rref, bundles._bareiss
 
     def counting_rref(rows, patch, track=False):
         eliminated.append(([[str(v) for v in row] for row in rows], track))
         return real_rref(rows, patch, track)
 
+    def counting_bareiss(rows):
+        eliminated.append(([[str(v) for v in row] for row in rows], False))
+        return real_bareiss(rows)
+
     monkeypatch.setattr(bundles, "rref", counting_rref)
+    monkeypatch.setattr(bundles, "_bareiss", counting_bareiss)
     abars = [zoo.AbarAlgebroid(iis), zoo.AbarAlgebroid(iis)]
     assert len(zoo.parallel_frame_search(iis, degree=1)) == 1
     for abar in abars:

@@ -2,9 +2,10 @@
 
 Polynomial values are dicts of Python ints and the parser and printer work
 on them, so importing the package, building and emitting polynomial
-presets and running `algebroids zoo aff1-bialgebra` load no sympy.  Each
-case runs in a fresh interpreter, because the test process itself has
-sympy loaded (the other tests use it as an oracle)."""
+presets, running `algebroids zoo aff1-bialgebra` and running the lemma
+suite on the poisson-xy triple load no sympy.  Each case runs in a fresh
+interpreter, because the test process itself has sympy loaded (the other
+tests use it as an oracle)."""
 
 import os
 import subprocess
@@ -50,6 +51,26 @@ def test_polynomial_presets_and_zoo_run_load_no_sympy():
         print("zoo", code, loaded())
     """ % (EMITTED,))
     assert out == ["import", "False", "emit", "False", "zoo", "0", "False"]
+
+
+def test_poisson_triple_and_its_lemma_suite_load_no_sympy():
+    # the frame of the graph of rho_* is certified by fraction-free
+    # elimination, whose divisions are exact in Z[x]
+    out = _run("""
+        import sys
+        loaded = lambda: "sympy" in sys.modules
+        from algebroids import bialgebroid, cli, instances, reporting, zoo
+        data = instances.instance_from_preset(zoo.zoo_preset("poisson-xy"))
+        triple = cli._triple_of(data)
+        print("triple", loaded())
+        bialgebroid.verify_appendix_lemmas(
+            triple, reporting.CheckConfig(seed=0, trials=0))
+        print("lemmas", loaded())
+        report = cli.run("poisson-xy", "lemmas", trials=0)
+        print("run", report.all_passed, loaded())
+    """)
+    assert out == ["triple", "False", "lemmas", "False",
+                   "run", "True", "False"]
 
 
 def test_a_rational_instance_loads_sympy():

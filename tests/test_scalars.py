@@ -24,7 +24,7 @@ from algebroids.scalars import (
     Patch, PoleError, ScalarField, ScalarParseError,
     evaluate, parse_scalar, partial_derivative, random_scalar,
 )
-from algebroids.scalars import _int_add, _int_diff, _int_mul, _neg
+from algebroids.scalars import _int_add, _int_diff, _int_mul, _int_quo, _neg
 
 
 @pytest.fixture
@@ -704,6 +704,46 @@ def test_integer_kernels_match_sympy(case):
     for i, x in enumerate(ring.gens):
         assert_same_poly(patch, _int_diff(terms(p), i), p.diff(x))
     assert_same_poly(patch, _neg(terms(p)), -p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_poly_pairs(), st.sampled_from([2, -2, 3, BIG]))
+def test_exact_quotient_kernel_matches_sympy(case, c):
+    n, d1, d2 = case
+    patch = Patch(["x", "y", "z"][:n])
+    field, mul = patch.field, patch._monomial_mul
+    ring = field.ring
+    p, q = (ring.from_dict({m: QQ(v) for m, v in d.items()}) for d in (d1, d2))
+    const = ring(c)
+    if q:
+        assert _int_quo(terms(p * q), terms(q), mul) == terms(p)
+    for a, b in [(p * q, q), (p * q, p), (p * const, const), (p, const),
+                 (p, q), (q, p), (p * q + 1, q), (p * q, q * const)]:
+        if not b:
+            continue
+        got = _int_quo(terms(a), terms(b), mul)
+        want = field.new(a, b)
+        if want.denom == 1:
+            assert_same_poly(patch, got, want.numer)
+        else:
+            assert got is None
+        f, g = ScalarField(patch, terms(a)), ScalarField(patch, terms(b))
+        assert_same(f / g, want)
+        assert (type(f.rep), type(g.rep)) == (dict, dict)   # untouched
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_poly_pairs())
+def test_exact_quotients_make_no_rational_coefficient_ops(case):
+    n, d1, d2 = case
+    assume(d2)
+    patch = Patch(["x", "y", "z"][:n])
+    f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
+    prod = f * g
+    with counting_sympy_ops() as calls:
+        back = prod / g
+    assert calls == [] and back.rep == d1
+    assert patch._field is None
 
 
 @settings(max_examples=60, deadline=None)
