@@ -8,31 +8,38 @@ functions.  Every value is stored in one canonical form: numerator and
 denominator with integer coefficients and no common factor (content
 included), positive leading coefficient (graded-lex order) in the
 denominator.  Equality and is_zero() are therefore tests on the stored
-terms.  No floating point anywhere.
+terms.  No floating point anywhere, and no computer algebra system: the
+package runs on Python ints alone.
 
-A value has exactly one of two representations:
+A value has exactly one of two representations, both built from term dicts
+{exponent tuple: nonzero int}:
 
-* A polynomial over 1 (denominator the polynomial 1) is a plain dict
-  {exponent tuple: nonzero int}; 0 is the empty dict.  On the presets
-  almost every value is one.  +, -, * and d/dx of two such values are
-  again integer polynomials over 1, already reduced, so the kernels
-  _int_add, _int_mul and _int_diff build them on Python ints with no gcd;
-  negation (_neg) and powers n >= 0 (repeated _int_mul) likewise.  A
-  quotient of two of them is tried by _int_quo, exact division in Z[x],
-  which succeeds exactly when the quotient is a polynomial over 1.
-* Every other value, 1/2 and x/2 included, is a sympy FracElement of
-  Patch.field, whose denominator is never 1.  The test is "denominator ==
-  1", not "denominator is constant": x/2 is stored as x over 2, and
-  x/2 + x/2 must cancel the 2.
+* A polynomial over 1 (denominator the polynomial 1) is a plain term dict;
+  0 is the empty dict.  On the presets almost every value is one.  +, -, *
+  and d/dx of two such values are again integer polynomials over 1,
+  already reduced, so the kernels _int_add, _int_mul and _int_diff build
+  them with no gcd; negation (_neg) and powers n >= 0 (repeated _int_mul)
+  likewise.  A quotient of two of them is tried by _int_quo, exact division
+  in Z[x], which succeeds exactly when the quotient is a polynomial over 1.
+* Every other value, 1/2 and x/2 included, is a pair (numer, denom) of term
+  dicts in the canonical form above, whose denominator is never 1.  The
+  test is "denominator == 1", not "denominator is constant": x/2 is stored
+  as x over 2, and x/2 + x/2 must cancel the 2.
 
-An operation with a genuinely rational operand (or a division, unless the
-quotient is a polynomial over 1, or a negative power) converts its
-polynomial operands, which needs no gcd because their coefficients are
-integers, and takes sympy's path, which cancels.  A result whose
-denominator is 1 goes back to a dict, so equal values never differ in
-representation.  sympy is imported in one place, Patch.field, on the first
-value that needs it; a polynomial instance file is parsed, checked and
-printed without it.
+An operation with a pair operand (or a division, unless the quotient is a
+polynomial over 1, or a negative power) forms its numerator and denominator
+on the same kernels and cancels them once, in _reduce, by their gcd in
+Z[x].  _int_gcd takes the integer content (math.gcd) and the monomial
+factor (least exponents) first; that alone settles the common case, a
+monomial denominator such as y^k.  Otherwise it runs a recursive
+primitive-PRS gcd in the last variable that occurs, with coefficients in
+Z[rest] (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992,
+ch. 7).  Both cofactors come from exact _int_quo, which also checks the
+gcd: a gcd that does not divide raises ArithmeticError.  A result whose
+denominator is 1 is the numerator's dict, so equal values never differ in
+representation.  Inverting a pair swaps its parts and needs no gcd, and
+neither does adding a polynomial over 1 to a pair: n/d + p = (n + p*d)/d is
+coprime already.
 
 Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
 operand, its negation, or 0, which are canonical already; 0 divided by
@@ -42,39 +49,39 @@ Partial derivatives are taken once per distinct value, because the
 kernels differentiate the same components again for every vector field:
 
 * A constant (the empty dict, a dict whose one key is the zero exponent,
-  or a FracElement with ground numerator and denominator such as 1/2) has
-  derivative 0 and returns the shared patch.zero without building
-  anything.  Most diff calls are on constants, most of those on 0.
+  or a pair of such dicts such as 1/2) has derivative 0 and returns the
+  shared patch.zero without building anything.  Most diff calls are on
+  constants, most of those on 0.
 * A polynomial over 1 is differentiated by _int_diff; it is cheap, so it
   is not memoised.
-* Any other value is differentiated by sympy's FracElement.diff, which
-  cancels with a gcd, and the result is memoised in a dict on the Patch
-  keyed by (fe, coord).  The key is the value, not the object: equal
-  rational scalars are rebuilt as new objects all the time, so a slot on
-  each object would miss where the value key hits.  Only rational values
-  are kept, which are few and costly; keeping the many cheap polynomial
-  ones would only cost memory.  The memo lives exactly as long as its
-  patch, and no value is ever mutated, so sharing a result is safe.
+* A pair n/d is differentiated by the quotient rule, (n'd - nd')/d^2,
+  cancelled by _reduce, and the result is memoised in a dict on the Patch
+  keyed by (key, coord), where key is the hashable form of the pair (_key:
+  the frozensets of the items of both dicts).  The key is the value, not
+  the object: equal rational scalars are rebuilt as new objects all the
+  time, so a slot on each object would miss where the value key hits.
+  Only pairs are kept, which are few and costly; keeping the many cheap
+  polynomial ones would only cost memory.  The memo lives exactly as long
+  as its patch, and no value is ever mutated, so sharing a result is safe.
 
-Sums and products that take sympy's cancelling path are memoised the same
-way, because the kernels form the same few rational products again and
-again (a quotient Courant round forms about 1,500 such products from fewer
-than 200 distinct operand pairs):
+Sums and products with a pair operand are memoised the same way, because
+the kernels form the same few rational products again and again (a
+quotient Courant round forms about 1,500 such products from fewer than 200
+distinct operand pairs):
 
 * The memo is one dict on the Patch, next to the diff memo, keyed by
-  ("+", f, g) or ("*", f, g) with f and g the hashable forms of the
-  operands: a FracElement itself, a dict as the frozenset of its items.
-  A hit therefore converts nothing; only a miss converts its operands.
-  The operator is part of the key, so a sum and a product of the same
-  pair never share an entry, and the operands are values, not objects,
-  for the reason given above.
-* Only operands that miss every fast path reach it: at least one is not a
-  polynomial over 1, and neither is 0 (nor, for a product, +-1).  Sums and
-  products of polynomials over 1 never touch it, so polynomial data pay
-  nothing and leave it empty.  Differences and quotients are not memoised.
+  ("+", f, g) or ("*", f, g) with f and g the hashable forms (_key) of the
+  operands: a dict as the frozenset of its items, a pair as the pair of
+  such frozensets.  The operator is part of the key, so a sum and a
+  product of the same pair never share an entry, and the operands are
+  values, not objects, for the reason given above.
+* Only operands that miss every fast path reach it: at least one is a
+  pair, and neither is 0 (nor, for a product, +-1).  Sums and products of
+  polynomials over 1 never touch it, so polynomial data pay nothing and
+  leave it empty.  Differences and quotients are not memoised.
 * Sharing a result is safe for the same reason as above: nothing mutates
-  a stored dict, FracElement or ScalarField, and canonical values are
-  unique, so a memoised result is the value sympy would rebuild.
+  a stored dict, pair or ScalarField, and canonical values are unique, so
+  a memoised result is the value a miss would rebuild.
 
 Grammar accepted by parse_scalar (whitespace insignificant)::
 
@@ -91,6 +98,7 @@ ordinary division rule.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -136,7 +144,7 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "_field", "_gens", "_axes", "_origin",
+    __slots__ = ("coords", "_gens", "_axes", "_origin",
                  "_monomial_mul", "zero", "one", "_diffs", "_ops")
 
     def __init__(self, coords):
@@ -150,7 +158,6 @@ class Patch:
                 raise ValueError("bad coordinate name %r" % (name,))
         self.coords = coords
         n = len(coords)
-        self._field = None
         # _axes[i] is coordinate i as a non-negative int, with list
         # semantics (negative i counts from the end, an out-of-range i
         # raises IndexError), for the exponent slicing of _int_diff
@@ -166,20 +173,11 @@ class Patch:
         # ScalarField is ever mutated
         self.zero = ScalarField(self, {})
         self.one = ScalarField(self, {self._origin: 1})
-        # ScalarField.diff of rational values, keyed by (fe, coord)
+        # ScalarField.diff of pairs, keyed by (key, coord)
         self._diffs = {}
-        # cancelling sums and products, keyed by ("+" or "*", key, key)
+        # sums and products with a pair operand, keyed by ("+" or "*",
+        # key, key)
         self._ops = {}
-
-    @property
-    def field(self):
-        """sympy's fraction field Q(coords) in grlex order, built on first
-        use.  This is the one place the package imports sympy."""
-        if self._field is None:
-            from sympy import QQ
-            from sympy.polys.fields import FracField
-            self._field = FracField(list(self.coords), QQ, order="grlex")
-        return self._field
 
     @property
     def dim(self):
@@ -203,23 +201,14 @@ class Patch:
 
     def _ground(self, value):
         """The representation of an int or a Fraction; a Fraction other
-        than an integer is a constant FracElement."""
+        than an integer is a pair of constants, already in lowest terms
+        with a positive denominator."""
         if isinstance(value, Fraction):
             if value.denominator != 1:
-                ring = self.field.ring
-                return self.field.new(ring(value.numerator),
-                                      ring(value.denominator))
+                return ({self._origin: value.numerator},
+                        {self._origin: value.denominator})
             value = value.numerator
         return {self._origin: int(value)} if value else {}
-
-    def _frac(self, r):
-        """A representation as a FracElement of self.field.  A dict has
-        integer coefficients over 1, so field_new keeps it as it is, with
-        no gcd."""
-        if type(r) is not dict:
-            return r
-        field = self.field
-        return field.field_new(field.ring.from_dict(r))
 
     def __eq__(self, other):
         if isinstance(other, Patch):
@@ -236,12 +225,12 @@ class Patch:
 class ScalarField:
     """A rational function of the patch coordinates in canonical form.
 
-    `rep` is a dict {exponent tuple: int} for a polynomial over 1 and a
-    sympy FracElement otherwise (see the module docstring).  Every
-    operation returns the canonical form, so equality and is_zero() are
-    tests on the stored terms.  Polynomial operands take the
-    integer-coefficient kernels and 0/+-1 operands a short cut, both
-    without sympy; the others go through sympy, which cancels, and a sum
+    `rep` is a term dict {exponent tuple: int} for a polynomial over 1 and
+    a pair (numer, denom) of term dicts otherwise (see the module
+    docstring).  Every operation returns the canonical form, so equality
+    and is_zero() are tests on the stored terms.  Polynomial operands take
+    the integer-coefficient kernels and 0/+-1 operands a short cut, both
+    without a gcd; the others are cancelled by one gcd in Z[x], and a sum
     or product of such operands is computed once per patch.
     """
 
@@ -344,8 +333,9 @@ class ScalarField:
             if not r:
                 return 0
             return r.get(self.patch._origin) if len(r) == 1 else None
-        if r.numer.is_ground and r.denom.is_ground:
-            return Fraction(r.numer.LC.numerator, r.denom.LC.numerator)
+        (n, d), origin = r, self.patch._origin
+        if len(n) == 1 and len(d) == 1 and origin in n and origin in d:
+            return Fraction(n[origin], d[origin])
         return None
 
     @property
@@ -353,13 +343,13 @@ class ScalarField:
         """The canonical numerator as a term dict {exponent tuple: int}.
         Read only: it may be the stored dict itself."""
         r = self.rep
-        return r if type(r) is dict else _terms(r.numer)
+        return r if type(r) is dict else r[0]
 
     @property
     def denom(self):
         """The canonical denominator as a term dict, like numer."""
         r = self.rep
-        return self.patch.one.rep if type(r) is dict else _terms(r.denom)
+        return self.patch.one.rep if type(r) is dict else r[1]
 
     @property
     def fe(self):
@@ -376,11 +366,9 @@ class ScalarField:
             return self.as_constant() == other
         else:
             return NotImplemented
-        # both sides are canonical, so equal values have equal terms
-        f = self.rep
-        if type(f) is dict or type(g) is dict:
-            return type(f) is type(g) and f == g
-        return dict.__eq__(f.numer, g.numer) and dict.__eq__(f.denom, g.denom)
+        # both sides are canonical, so equal values have equal terms (and
+        # a dict never equals a pair)
+        return self.rep == g
 
     def __hash__(self):
         # equal values must hash equally, and a constant equals its int or
@@ -397,13 +385,13 @@ class ScalarField:
         patch, r = self.patch, self.rep
         if self.is_constant():
             return patch.zero
+        i = patch._axes[coord]
         if type(r) is dict:
-            return ScalarField(patch, _int_diff(r, patch._axes[coord]))
-        key = (r, coord)
+            return ScalarField(patch, _int_diff(r, i))
+        key = (_key(r), i)
         d = patch._diffs.get(key)
         if d is None:
-            d = patch._diffs[key] = ScalarField(
-                patch, _canonical(r.diff(patch.field.gens[coord])))
+            d = patch._diffs[key] = ScalarField(patch, _quotient_rule(patch, r, i))
         return d
 
     def evaluate(self, point):
@@ -429,25 +417,16 @@ class ScalarField:
 # ---------------------------------------------------------------------------
 # arithmetic on canonical representations
 #
-# The arguments are canonical representations (dicts or FracElements) of
-# one patch; the patch supplies the monomial product, the sympy field and
-# the memo of cancelling sums and products (see the module docstring).
+# The arguments are canonical representations (dicts or pairs) of one
+# patch; the patch supplies the monomial product, the zero exponent and the
+# memo of sums and products (see the module docstring).
 
 
 def _key(r):
     """The hashable form of a representation, for the memos and hashes."""
-    return frozenset(r.items()) if type(r) is dict else r
-
-
-def _terms(poly):
-    """A sympy polynomial with integer coefficients as a term dict."""
-    return {m: c.numerator for m, c in poly.items()}
-
-
-def _canonical(fe):
-    """A FracElement computed by sympy, as the one representation of its
-    value: its numerator's term dict when its denominator is 1."""
-    return _terms(fe.numer) if fe.denom.is_one else fe
+    if type(r) is dict:
+        return frozenset(r.items())
+    return frozenset(r[0].items()), frozenset(r[1].items())
 
 
 def _unit(patch, r):
@@ -460,18 +439,77 @@ def _unit(patch, r):
 
 
 def _negate(r):
-    return _neg(r) if type(r) is dict else -r
+    return _neg(r) if type(r) is dict else (_neg(r[0]), r[1])
+
+
+def _parts(r):
+    """(numerator, denominator) of a representation; the denominator of a
+    dict is None, which _times reads as 1."""
+    return (r, None) if type(r) is dict else r
+
+
+def _times(p, q, monomial_mul):
+    """p * q for term dicts p and q, either of which may be None for 1."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    return _int_mul(p, q, monomial_mul)
+
+
+def _signed(n, d):
+    """The representation of n / d for coprime term dicts: the sign of the
+    denominator's leading coefficient moved into the numerator, and the
+    numerator alone when the denominator is 1."""
+    if _lc(d) < 0:
+        n, d = _neg(n), _neg(d)
+    return n if _is_one(d) else (n, d)
+
+
+def _reduce(patch, n, d):
+    """The representation of n / d for term dicts n and d != 0, cancelled
+    by their gcd."""
+    if not n:
+        return n
+    mul = patch._monomial_mul
+    g = _int_gcd(n, d, mul)
+    if not _is_one(g):
+        n, d = _exact_quo(n, g, mul), _exact_quo(d, g, mul)
+    return _signed(n, d)
 
 
 def _cancelling(patch, op, f, g):
-    """f + g or f * g on sympy's cancelling path, once per patch."""
+    """f + g or f * g with a pair operand, once per patch."""
     memo = patch._ops
     key = (op, _key(f), _key(g))
     h = memo.get(key)
     if h is None:
-        F, G = patch._frac(f), patch._frac(g)
-        h = memo[key] = _canonical(F + G if op == "+" else F * G)
+        h = memo[key] = (_sum(patch, f, g, 1) if op == "+"
+                         else _product(patch, f, g))
     return h
+
+
+def _sum(patch, f, g, sign):
+    """f + sign * g for sign = 1 or -1, f or g a pair."""
+    mul = patch._monomial_mul
+    (fn, fd), (gn, gd) = _parts(f), _parts(g)
+    if fd is None or gd is None:
+        # n/d + p = (n + p*d)/d needs no gcd: a factor of d and of n + p*d
+        # would divide n, and d is already signed and other than 1
+        return (_int_add(_times(fn, gd, mul), _times(gn, fd, mul), sign),
+                fd or gd)
+    if fd == gd:
+        return _reduce(patch, _int_add(fn, gn, sign), fd)
+    return _reduce(patch, _int_add(_int_mul(fn, gd, mul),
+                                   _int_mul(gn, fd, mul), sign),
+                   _int_mul(fd, gd, mul))
+
+
+def _product(patch, f, g):
+    """f * g, f or g a pair."""
+    mul = patch._monomial_mul
+    (fn, fd), (gn, gd) = _parts(f), _parts(g)
+    return _reduce(patch, _int_mul(fn, gn, mul), _times(fd, gd, mul))
 
 
 def _add(patch, f, g):
@@ -491,7 +529,7 @@ def _sub(patch, f, g):
         return _negate(g)
     if type(f) is dict and type(g) is dict:
         return _int_add(f, g, -1)
-    return _canonical(patch._frac(f) - patch._frac(g))
+    return _sum(patch, f, g, -1)
 
 
 def _mul(patch, f, g):
@@ -516,27 +554,39 @@ def _div(patch, f, g):
         return f if u == 1 else _negate(f)
     if not f:
         return f
+    mul = patch._monomial_mul
     if type(f) is dict and type(g) is dict:
-        q = _int_quo(f, g, patch._monomial_mul)
+        q = _int_quo(f, g, mul)
         if q is not None:
             return q
-    return _canonical(patch._frac(f) / patch._frac(g))
+    (fn, fd), (gn, gd) = _parts(f), _parts(g)
+    return _reduce(patch, _times(fn, gd, mul), _times(fd, gn, mul))
 
 
 def _power(patch, f, n):
     """f^n for n != 0 (f nonzero when n < 0)."""
     if n < 0:
-        # 1 / f^-n cancels the sign into the denominator; sympy's own
-        # FracElement.__pow__ would leave 1 over -x for (-x)^-1
-        return _div(patch, patch.one.rep, _power(patch, f, -n))
-    if type(f) is not dict:
-        # coprime numerator and denominator stay coprime, and the
-        # denominator stays other than 1 with a positive leading coefficient
-        return f ** n
-    result = f
-    for _ in range(n - 1):
-        result = _int_mul(result, f, patch._monomial_mul)
-    return result
+        # 1/(p/q) = q/p is coprime already; only the sign moves
+        num, den = _parts(f)
+        f, n = _signed(patch.one.rep if den is None else den, num), -n
+    mul = patch._monomial_mul
+    if type(f) is dict:
+        return _int_pow(f, n, mul)
+    # coprime parts stay coprime, and the denominator keeps a positive
+    # leading coefficient and stays other than 1
+    return _int_pow(f[0], n, mul), _int_pow(f[1], n, mul)
+
+
+def _quotient_rule(patch, r, i):
+    """d/dx_i of a pair n/d: (n'd - nd')/d^2, cancelled."""
+    n, d = r
+    mul = patch._monomial_mul
+    dn, dd = _int_diff(n, i), _int_diff(d, i)
+    if not dd:
+        return _reduce(patch, dn, d)
+    return _reduce(patch, _int_add(_int_mul(dn, d, mul), _int_mul(n, dd, mul),
+                                   -1),
+                   _int_mul(d, d, mul))
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +618,14 @@ def _int_mul(p, q, monomial_mul):
     return {m: c for m, c in acc.items() if c}
 
 
+def _int_pow(p, n, monomial_mul):
+    """p^n for n >= 1."""
+    result = p
+    for _ in range(n - 1):
+        result = _int_mul(result, p, monomial_mul)
+    return result
+
+
 def _int_quo(p, q, monomial_mul):
     """p / q when the quotient is a polynomial with integer coefficients,
     else None.  Divides by the leading term of q in grlex order: if p = s*q
@@ -595,6 +653,15 @@ def _int_quo(p, q, monomial_mul):
     return out
 
 
+def _exact_quo(p, q, monomial_mul):
+    """p / q where q is a gcd of p and more: _int_quo, which returns None
+    exactly when q does not divide p, so a wrong gcd cannot pass."""
+    out = _int_quo(p, q, monomial_mul)
+    if out is None:
+        raise ArithmeticError("gcd does not divide its argument")
+    return out
+
+
 def _int_diff(p, i):
     """d/dx_i of p; the exponents stay natural numbers, so no term cancels."""
     out = {}
@@ -607,6 +674,146 @@ def _int_diff(p, i):
 
 def _neg(p):
     return {m: -c for m, c in p.items()}
+
+
+def _lc(p):
+    """The leading coefficient of a nonzero term dict in grlex order."""
+    return max(p.items(), key=_grlex)[1]
+
+
+def _is_one(p):
+    if len(p) != 1:
+        return False
+    (m, c), = p.items()
+    return c == 1 and not any(m)
+
+
+# ---------------------------------------------------------------------------
+# gcd in Z[x] on term dicts
+
+
+def _int_gcd(p, q, monomial_mul):
+    """The gcd in Z[x] of two nonzero term dicts, with a positive leading
+    coefficient in grlex order.
+
+    The integer content (math.gcd of every coefficient) and the monomial
+    factor (the least exponent of each variable) come first.  When p or q
+    is a single term, they are the whole gcd; this settles a monomial
+    denominator such as y^k.  Otherwise the gcd of what is left, the two
+    primitive parts without a monomial factor, is _prs_gcd's."""
+    c = math.gcd(*p.values(), *q.values())
+    e = tuple(map(min, zip(*p, *q)))
+    if len(p) > 1 and len(q) > 1:
+        h = _prs_gcd(_primitive(p), _primitive(q), monomial_mul)
+        if not _is_one(h):
+            return {monomial_mul(m, e): c * v for m, v in h.items()}
+    return {e: c}
+
+
+def _primitive(p):
+    """p divided by its integer content and its monomial factor."""
+    c = math.gcd(*p.values())
+    e = tuple(map(min, zip(*p)))
+    return {tuple(a - b for a, b in zip(m, e)): v // c for m, v in p.items()}
+
+
+def _prs_gcd(p, q, monomial_mul):
+    """The gcd, with a positive leading coefficient, of two term dicts of
+    content 1 without a monomial factor.
+
+    They are read as polynomials in one variable x_v, with coefficients in
+    Z[rest].  The gcd is the gcd of their contents in x_v, taken
+    recursively by _int_gcd in one variable fewer, times the primitive part
+    of the last nonzero remainder of the subresultant pseudo-remainder
+    sequence of their primitive parts (_last_subresultant).  x_v is the
+    variable of least degree in the one of p and q where it is lower: when
+    it occurs in only one of them, the gcd is free of it and the contents
+    settle it with no remainder sequence at all."""
+    dp, dq = tuple(map(max, zip(*p))), tuple(map(max, zip(*q)))
+    v = min((i for i in range(len(dp)) if dp[i] or dq[i]),
+            key=lambda i: (min(dp[i], dq[i]), max(dp[i], dq[i])))
+    cp, a = _split_content(p, v, monomial_mul)
+    cq, b = _split_content(q, v, monomial_mul)
+    g = _int_gcd(cp, cq, monomial_mul)
+    if not (dp[v] and dq[v]):
+        return g
+    if dp[v] < dq[v]:
+        a, b = b, a
+    r = _last_subresultant(a, b, v, monomial_mul)
+    if not _lead(r, v)[0]:
+        return g    # the primitive parts are coprime
+    h = _int_mul(g, _split_content(r, v, monomial_mul)[1], monomial_mul)
+    return h if _lc(h) > 0 else _neg(h)
+
+
+def _last_subresultant(a, b, v, monomial_mul):
+    """The last nonzero polynomial of the subresultant remainder sequence
+    of a and b in x_v (deg a >= deg b >= 1), or its first remainder free of
+    x_v.  Each pseudo-remainder is divided exactly by a known factor of its
+    content, so the coefficients grow only linearly along the sequence and
+    no content is taken before the end (Brown and Traub's subresultant PRS,
+    as in Geddes, Czapor and Labahn, section 7.3)."""
+    one = {(0,) * len(next(iter(a))): 1}
+    da, (db, lc) = _lead(a, v)[0], _lead(b, v)
+    d = da - db
+    r = _prem(a, b, v, monomial_mul)
+    if d % 2 == 0:
+        r = _neg(r)                          # times (-1)^(d + 1)
+    c = _neg(_int_pow(lc, d, monomial_mul) if d else one)
+    while r:
+        k = _lead(r, v)[0]
+        if not k:
+            return r
+        a, b, d, db = b, r, db - k, k
+        beta = _neg(_int_mul(lc, _int_pow(c, d, monomial_mul), monomial_mul))
+        r = _exact_quo(_prem(a, b, v, monomial_mul), beta, monomial_mul)
+        lc = _lead(b, v)[1]
+        if d > 1:
+            c = _exact_quo(_int_pow(_neg(lc), d, monomial_mul),
+                           _int_pow(c, d - 1, monomial_mul), monomial_mul)
+        else:
+            c = _neg(lc)
+    return b
+
+
+def _lead(p, v):
+    """(degree, leading coefficient) of a nonzero term dict in x_v; the
+    coefficient is a term dict whose exponents of x_v are 0."""
+    d = max(m[v] for m in p)
+    return d, {m[:v] + (0,) + m[v + 1:]: c for m, c in p.items() if m[v] == d}
+
+
+def _split_content(p, v, monomial_mul):
+    """(c, p / c) for c the content of p in x_v: the gcd, with a positive
+    leading coefficient, of its coefficients in Z[rest]."""
+    coeffs = {}
+    for m, c in p.items():
+        coeffs.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    first, *others = coeffs.values()
+    c = first if _lc(first) > 0 else _neg(first)
+    for k in others:
+        if _is_one(c):
+            break
+        c = _int_gcd(c, k, monomial_mul)
+    if _is_one(c):
+        return c, p
+    return c, _exact_quo(p, c, monomial_mul)
+
+
+def _prem(a, b, v, monomial_mul):
+    """The pseudo-remainder of a by b in x_v: l^(deg a - deg b + 1) * a
+    modulo b, for l the leading coefficient of b in x_v."""
+    db, lb = _lead(b, v)
+    r, n = a, _lead(a, v)[0] - db + 1
+    while r:
+        dr, lr = _lead(r, v)
+        if dr < db:
+            break
+        t = {m[:v] + (dr - db,) + m[v + 1:]: c for m, c in lr.items()}
+        r = _int_add(_int_mul(r, lb, monomial_mul),
+                     _int_mul(t, b, monomial_mul), -1)
+        n -= 1
+    return _int_mul(r, _int_pow(lb, n, monomial_mul), monomial_mul) if n else r
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +984,8 @@ def _print_scalar(f):
     coords = f.patch.coords
     if type(r) is dict:
         return _print_poly(r, coords)
-    num, den = f.numer, f.denom
-    if r.denom.is_ground:
+    num, den = r
+    if len(den) == 1 and f.patch._origin in den:
         # fold the constant denominator into the coefficients
         return _print_poly(num, coords, Fraction(1, den[f.patch._origin]))
     return "(%s)/(%s)" % (_print_poly(num, coords), _print_poly(den, coords))

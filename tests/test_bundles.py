@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from algebroids import bundles
-from algebroids.scalars import Patch, parse_scalar
+from algebroids.scalars import Patch, ScalarField, parse_scalar
 from algebroids.bundles import (
     Frame, FrameError, Section, Solver, Subbundle, TrivialBundle,
     annihilator, canonical_pairing, complement, degenerate_pairing,
@@ -731,7 +731,7 @@ def test_fraction_free_elimination_matches_dividing_one(rows):
     assert bundles._independent_extension(U, sections[k:]) == want
 
 
-def test_fraction_free_pivots_and_determinants_stay_in_z_x():
+def test_fraction_free_pivots_and_determinants_stay_in_z_x(monkeypatch):
     patch = Patch(["x", "y"])
     p = lambda e: parse_scalar(e, patch)
     # non-constant pivots, so every step after the first divides exactly by
@@ -745,13 +745,23 @@ def test_fraction_free_pivots_and_determinants_stay_in_z_x():
     # a row that only the second elimination step makes zero
     dependent = [m[0], m[1], [a + b for a, b in zip(m[0], m[1])]]
     TM = TrivialBundle(patch, 3, "TM")
+    reps = []
+    real_init = ScalarField.__init__
+
+    def recording(self, patch, rep):
+        reps.append(rep)
+        real_init(self, patch, rep)
+
+    monkeypatch.setattr(ScalarField, "__init__", recording)
     got = [det(m, patch), det([m[1], m[0], m[2]], patch),
            det(zero_first, patch), det(dependent, patch),
            matrix_rank(dependent, patch),
            Frame(TM, [Section(TM, r) for r in m]).rank_certificate,
            det([[p("1"), p("x")], [p("-1"), p("y")]], patch)]
-    # integer polynomial entries never build sympy's field
-    assert patch._field is None
+    monkeypatch.undo()
+    # integer polynomial entries never make a value with a denominator:
+    # every value built is a dict, none a (numer, denom) pair
+    assert reps and all(type(r) is dict for r in reps)
     want = [dividing_det(m, patch), -dividing_det(m, patch),
             dividing_det(zero_first, patch), patch.zero, 2, (0, 1, 2),
             p("x + y")]

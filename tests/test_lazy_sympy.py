@@ -1,9 +1,11 @@
-"""sympy stays unloaded until a genuinely rational value needs it.
+"""No run of the package loads sympy.
 
-Polynomial values are dicts of Python ints and the parser and printer work
-on them, so importing the package, building and emitting polynomial
-presets, running `algebroids zoo aff1-bialgebra` and running the lemma
-suite on the poisson-xy triple load no sympy.  Each case runs in a fresh
+Polynomial values are dicts of Python ints, every other value a pair of
+them cancelled by an integer gcd, and the parser and printer work on both.
+So importing the package, building and emitting the presets, running
+`algebroids zoo`, the lemma suite on the poisson-xy triple, the quotient
+Courant checks on the rational instance (x^2 + 1)/y and the dividing
+presets at trials 0 and 8 load no sympy.  Each case runs in a fresh
 interpreter, because the test process itself has sympy loaded (the other
 tests use it as an oracle)."""
 
@@ -73,16 +75,32 @@ def test_poisson_triple_and_its_lemma_suite_load_no_sympy():
                    "run", "True", "False"]
 
 
-def test_a_rational_instance_loads_sympy():
+def test_rational_instance_and_dividing_presets_load_no_sympy():
+    # the quotient-rational round divides by (x^2 + 1)/y, and poisson-xy
+    # and nonclosed-zdxdy divide by non-constant pivots in rref
     out = _run("""
         import sys
-        from algebroids import instances
-        print("sympy" in sys.modules)
+        loaded = lambda: "sympy" in sys.modules
+        from algebroids import bialgebroid, cli, courant, instances, reporting
         data = instances.ingest_text(
             "[patch]\\ncoords = x, y\\n\\n[pi]\\n0,1 = (x^2 + 1)/y\\n")
-        print("sympy" in sys.modules, data.pi[0][1])
+        print("ingest", loaded(), str(data.pi[0][1]).replace(" ", ""))
+        config = reporting.CheckConfig(seed=0, trials=0)
+        mp = bialgebroid.build_courant_C(cli._triple_of(data), config,
+                                         verify=False)
+        results = courant.check_courant_axioms(mp.C, config)
+        print("quotient", all(r.status == "pass" for r in results), loaded())
+        for name in ("poisson-xy", "nonclosed-zdxdy"):
+            for trials in (0, 8):
+                report = cli.run(name, "all", trials=trials)
+                print(name, trials, report.all_passed, loaded())
     """)
-    assert out == ["False", "True", "(x^2", "+", "1)/(y)"]
+    assert out == ["ingest", "False", "(x^2+1)/(y)",
+                   "quotient", "True", "False",
+                   "poisson-xy", "0", "True", "False",
+                   "poisson-xy", "8", "True", "False",
+                   "nonclosed-zdxdy", "0", "False", "False",
+                   "nonclosed-zdxdy", "8", "False", "False"]
 
 
 @pytest.mark.parametrize("name", sorted(zoo.ZOO_PRESETS))

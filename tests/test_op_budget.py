@@ -13,9 +13,11 @@ the memos and skips 18,348 and 54,334, and the sums that started from
 patch.zero 3,346 and 12,230.
 
 Polynomials over 1 are dicts of Python ints, added, multiplied and
-differentiated without sympy, so a polynomial round makes no sympy
-arithmetic at all (no PythonMPQ coefficient, PolyElement or FracElement
-operation); the last test counts it.
+differentiated without sympy, and every other value is a pair of them
+cancelled by an integer gcd, so neither a polynomial round nor the
+quotient round on (x^2 + 1)/y makes any sympy arithmetic (no PythonMPQ
+coefficient, PolyElement or FracElement operation); the last two tests
+count it.
 """
 
 import pytest
@@ -89,12 +91,25 @@ def test_scalar_op_budget(monkeypatch, round_, count):
         "%d binary scalar ops, budget %d" % (ops, 1.1 * count)
 
 
-def test_polynomial_round_makes_no_rational_coefficient_ops(monkeypatch):
-    # one random trial, so the round multiplies genuine polynomials; with
-    # sympy's PolyElement arithmetic it made 84,709 PythonMPQ ops
+def sympy_ops(monkeypatch, round_):
+    """Arithmetic calls of sympy's rational coefficients, polynomials and
+    fractions made by round_()."""
     names = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__",
              "__pow__", "diff", "cofactors")
     targets = [(cls, [n for n in names if n in vars(cls)])
                for cls in (PythonMPQ, PolyElement, FracElement)]
-    ops = count_ops(monkeypatch, lemma_round(trials=1), targets)
+    return count_ops(monkeypatch, round_, targets)
+
+
+def test_polynomial_round_makes_no_rational_coefficient_ops(monkeypatch):
+    # one random trial, so the round multiplies genuine polynomials; with
+    # sympy's PolyElement arithmetic it made 84,709 PythonMPQ ops
+    ops = sympy_ops(monkeypatch, lemma_round(trials=1))
     assert ops == 0, "%d sympy ops in a polynomial round" % ops
+
+
+def test_quotient_round_makes_no_sympy_ops(monkeypatch):
+    # when genuine fractions were sympy FracElements, this round made
+    # 7,757 such ops, 985 of them on FracElement itself
+    ops = sympy_ops(monkeypatch, quotient_round())
+    assert ops == 0, "%d sympy ops in the quotient round" % ops

@@ -3,28 +3,32 @@
 The independent oracle here is direct Fraction arithmetic: expression ASTs
 are generated first, rendered to strings for the parser, and evaluated
 directly over Q at sample points.  Agreement at enough points certifies the
-symbolic result.  The second oracle is sympy, which the package imports only
-for genuinely rational values: its canonical FracElement for every
-operation, its PolyElement arithmetic for the integer kernels, and the
-printer as it was written on sympy's polynomials.
+symbolic result.  The second oracle is sympy, which the package itself
+never imports: the canonical FracElement of its fraction field for every
+operation, its PolyElement arithmetic and gcd for the integer kernels, and
+the printer as it was written on sympy's polynomials.
 """
 
 import contextlib
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.external.pythonmpq import PythonMPQ
-from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.rings import PolyElement, PolyRing
 
+from algebroids import scalars
 from algebroids.scalars import (
     Patch, PoleError, ScalarField, ScalarParseError,
     evaluate, parse_scalar, partial_derivative, random_scalar,
 )
-from algebroids.scalars import _int_add, _int_diff, _int_mul, _int_quo, _neg
+from algebroids.scalars import (
+    _int_add, _int_diff, _int_gcd, _int_mul, _int_quo, _neg,
+)
 
 
 @pytest.fixture
@@ -273,12 +277,23 @@ def test_parser_against_fraction_oracle(ast):
 # ---------------------------------------------------------------------------
 # hypothesis: every operation returns sympy's canonical form
 #
-# The oracle is FracField.new, which always cancels.  Operands are built
-# from its results too (from_sympy), so they are canonical whatever
-# ScalarField does; results are compared term for term on the stored
-# numerator and denominator, which is what the cancel-free fast paths must
-# get exactly right, and a value must be held as a dict exactly when its
-# denominator is 1.
+# The oracle is FracField.new of sympy_field(patch), which always cancels.
+# Operands are built from its results too (from_sympy), so they are
+# canonical whatever ScalarField does; results are compared term for term
+# on the stored numerator and denominator, which is what the cancel-free
+# fast paths and the gcd must get exactly right, and a value must be held
+# as a dict exactly when its denominator is 1.
+
+@functools.lru_cache(maxsize=None)
+def _field(coords):
+    return FracField(list(coords), QQ, order="grlex")
+
+
+def sympy_field(patch):
+    """sympy's fraction field Q(coords) in grlex order: the canonical form
+    of a ScalarField is the numerator and denominator of its elements."""
+    return _field(patch.coords)
+
 
 def _qq(v):
     v = Fraction(v)
@@ -296,14 +311,15 @@ def from_sympy(patch, fe):
     and not by ScalarField arithmetic."""
     if fe.denom == 1:
         return ScalarField(patch, terms(fe.numer))
-    return ScalarField(patch, fe)
+    return ScalarField(patch, (terms(fe.numer), terms(fe.denom)))
 
 
 def assert_same(got, want):
     """got is the canonical FracElement want, in its one representation."""
     assert (got.numer, got.denom) == (terms(want.numer), terms(want.denom))
-    assert (type(got.rep) is dict) == (want.denom == 1)
-    assert all(type(c) is int and c for c in got.numer.values())
+    assert type(got.rep) is (dict if want.denom == 1 else tuple)
+    assert all(type(c) is int and c
+               for c in (*got.numer.values(), *got.denom.values()))
 
 
 small_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-4, 4))
@@ -325,7 +341,8 @@ operand_specs = st.one_of(
 
 def build(patch, spec):
     """The operand for an operator, and its canonical FracElement."""
-    field, ring = patch.field, patch.field.ring
+    field = sympy_field(patch)
+    ring = field.ring
     kind = spec[0]
     if kind in ("int", "fraction"):
         return spec[1], field.new(ring.ground_new(_qq(spec[1])))
@@ -341,8 +358,8 @@ def build(patch, spec):
 
 
 def assert_canonical(patch, got, num, den):
-    ring = patch.field.ring
-    assert_same(got, patch.field.new(ring(num), ring(den)))
+    field = sympy_field(patch)
+    assert_same(got, field.new(field.ring(num), field.ring(den)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,7 +395,7 @@ def test_diff_matches_sympy_canonical_form(spec):
 
 
 def assert_quotient_rule(patch, f, F):
-    for i, x in enumerate(patch.field.ring.gens):
+    for i, x in enumerate(sympy_field(patch).ring.gens):
         assert_canonical(patch, f.diff(i),
                          F.numer.diff(x) * F.denom - F.numer * F.denom.diff(x),
                          F.denom ** 2)
@@ -398,14 +415,7 @@ def test_memoised_diff_matches_quotient_rule(specs):
 
 def test_rational_diff_is_memoised_per_value(monkeypatch):
     patch = Patch(["x", "y"])
-    calls = []
-    real_diff = FracElement.diff
-
-    def counting_diff(fe, x):
-        calls.append(fe)
-        return real_diff(fe, x)
-
-    monkeypatch.setattr(FracElement, "diff", counting_diff)
+    calls = _count_calls(monkeypatch, "_quotient_rule")
     f = parse_scalar("(x^2 + 1)/y", patch)
     g = parse_scalar("(1 + x*x)/y", patch)
     assert f == g and f is not g and f.rep is not g.rep
@@ -426,16 +436,22 @@ def test_rational_diff_is_memoised_per_value(monkeypatch):
     assert len(calls) == 5
 
 
-def _count_calls(monkeypatch, name, cls=FracElement):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of the calls of scalars.<name> from now on; the
+    module looks its helpers up at call time."""
     calls = []
-    real = getattr(cls, name)
+    real = getattr(scalars, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cls, name, counting)
+    monkeypatch.setattr(scalars, name, counting)
     return calls
+
+
+# the helper that computes a memo miss of each operator
+MISS = {"__mul__": "_product", "__add__": "_sum"}
 
 
 @pytest.mark.parametrize("op, name", [
@@ -447,7 +463,7 @@ def test_rational_sum_and_product_are_memoised_per_value(op, name,
     f2, g2 = parse_scalar("(1 + x*x)/y", patch), parse_scalar("x/(1 + y)", patch)
     f3, g3 = parse_scalar("(x^2 + 1)/y", other), parse_scalar("x/(y + 1)", other)
     assert (f, g) == (f2, g2) and f.rep is not f2.rep and g.rep is not g2.rep
-    calls = _count_calls(monkeypatch, name)
+    calls = _count_calls(monkeypatch, MISS[name])
     first = op(f, g)
     assert len(calls) == 1
     assert op(f2, g2) == first and len(calls) == 1
@@ -456,22 +472,24 @@ def test_rational_sum_and_product_are_memoised_per_value(op, name,
     assert op(f, g) == first and len(calls) == 2
 
 
-def test_memo_hit_converts_no_polynomial_operand(patch, monkeypatch):
-    # the memo key of a polynomial is its frozen terms, so only a miss
-    # builds the polynomial's FracElement
+def test_memo_hit_runs_no_gcd(patch, monkeypatch):
+    # the memo key of a polynomial is its frozen terms, so an equal
+    # polynomial built apart hits; the product's miss runs the one gcd,
+    # and a polynomial plus a pair needs none
     f = parse_scalar("(x^2 + 1)/y", patch)
     p, p2 = parse_scalar("x*y + 3", patch), parse_scalar("3 + y*x", patch)
     assert p.rep is not p2.rep
-    calls = _count_calls(monkeypatch, "_frac", Patch)
+    gcds = _count_calls(monkeypatch, "_int_gcd")
     first = [f * p, p + f]
-    conversions = [r for _, r in calls if type(r) is dict]
-    assert conversions == [p.rep, p.rep]
-    assert [f * p2, p2 + f] == first and len(calls) == 4
+    assert len(gcds) == 1 and len(patch._ops) == 2
+    assert [f * p2, p2 + f] == first and len(gcds) == 1
+    assert len(patch._ops) == 2
 
 
 def test_polynomial_operands_never_reach_the_memo(patch, monkeypatch):
-    calls = _count_calls(monkeypatch, "__mul__")
-    calls += _count_calls(monkeypatch, "__add__")
+    calls = _count_calls(monkeypatch, "_product")
+    calls += _count_calls(monkeypatch, "_sum")
+    calls += _count_calls(monkeypatch, "_int_gcd")
     x, y = patch.coordinate(0), patch.coordinate(1)
     for f, g in [(x, y), (x * x + 1, y - 3), (patch.scalar(5), x)]:
         f * g, f + g
@@ -484,11 +502,13 @@ MEMO_PATCH = Patch(["x", "y"])
 
 
 def _unkey(patch, key):
-    """The FracElement of a memo key (a FracElement or frozen terms)."""
-    if isinstance(key, frozenset):
-        ring = patch.field.ring
-        return patch.field.new(ring.from_dict({m: QQ(c) for m, c in key}))
-    return key
+    """The FracElement of a memo key: the frozen terms of a polynomial, or
+    the pair of frozen terms of a numerator and a denominator."""
+    field = sympy_field(patch)
+    num, den = (key, ()) if isinstance(key, frozenset) else key
+    return field.new(field.ring.from_dict({m: QQ(c) for m, c in num}),
+                     field.ring.from_dict({m: QQ(c) for m, c in den})
+                     or field.ring.one)
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,7 +540,7 @@ def test_polynomial_lemma_round_adds_nothing_to_the_memo():
 
 
 def test_constant_diff_is_the_shared_zero(patch, monkeypatch):
-    monkeypatch.setattr(FracElement, "diff", None)   # constants never reach it
+    monkeypatch.setattr(scalars, "_quotient_rule", None)   # never reached
     for value in (0, 3, Fraction(1, 2), Fraction(-7, 3)):
         c = patch.scalar(value)
         assert c.diff(0) is patch.zero and c.diff(1) is patch.zero
@@ -561,6 +581,96 @@ def test_negative_power_is_canonical(patch):
     assert parse_scalar("(-x)^-1", patch) == parse_scalar("-1/x", patch)
     assert patch.scalar(-1) ** -1 == -1
     assert patch.scalar(Fraction(-2, 3)) ** -3 == Fraction(-27, 8)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: pairs with planted common factors against sympy, on 2 and 3
+# coordinates
+#
+# Each operand is a*h / b*h for a planted factor h, so the division that
+# builds it must cancel h, and the operations on it meet gcds that are not
+# monomials.  The factors cover a negative leading coefficient and contents
+# of 2, 3 and 2^70; the constants 1/2 and x/2 are operands too.
+
+PLANTED = {
+    2: ("(x^2 + 1)*(x - y)", "x*y", "-(x + y)", "x*(y - x)^2", "2", "3",
+        "2^70", "2^70*(x*y - 3)", "1"),
+    3: ("(x^2 + 1)*(x - y)", "(x*z + y)*(z - 1)", "-z^2 + x", "x*y*z",
+        "3*(y - z)", "2^70", "1"),
+}
+PLANTED_PATCHES = {n: Patch(["x", "y", "z"][:n]) for n in PLANTED}
+big_coeffs_or_small = st.one_of(st.integers(-4, 4), st.sampled_from(
+    [2, -3, 6, 2 ** 70, -(2 ** 70) + 1])).filter(bool)
+
+
+@st.composite
+def planted_cases(draw):
+    n = draw(st.sampled_from(sorted(PLANTED)))
+    monom = st.tuples(*[st.integers(0, 2)] * n)
+    polys = st.dictionaries(monom, big_coeffs_or_small, min_size=1,
+                            max_size=3)
+    factors = st.sampled_from(PLANTED[n])
+    return n, [(draw(polys), draw(polys), draw(factors)) for _ in range(2)]
+
+
+def planted_operand(patch, a, b, h):
+    """(a*h) / (b*h) by ScalarField division, and its FracElement."""
+    field = sympy_field(patch)
+    ring = field.ring
+    hp = ring.from_dict(parse_scalar(h, patch).numer)
+    num, den = ring.from_dict(a) * hp, ring.from_dict(b) * hp
+    got = ScalarField(patch, terms(num)) / ScalarField(patch, terms(den))
+    want = field.new(num, den)
+    assert_same(got, want)
+    return got, want
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_cases(), st.sampled_from(["pair", "1/2", "x/2", "-x/2"]))
+def test_planted_fractions_match_sympy(case, other):
+    n, specs = case
+    patch = PLANTED_PATCHES[n]
+    (f, F), (g, G) = (planted_operand(patch, *spec) for spec in specs)
+    if other != "pair":
+        g = parse_scalar(other, patch)
+        G = sympy_field(patch).from_expr(_sympy_expr(other))
+        assert_same(g, G)
+    for got, want in ((f + g, F + G), (f - g, F - G), (g - f, G - F),
+                      (f * g, F * G), (f / g, F / G), (g / f, G / F)):
+        assert_same(got, want)
+    for k in range(-3, 4):
+        assert_same(f ** k, F ** k if k >= 0 else 1 / F ** -k)
+    assert_quotient_rule(patch, f, F)
+    assert_quotient_rule(patch, g, G)
+
+
+def _sympy_expr(text):
+    from sympy import Rational, symbols
+    x = symbols("x")
+    return {"1/2": Rational(1, 2), "x/2": x / 2, "-x/2": -x / 2}[text]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_cases())
+def test_int_gcd_matches_sympy(case):
+    # the gcd divides both inputs, its cofactors are coprime, its leading
+    # coefficient is positive, and it is sympy's ZZ gcd up to sign
+    n, specs = case
+    patch = PLANTED_PATCHES[n]
+    ring = PolyRing(list(patch.coords), ZZ, order="grlex")
+    mul = patch._monomial_mul
+    (a, b, h), (c, _, _) = specs
+    hp = ring.from_dict(parse_scalar(h, patch).numer)
+    for p, q in [(ring.from_dict(a) * hp, ring.from_dict(b) * hp),
+                 (ring.from_dict(a) * hp, ring.from_dict(c)),
+                 (hp, hp), (hp, -hp * ring.from_dict(a))]:
+        g = _int_gcd(terms(p), terms(q), mul)
+        want = terms(p.gcd(q))
+        assert g in (want, _neg(want))
+        assert max(g.items(), key=lambda t: (sum(t[0]), t[0]))[1] > 0
+        cp, cq = _int_quo(terms(p), g, mul), _int_quo(terms(q), g, mul)
+        assert cp is not None and cq is not None
+        assert ring.from_dict(cp).gcd(ring.from_dict(cq)) in (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +725,14 @@ def printable(case):
     patch = PRINT_PATCHES[n]
     if n == 2:
         return (patch,) + build(patch, spec)
-    ring = patch.field.ring
+    field = sympy_field(patch)
+    ring = field.ring
     num = ring.from_dict({m: QQ(c) for m, c in spec[1].items()})
     den = ring.one
     if spec[0] == "ratfn":
         den = ring.from_dict({m: QQ(c) for m, c in spec[2].items()})
         den = den or ring.gens[2] - 1
-    fe = patch.field.new(num, den)
+    fe = field.new(num, den)
     return patch, from_sympy(patch, fe), fe
 
 
@@ -663,7 +774,7 @@ def int_poly_pairs(draw):
 def assert_same_poly(patch, got, want):
     assert type(got) is dict and got == terms(want)
     assert all(type(c) is int and c for c in got.values())
-    field = patch.field
+    field = sympy_field(patch)
     assert str(ScalarField(patch, got)) == sympy_str(field.new(want),
                                                      patch.coords)
 
@@ -687,12 +798,19 @@ def counting_sympy_ops():
         yield calls
 
 
+@contextlib.contextmanager
+def counting_gcds():
+    """The list of _int_gcd calls made inside the with block."""
+    with pytest.MonkeyPatch.context() as m:
+        yield _count_calls(m, "_int_gcd")
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_poly_pairs())
 def test_integer_kernels_match_sympy(case):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    ring, mul = patch.field.ring, patch._monomial_mul
+    ring, mul = sympy_field(patch).ring, patch._monomial_mul
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
     for a, b in [(p, q), (q, p), (p, p), (p, -p), (p + q, -q),
                  (p, ring.zero), (ring.zero, q)]:
@@ -711,7 +829,7 @@ def test_integer_kernels_match_sympy(case):
 def test_exact_quotient_kernel_matches_sympy(case, c):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    field, mul = patch.field, patch._monomial_mul
+    field, mul = sympy_field(patch), patch._monomial_mul
     ring = field.ring
     p, q = (ring.from_dict({m: QQ(v) for m, v in d.items()}) for d in (d1, d2))
     const = ring(c)
@@ -740,10 +858,10 @@ def test_exact_quotients_make_no_rational_coefficient_ops(case):
     patch = Patch(["x", "y", "z"][:n])
     f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
     prod = f * g
-    with counting_sympy_ops() as calls:
+    with counting_sympy_ops() as calls, counting_gcds() as gcds:
         back = prod / g
     assert calls == [] and back.rep == d1
-    assert patch._field is None
+    assert gcds == []   # an exact quotient in Z[x] needs no gcd
 
 
 @settings(max_examples=60, deadline=None)
@@ -751,7 +869,7 @@ def test_exact_quotients_make_no_rational_coefficient_ops(case):
 def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    ring = patch.field.ring
+    ring = sympy_field(patch).ring
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
     f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
     with counting_sympy_ops() as calls:
@@ -765,16 +883,18 @@ def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
         assert_same_poly(patch, got.numer, want)
 
 
-def test_polynomial_values_never_build_the_field():
+def test_polynomial_values_run_no_gcd():
     patch = Patch(["x", "y"])
     f = parse_scalar("x^2*y - 3*x + 2", patch)
     g = random_scalar(patch, random.Random(1), max_degree=3)
-    for h in (f + g, f - g, f * g, f ** 4, -f, f.diff(0), f / -1,
-              0 / f, f * 1, g - g):
-        str(h), hash(h), h == f, h.is_constant(), h.evaluate([1, 2])
-    assert patch._field is None
-    half = f / 2       # the first genuinely rational value builds it
-    assert patch._field is not None and type(half.rep) is not dict
+    with counting_gcds() as gcds:
+        for h in (f + g, f - g, f * g, f ** 4, -f, f.diff(0), f / -1,
+                  0 / f, f * 1, g - g):
+            str(h), hash(h), h == f, h.is_constant(), h.evaluate([1, 2])
+            assert type(h.rep) is dict
+        assert gcds == []
+        half = f / 2       # a genuinely rational value is a pair
+    assert len(gcds) == 1 and half.rep == (f.rep, {(0, 0): 2})
 
 
 # ---------------------------------------------------------------------------
