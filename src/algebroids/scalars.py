@@ -40,11 +40,10 @@ variable takes the content of every remainder, a recursive gcd each; on
 three coordinates with 2^70 contents its intermediate contents reached
 degree 64 in a gcd that now takes milliseconds.)  Both cofactors come from
 exact _int_quo, which also checks the gcd: a gcd that does not divide
-raises ArithmeticError.  A result whose
-denominator is 1 is the numerator's dict, so equal values never differ in
-representation.  Inverting a pair swaps its parts and needs no gcd, and
-neither does adding a polynomial over 1 to a pair: n/d + p = (n + p*d)/d is
-coprime already.
+raises ArithmeticError.  A result whose denominator is 1 is the
+numerator's dict, so equal values never differ in representation.
+Inverting a pair swaps its parts and needs no gcd, and neither does adding
+a polynomial over 1 to a pair: n/d + p = (n + p*d)/d is coprime already.
 
 Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
 operand, its negation, or 0, which are canonical already; 0 divided by
@@ -396,7 +395,8 @@ class ScalarField:
         key = (_key(r), i)
         d = patch._diffs.get(key)
         if d is None:
-            d = patch._diffs[key] = ScalarField(patch, _quotient_rule(patch, r, i))
+            d = patch._diffs[key] = ScalarField(
+                patch, _quotient_rule(patch, r, i))
         return d
 
     def evaluate(self, point):
