@@ -13,15 +13,17 @@ are mostly 0 and +-1, so most products of a dense expansion are products
 with 0.  Skipping them cannot change a result: every scalar is canonical,
 so a sum has one representation whatever the order of its terms.
 
-Memo rule: a DullAlgebroid keeps the brackets bracket_eval computes on
-constant arguments (every component of both sections constant, as for
-frame sections and their constant combinations) in a dict keyed by the
-two tuples of component values (bundles._constant_key).  The frame test
-sets evaluate those same brackets again and again, and their number is
-bounded by the frame, whatever the number of random trials; a bracket
-with a non-constant argument is computed afresh and never stored, so
-random sections cost no memory.  The memo lives exactly as long as its
-algebroid, which is why its anchor and bracket table are read-only once
+Memo rule, in two tiers, both looked up and stored by bundles._recall.
+The constant tier: a DullAlgebroid keeps the brackets bracket_eval
+computes on constant arguments (frame sections and their constant
+combinations), keyed by their component values (bundles._constant_key).
+The frame test sets ask for those brackets again and again, and their
+number is bounded by the frame, whatever the number of random trials.
+The value tier keeps results on non-constant arguments, keyed by the
+values of all components (scalars._key), in a dict of fixed size that
+drops its oldest entry first; only nabla^bas on a Dorfman connection has
+one (see the dorfman module).  A memo lives as long as its structure,
+which is why an algebroid's anchor and bracket table are read-only once
 it has evaluated a bracket.
 
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
@@ -42,7 +44,7 @@ from functools import partial
 from itertools import product
 
 from .bundles import (Section, TrivialBundle, _accumulate, _apply_transpose,
-                      _constant_key, apply_matrix, membership,
+                      _constant_key, _recall, apply_matrix, membership,
                       random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
@@ -221,16 +223,9 @@ def bracket_eval(alg, q1, q2):
     bundle = alg.bundle
     if q1.bundle != bundle or q2.bundle != bundle:
         raise ValueError("sections do not live in the algebroid bundle")
-    key = _constant_key(q1, q2)
-    if key is not None:
-        out = alg._memo.get(key)
-        if out is not None:
-            return out
-    out = _leibniz(bundle, alg.bracket, q1.components, q2.components,
-                   alg.anchor_vf(q1), alg.anchor_vf(q2))
-    if key is not None:
-        alg._memo[key] = out
-    return out
+    return _recall(alg._memo, _constant_key(q1, q2), lambda: _leibniz(
+        bundle, alg.bracket, q1.components, q2.components,
+        alg.anchor_vf(q1), alg.anchor_vf(q2)))
 
 
 # ---------------------------------------------------------------------------

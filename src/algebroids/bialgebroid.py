@@ -33,12 +33,12 @@ second index.  verify_appendix_lemmas exposes the identities this formula
 rests on; they double as the convention oracle for the curvature sign.
 
 QuotientCourant.bracket keeps what it computes on constant representatives
-on the carrier, by the memo rule of the algebroid module: keyed by the
-component values of both representatives, stored only when every
-component is constant, and living as long as the carrier.  A hit skips the
-inner bracket_eval, nabla^bas, dorfman_eval and membership calls as well.
-The triple's algebroid, connection and subbundles are read-only once the
-carrier has evaluated a bracket.
+in the constant tier of the algebroid module's memo rule (bundles._recall),
+living as long as the carrier; a hit skips the inner bracket_eval,
+nabla^bas, dorfman_eval and membership calls as well.  It has no value
+tier: few rational representatives repeat, and their keys cost more than
+the hits save.  The triple's algebroid, connection and subbundles are
+read-only once the carrier has evaluated a bracket.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from itertools import combinations, product
 from .algebroid import (DullAlgebroid, bracket_eval, check_algebroid,
                         induced_algebroid, rho_rhot, side_B, side_Q)
 from .bundles import (Frame, FrameError, GraphQuotient, Section, Solver,
-                      Subbundle, _constant_key, annihilator, apply_matrix,
-                      canonical_pairing, degenerate_pairing, matrix_rank,
-                      membership, nullspace, random_combination,
+                      Subbundle, _constant_key, _recall, annihilator,
+                      apply_matrix, canonical_pairing, degenerate_pairing,
+                      matrix_rank, membership, nullspace, random_combination,
                       random_section)
 from .cartan import apply_vf, tangent
 from .courant import check_courant_morphism, degenerate_courant
@@ -411,11 +411,10 @@ class QuotientCourant(GraphQuotient):
     def bracket(self, c1, c2):
         if c1.bundle != self.bundle or c2.bundle != self.bundle:
             raise ValueError("sections do not live in the carrier bundle")
-        key = _constant_key(c1, c2)
-        if key is not None:
-            out = self._memo.get(key)
-            if out is not None:
-                return out
+        return _recall(self._memo, _constant_key(c1, c2),
+                       lambda: self._bracket(c1, c2))
+
+    def _bracket(self, c1, c2):
         alg, D = self.alg, self.D
         u1, t1 = self.split(c1)
         u2, t2 = self.split(c2)
@@ -432,10 +431,7 @@ class QuotientCourant(GraphQuotient):
         tau_out = Section(self.E, dcb.components) \
             + dorfman_eval(D, u1, t2) - dorfman_eval(D, u2, t1) \
             + D.d_B(canonical_pairing(u2, t1))
-        out = self.lift(coeffs, tau_out)
-        if key is not None:
-            self._memo[key] = out
-        return out
+        return self.lift(coeffs, tau_out)
 
 
 def quotient_equal(C, c1, c2):

@@ -545,16 +545,37 @@ def _accumulate(out, c, comps):
             out[k] = o + c * v if o else c * v
 
 
-def _constant_key(s1, s2):
-    """The memo key of a bracket of s1 and s2 on one structure: the two
-    tuples of component values as ints and Fractions, or None unless every
-    component of both is constant.
+def _constant_key(*sections, tag=()):
+    """The memo key of a bracket or connection on one structure: tag, then
+    the tuples of the sections' component values as ints and Fractions;
+    None at the first component that is not constant.
 
     Constant arguments are the frame sections and their constant
     combinations, so the keys a structure stores are bounded by its frame
     test sets and do not grow with random trials."""
-    key = tuple(tuple(c.as_constant() for c in s.components) for s in (s1, s2))
-    return None if None in key[0] or None in key[1] else key
+    key = list(tag)
+    for s in sections:
+        values = []
+        for c in s.components:
+            v = c.as_constant()
+            if v is None:
+                return None
+            values.append(v)
+        key.append(tuple(values))
+    return tuple(key)
+
+
+def _recall(memo, key, compute, cap=None):
+    """compute() once per key in memo, or afresh and unstored for a key of
+    None; with a cap, the memo drops its oldest entry beyond cap."""
+    if key is None:
+        return compute()
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute()
+        if cap is not None and len(memo) > cap:
+            del memo[next(iter(memo))]
+    return out
 
 
 def degenerate_pairing(t1, t2, rho):

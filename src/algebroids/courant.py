@@ -17,11 +17,11 @@ random_element, bracket, pairing, anchor_vf, D_of, is_zero), so quotient
 carriers can reuse it.
 
 CourantPresentation.bracket keeps what it computes on constant arguments
-on the presentation, by the memo rule of the algebroid module: keyed by
-the component values of both sections, stored only when every component
-is constant (frame sections and their constant combinations, whose number
-the frame bounds), and living as long as the presentation, whose tables
-are read-only once it has evaluated a bracket.
+in the constant tier of the algebroid module's memo rule (bundles._recall):
+keyed by the component values of both sections (frame sections and their
+constant combinations, whose number the frame bounds), and living as long
+as the presentation, whose tables are read-only once it has evaluated a
+bracket.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
 from .bundles import (Frame, Section, Subbundle, TrivialBundle,
-                      _apply_transpose, _constant_key, _dot, apply_matrix,
-                      det, direct_sum, membership, nullspace,
+                      _apply_transpose, _constant_key, _dot, _recall,
+                      apply_matrix, det, direct_sum, membership, nullspace,
                       random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
@@ -140,22 +140,14 @@ class CourantPresentation:
         bundle = self.bundle
         if c1.bundle != bundle or c2.bundle != bundle:
             raise ValueError("sections do not live in the carrier bundle")
-        key = _constant_key(c1, c2)
-        if key is not None:
-            out = self._memo.get(key)
-            if out is not None:
-                return out
         g = c2.components
 
         def weight(i):  # <e_i, c2> from the Gram table
             return _dot(self.patch, self.gram[i], g)
 
-        out = _leibniz(bundle, self.table, c1.components, g,
-                       self.anchor_vf(c1), self.anchor_vf(c2),
-                       weight, self.D_of)
-        if key is not None:
-            self._memo[key] = out
-        return out
+        return _recall(self._memo, _constant_key(c1, c2), lambda: _leibniz(
+            bundle, self.table, c1.components, g, self.anchor_vf(c1),
+            self.anchor_vf(c2), weight, self.D_of))
 
 
 def standard_courant(patch):

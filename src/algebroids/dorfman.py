@@ -24,11 +24,14 @@ connection agrees with it only for q in Gamma(TM + 0) and only modulo the
 annihilator A + 0, which is exactly the quotient where Bott-type
 connections live.
 
-dorfman_eval keeps what it computes on constant arguments on the
-connection, by the memo rule of the algebroid module: keyed by the
-component values of q and b, stored only when every component of both is
-constant, and living as long as the connection.  A table may therefore be
-edited only before the connection's first evaluation.
+The connection memoises by the algebroid module's two-tier rule.  Its
+constant tier, _memo, keeps dorfman_eval's results under (q, b) keys and
+those of omega_map, nabla_bas_TMAs and basic_curvature under keys tagged
+"omega", "bas" and "curv".  Its value tier, _recent, keeps the newest 32
+results of nabla_bas_TMAs on non-constant arguments (random sections, or
+frames of a U with non-constant entries), which the lemma bialgebroid2,
+basic_curvature and the quotient Jacobi check ask for again and again.
+A table may be edited only before the connection's first evaluation.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from functools import partial
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         bracket_eval, check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import (Section, _constant_key, _dot, annihilator,
+from .bundles import (Section, _constant_key, _dot, _recall, annihilator,
                       canonical_pairing)
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
-from .scalars import random_scalar
+from .scalars import _key, random_scalar
 
 __all__ = [
     "DorfmanConnection", "ExtensionResult", "dorfman_eval",
@@ -51,6 +54,9 @@ __all__ = [
     "omega_map", "nabla_bas_TMAs", "nabla_bas_ATM", "basic_curvature",
     "dorfman_curvature", "extend_lie_bracket_to_dull",
 ]
+
+# entries of the value tier of nabla_bas_TMAs (see the module docstring)
+_RECENT = 32
 
 
 def _pr_tm(patch, rank):
@@ -64,7 +70,7 @@ class DorfmanConnection:
     """Frame table of a Dorfman connection: table[i][j] = Delta_{q_i} b_j,
     a section of B, with q over the TM + A* frame and b over A + T*M."""
 
-    __slots__ = ("Q", "B", "table", "_dual", "_memo")
+    __slots__ = ("Q", "B", "table", "_dual", "_memo", "_recent")
 
     def __init__(self, Q, B, table):
         if Q.patch != B.patch or Q.rank != B.rank:
@@ -82,8 +88,9 @@ class DorfmanConnection:
         self.B = B
         self.table = table
         self._dual = None
-        # dorfman_eval on constant arguments (see the module docstring)
+        # the two memo tiers (see the module docstring)
         self._memo = {}
+        self._recent = {}
 
     @classmethod
     def flat(cls, Q, B):
@@ -143,17 +150,10 @@ def dorfman_eval(D, q, b):
         raise ValueError("first argument must be a section of TM + A*")
     if b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
-    key = _constant_key(q, b)
-    if key is not None:
-        out = D._memo.get(key)
-        if out is not None:
-            return out
     dim, ra = D.dim, D.rank_A
-    out = _leibniz(D.B, D.table, q.components, b.components, D.anchor_vf(q),
-                   weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B)
-    if key is not None:
-        D._memo[key] = out
-    return out
+    return _recall(D._memo, _constant_key(q, b), lambda: _leibniz(
+        D.B, D.table, q.components, b.components, D.anchor_vf(q),
+        weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B))
 
 
 def check_dorfman_axioms(D, config=None, prefix="dorfman"):
@@ -256,19 +256,30 @@ def dorfman_from_dull(alg, B):
 
 def omega_map(D, v, a):
     """Omega_v a = Delta_v (a, 0) - (0, d<alpha, a>) for v = (X, alpha)."""
-    patch, dim, ra = D.patch, D.dim, D.rank_A
-    if len(a.components) != ra:
-        raise ValueError("second argument must be a section of A")
-    b = Section(D.B, list(a.components) + [patch.zero] * dim)
-    pair = _dot(patch, v.components[dim:], a.components)
-    return dorfman_eval(D, v, b) - D.d_B(pair)
+    def compute():
+        patch, dim, ra = D.patch, D.dim, D.rank_A
+        if len(a.components) != ra:
+            raise ValueError("second argument must be a section of A")
+        b = Section(D.B, list(a.components) + [patch.zero] * dim)
+        pair = _dot(patch, v.components[dim:], a.components)
+        return dorfman_eval(D, v, b) - D.d_B(pair)
+    return _recall(D._memo, _constant_key(v, a, tag=("omega", v.bundle)),
+                   compute)
 
 
 def nabla_bas_TMAs(D, alg, a, v):
     """Basic connection on TM + A*:
     nabla^bas_a v = (rho, rho^t)(Omega_v a) + L_a v."""
-    om = omega_map(D, v, a)
-    return rho_rhot(alg, om, target=v.bundle) + lie_derivative_TMAs(alg, a, v)
+    def compute():
+        om = omega_map(D, v, a)
+        return rho_rhot(alg, om, target=v.bundle) \
+            + lie_derivative_TMAs(alg, a, v)
+    tag = (alg, a.bundle, v.bundle)
+    memo, key, cap = D._memo, _constant_key(a, v, tag=("bas",) + tag), None
+    if key is None:
+        memo, cap = D._recent, _RECENT
+        key = tag + tuple(_key(c.rep) for s in (a, v) for c in s.components)
+    return _recall(memo, key, compute, cap)
 
 
 def nabla_bas_ATM(D, alg, a, t):
@@ -282,12 +293,16 @@ def basic_curvature(D, alg, a1, a2, v):
     """R^bas(a1, a2) v = -Omega_v [a1, a2] + L_{a1}(Omega_v a2)
     - L_{a2}(Omega_v a1) + Omega_{nabla^bas_{a2} v} a1
     - Omega_{nabla^bas_{a1} v} a2, a section of A + T*M."""
-    br = bracket_eval(alg, a1, a2)
-    return (-omega_map(D, v, br)
-            + lie_derivative_ATM(alg, a1, omega_map(D, v, a2))
-            - lie_derivative_ATM(alg, a2, omega_map(D, v, a1))
-            + omega_map(D, nabla_bas_TMAs(D, alg, a2, v), a1)
-            - omega_map(D, nabla_bas_TMAs(D, alg, a1, v), a2))
+    def compute():
+        br = bracket_eval(alg, a1, a2)
+        return (-omega_map(D, v, br)
+                + lie_derivative_ATM(alg, a1, omega_map(D, v, a2))
+                - lie_derivative_ATM(alg, a2, omega_map(D, v, a1))
+                + omega_map(D, nabla_bas_TMAs(D, alg, a2, v), a1)
+                - omega_map(D, nabla_bas_TMAs(D, alg, a1, v), a2))
+    key = _constant_key(a1, a2, v,
+                        tag=("curv", alg, a1.bundle, a2.bundle, v.bundle))
+    return _recall(D._memo, key, compute)
 
 
 def dorfman_curvature(D, u1, u2, t):

@@ -82,7 +82,8 @@ distinct operand pairs):
 * Only operands that miss every fast path reach it: at least one is a
   pair, and neither is 0 (nor, for a product, +-1).  Sums and products of
   polynomials over 1 never touch it, so polynomial data pay nothing and
-  leave it empty.  Differences and quotients are not memoised.
+  leave it empty.  Differences and quotients are not memoised, but a
+  difference of two equal pairs (most pair differences) is 0 at once.
 * Sharing a result is safe for the same reason as above: nothing mutates
   a stored dict, pair or ScalarField, and canonical values are unique, so
   a memoised result is the value a miss would rebuild.
@@ -331,7 +332,8 @@ class ScalarField:
         """The value of a constant as an int, or as a Fraction when it is
         not an integer; None when the value is not constant.  O(1): a dict
         is constant iff it is empty or its one key is the zero exponent.
-        The bracket memos key on it (bundles._constant_key)."""
+        The constant tier of every bracket and connection memo keys on it
+        (bundles._constant_key)."""
         r = self.rep
         if type(r) is dict:
             if not r:
@@ -534,6 +536,8 @@ def _sub(patch, f, g):
         return _negate(g)
     if type(f) is dict and type(g) is dict:
         return _int_add(f, g, -1)
+    if f == g:
+        return {}
     return _sum(patch, f, g, -1)
 
 

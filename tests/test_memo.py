@@ -1,10 +1,11 @@
-"""The per-structure bracket memos.
+"""The per-structure bracket and connection memos.
 
-bracket_eval, dorfman_eval, CourantPresentation.bracket and
-QuotientCourant.bracket store a result when every component of both
-arguments is constant, keyed by the component values, in a dict on the
-structure that owns the bracket.  These tests pin the three properties
-that make that safe and bounded:
+bracket_eval, dorfman_eval, CourantPresentation.bracket,
+QuotientCourant.bracket, and omega_map, nabla_bas_TMAs and basic_curvature
+on a Dorfman connection store a result when every component of every
+argument is constant, keyed by the component values, in a dict on the
+structure that owns the bracket or connection (the constant tier).  These
+tests pin the three properties that make that safe and bounded:
 
 * a stored result is the value a fresh structure computes, and equal
   arguments built as different objects share one entry (the key is the
@@ -13,18 +14,25 @@ that make that safe and bounded:
   number of entries after a suite does not depend on its random trials;
 * each structure has its own memo, so two structures on the same bundle
   with different tables never see each other's results.
+
+nabla_bas_TMAs also keeps its newest results on non-constant arguments,
+keyed by their values, in a second dict of fixed size on the connection
+(the value tier); the last two tests pin its bound and its hits.
 """
 
 import pytest
 
-from algebroids import cli, instances
+from algebroids import bialgebroid, cli, instances
+from algebroids import dorfman as dorfman_module
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
                                   check_algebroid, side_B, side_Q)
-from algebroids.bialgebroid import build_courant_C
-from algebroids.bundles import Section, TrivialBundle
+from algebroids.bialgebroid import (LADiracTriple, build_courant_C,
+                                    verify_appendix_lemmas)
+from algebroids.bundles import Frame, Section, Subbundle, TrivialBundle
 from algebroids.courant import check_courant_axioms, degenerate_courant
-from algebroids.dorfman import (DorfmanConnection, check_dorfman_axioms,
-                                dorfman_eval)
+from algebroids.dorfman import (DorfmanConnection, basic_curvature,
+                                check_dorfman_axioms, dorfman_eval,
+                                nabla_bas_TMAs, omega_map)
 from algebroids.reporting import CheckConfig
 from algebroids.scalars import Patch
 
@@ -70,14 +78,34 @@ def quotient(c):
     return build_courant_C(cli._triple_of(data), verify=False).C
 
 
+def triple(c):
+    """A triple on the action algebroid with the connection dorfman(c) and
+    U = TM + 0; the appendix lemmas run on it (and fail, which does not
+    matter here)."""
+    alg, D = action_algebroid(1), dorfman(c)
+    Q = D.Q
+    U = Subbundle(Q, Frame(Q, Q.basis_sections()[:PATCH.dim]))
+    return LADiracTriple(alg, U, D)
+
+
+def stored(s):
+    return len(s._memo)
+
+
+def tagged(tag):
+    """The number of entries of one kernel in the constant tier of a
+    triple's connection, which dorfman_eval's entries share."""
+    return lambda T: sum(1 for key in T.D._memo if key[0] == tag)
+
+
 class Entry:
     """One memoised entry point: a structure factory (c selects the
-    table), the call, the bundles of its two arguments and a suite that
-    exercises it."""
+    table), the call, the bundles of its two arguments, a suite that
+    exercises it and the number of entries it has stored."""
 
-    def __init__(self, make, call, bundles, suite):
-        self.make, self.call, self.bundles, self.suite = \
-            make, call, bundles, suite
+    def __init__(self, make, call, bundles, suite, count=stored):
+        self.make, self.call, self.bundles, self.suite, self.count = \
+            make, call, bundles, suite, count
 
 
 ENTRIES = {
@@ -99,6 +127,23 @@ ENTRIES = {
         lambda C, c1, c2: C.bracket(c1, c2),
         lambda C: (C.bundle, C.bundle),
         check_courant_axioms),
+    "omega_map": Entry(
+        triple,
+        lambda T, v, a: omega_map(T.D, v, a),
+        lambda T: (T.D.Q, T.alg.bundle),
+        verify_appendix_lemmas, tagged("omega")),
+    "nabla_bas_TMAs": Entry(
+        triple,
+        lambda T, a, v: nabla_bas_TMAs(T.D, T.alg, a, v),
+        lambda T: (T.alg.bundle, T.D.Q),
+        verify_appendix_lemmas, tagged("bas")),
+    # R^bas(a, e_1) v
+    "basic_curvature": Entry(
+        triple,
+        lambda T, a, v: basic_curvature(T.D, T.alg, a,
+                                        T.alg.bundle.basis_section(1), v),
+        lambda T: (T.alg.bundle, T.D.Q),
+        verify_appendix_lemmas, tagged("curv")),
 }
 
 params = pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -123,10 +168,10 @@ def test_repeated_call_equals_a_fresh_structure(name):
     s = entry.make(1)
     pairs = constant_pairs(entry, s)
     first = [entry.call(s, p, q) for p, q in pairs]
-    assert len(s._memo) == len(pairs)
+    assert entry.count(s) == len(pairs)
     again = [entry.call(s, p, q) for p, q in pairs]
     assert all(a is b for a, b in zip(first, again))
-    assert len(s._memo) == len(pairs)
+    assert entry.count(s) == len(pairs)
     fresh = entry.make(1)
     for (p, q), got in zip(pairs, again):
         assert same(got, entry.call(fresh, p, q))
@@ -138,14 +183,14 @@ def test_equal_arguments_share_one_entry(name):
     entry = ENTRIES[name]
     s = entry.make(1)
     first, second = entry.bundles(s)
-    p1, q1 = first.basis_section(0), second.basis_section(first.rank - 1)
+    p1, q1 = first.basis_section(0), second.basis_section(second.rank - 1)
     p2 = Section(first, list(p1.components))
     q2 = Section(second, list(q1.components))
     assert p1 is not p2 and q1 is not q2
     r1 = entry.call(s, p1, q1)
     r2 = entry.call(s, p2, q2)
     assert r1 is r2
-    assert len(s._memo) == 1
+    assert entry.count(s) == 1
 
 
 @params
@@ -159,7 +204,7 @@ def test_non_constant_arguments_are_never_stored(name):
     for args in ((xp, q), (p, xq), (xp, xq)):
         got = entry.call(s, *args)
         assert same(got, entry.call(entry.make(1), *args))
-    assert len(s._memo) == 0
+    assert entry.count(s) == 0
 
 
 @params
@@ -170,7 +215,7 @@ def test_wrong_bundle_still_raises(name):
     other = TrivialBundle(PATCH, first.rank + 1, "other")
     with pytest.raises(ValueError):
         entry.call(s, other.basis_section(0), second.basis_section(0))
-    assert len(s._memo) == 0
+    assert entry.count(s) == 0
 
 
 @params
@@ -180,7 +225,7 @@ def test_entry_count_does_not_grow_with_trials(name):
     for trials in (0, 3):
         s = entry.make(1)
         entry.suite(s, CheckConfig(seed=0, trials=trials))
-        counts.append(len(s._memo))
+        counts.append(entry.count(s))
     assert counts[0] > 0
     assert counts[0] == counts[1]
 
@@ -197,3 +242,40 @@ def test_structures_keep_separate_results(name):
     # each structure reads back its own results
     assert [str(entry.call(s1, p, q)) for p, q in pairs] == r1
     assert [str(entry.call(s2, p, q)) for p, q in pairs] == r2
+
+
+def test_value_tier_holds_a_fixed_number_of_entries():
+    # random trials add non-constant arguments without end; the value
+    # tier keeps only the newest, so its size does not follow trials
+    # (degree 1 keeps the round short; the bound does not depend on it)
+    sizes = []
+    for trials in (0, 3, 8):
+        T = triple(1)
+        verify_appendix_lemmas(T, CheckConfig(seed=0, trials=trials,
+                                              max_degree=1))
+        sizes.append(len(T.D._recent))
+    assert max(sizes) <= dorfman_module._RECENT
+    # at 8 trials more distinct arguments arrive than the tier holds
+    assert sizes[-1] == dorfman_module._RECENT
+
+
+def test_value_tier_hits_equal_a_fresh_connection(monkeypatch):
+    # wrap nabla_bas_TMAs where the lemma suite and basic_curvature look
+    # it up; a hit returns an object the value tier already held
+    real = dorfman_module.nabla_bas_TMAs
+    hits = []
+
+    def checking(D, alg, a, v):
+        held = list(D._recent.values())
+        out = real(D, alg, a, v)
+        if any(out is r for r in held):
+            hits.append(out)
+            fresh = DorfmanConnection(D.Q, D.B, D.table)
+            assert same(out, real(fresh, alg, a, v))
+        return out
+
+    monkeypatch.setattr(dorfman_module, "nabla_bas_TMAs", checking)
+    monkeypatch.setattr(bialgebroid, "nabla_bas_TMAs", checking)
+    T = triple(1)
+    verify_appendix_lemmas(T, CheckConfig(seed=0, trials=2))
+    assert len(hits) > 0

@@ -486,6 +486,22 @@ def test_memo_hit_runs_no_gcd(patch, monkeypatch):
     assert len(patch._ops) == 2
 
 
+@pytest.mark.parametrize("text", ["(x^2 + 1)/y", "1/2", "x/(y + 1)"])
+def test_equal_pair_operands_subtract_to_zero_without_a_sum(
+        text, patch, monkeypatch):
+    # equal values built apart: the difference is 0 before any kernel
+    # runs, and it is the canonical 0, equal to patch.zero
+    f, f2 = parse_scalar(text, patch), parse_scalar(text, patch)
+    assert f.rep is not f2.rep
+    calls = _count_calls(monkeypatch, "_sum")
+    calls += _count_calls(monkeypatch, "_int_gcd")
+    for d in (f - f2, f2 - f, f - f):
+        assert d.rep == {} and d == patch.zero and str(d) == "0"
+    assert calls == []
+    # unequal pairs still take the sum
+    assert f - 2 * f2 == -f and len(calls) > 0
+
+
 def test_polynomial_operands_never_reach_the_memo(patch, monkeypatch):
     calls = _count_calls(monkeypatch, "_product")
     calls += _count_calls(monkeypatch, "_sum")
