@@ -10,15 +10,21 @@ Sparse rule: _leibniz and the dual Lie derivative sum only nonzero terms
 into one component list, and rho_transpose delegates to the transpose
 kernel bundles._apply_transpose.  Structure tables, anchors and frames
 are mostly 0 and +-1, so most products of a dense expansion are products
-with 0.  Skipping them cannot change a result: every scalar is canonical,
-so a sum has one representation whatever the order of its terms.
+with 0.  _leibniz forms a coefficient product f_i g_j only when the table
+entry [e_i, e_j] has a nonzero component, and the section kernels it adds
+with (_dot, _accumulate and _directional in scalars.py) work on the
+scalars' representations and form only nonzero products.  Skipping them
+cannot change a result: every scalar is canonical, so a sum has one
+representation whatever the order of its terms.
 
 Memo rule, in two tiers, both looked up and stored by bundles._recall.
 The constant tier: a DullAlgebroid keeps the brackets bracket_eval
 computes on constant arguments (frame sections and their constant
 combinations), keyed by their component values (bundles._constant_key).
-The frame test sets ask for those brackets again and again, and their
-number is bounded by the frame, whatever the number of random trials.
+The frame test sets ask for those brackets again and again.  Their number
+is bounded by the frame test sets plus the random draws that happen to be
+constant, which are common at max_degree 1; it does not grow with the
+number of random trials otherwise.
 The value tier keeps results on non-constant arguments, keyed by the
 values of all components (scalars._key), in a dict of fixed size that
 drops its oldest entry first; only nabla^bas on a Dorfman connection has
@@ -43,12 +49,12 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .bundles import (Section, TrivialBundle, _accumulate, _apply_transpose,
-                      _constant_key, _recall, apply_matrix, membership,
-                      random_section)
+from .bundles import (Section, TrivialBundle, _apply_transpose, _constant_key,
+                      _recall, apply_matrix, membership, random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
+from .scalars import _accumulate
 
 __all__ = [
     "AnchoredBundle", "DullAlgebroid", "LinearConnection", "BasicConnections",
@@ -183,16 +189,19 @@ def _leibniz(bundle, table, f, g, X1, X2=None, weight=None, D=None,
     Dorfman connection; weight and D come only with a pairing term.
 
     The terms are summed into one component list, and only nonzero
-    coefficients, table entries, frame entries and D(f_i) entries are
-    touched; on the standard basis X1(g_j) is added to component j
-    directly."""
+    coefficients, frame entries and D(f_i) entries are touched: the
+    product f_i g_j is formed only when T[i][j] has a nonzero component,
+    and scalars._accumulate adds it in on the representations.  On the
+    standard basis X1(g_j) is added to component j directly."""
     out = [bundle.patch.zero] * bundle.rank
     fs = [(i, fi) for i, fi in enumerate(f) if fi]
     gs = [(j, gj) for j, gj in enumerate(g) if gj]
     for i, fi in fs:
         row = table[i]
         for j, gj in gs:
-            _accumulate(out, fi * gj, row[j].components)
+            entry = row[j]
+            if not entry.is_zero():
+                _accumulate(out, fi * gj, entry.components)
     for j, gj in enumerate(g):
         d = apply_vf(X1, gj)
         if d:

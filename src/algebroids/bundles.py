@@ -50,12 +50,14 @@ the complement coefficients.  The Courant algebroid of an LA-Dirac triple
 system (phi = rho) are its two instances.
 
 Sparse rule: apply_matrix, its transpose _apply_transpose,
-Frame.combination, canonical_pairing, degenerate_pairing and the private
-accumulator the bracket kernel shares add only nonzero terms;
+Frame.combination, canonical_pairing, degenerate_pairing and Section.__add__
+add only nonzero terms, through the section kernels scalars._dot and
+scalars._accumulate, which sum on the scalars' representations;
 Section.__add__ returns the other operand when one side is all zero, and
-Section.__sub__ returns the left operand when the right one is.  Bundle maps and frames are mostly 0 and +-1, and canonical
-scalars make the result independent of which zero terms are left out and
-of the order of the rest.
+Section.__sub__ returns the left operand when the right one is.  Bundle
+maps and frames are mostly 0 and +-1, and canonical scalars make the
+result independent of which zero terms are left out and of the order of
+the rest.
 
 Matrix convention used across the package: a bundle map acts by ordinary
 matrix-vector multiplication, so column j holds the components of the image
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarField, random_scalar
+from .scalars import ScalarField, _accumulate, _dot, random_scalar
 
 __all__ = [
     "TrivialBundle", "Section", "Frame", "Subbundle", "GraphQuotient",
@@ -153,8 +155,9 @@ class Section:
             return self
         if self.is_zero():
             return other
-        return Section(self.bundle, [a + b for a, b in
-                                     zip(self.components, other.components)])
+        out = list(self.components)
+        _accumulate(out, self.bundle.patch.one, other.components)
+        return Section(self.bundle, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -179,7 +182,7 @@ class Section:
     __mul__ = __rmul__
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.components)
+        return not any(c.rep for c in self.components)
 
     def __eq__(self, other):
         if isinstance(other, Section):
@@ -510,39 +513,12 @@ def canonical_pairing(u, t):
 
 def apply_matrix(m, comps, patch):
     """Matrix-vector product for bundle maps (column j = image of basis j)."""
-    nonzero = [(j, c) for j, c in enumerate(comps) if c]
-    out = []
-    for row in m:
-        total = None
-        for j, c in nonzero:
-            a = row[j]
-            if a:
-                total = a * c if total is None else total + a * c
-        out.append(patch.zero if total is None else total)
-    return out
+    return [_dot(patch, row, comps) for row in m]
 
 
 def _apply_transpose(m, comps, patch):
-    """Transposed product: entry j is sum_i m[i][j] * comps[i], summed over
-    the nonzero comps[i]."""
-    nonzero = [(m[i], c) for i, c in enumerate(comps) if c]
-    out = []
-    for j in range(len(m[0]) if m else 0):
-        total = None
-        for row, c in nonzero:
-            a = row[j]
-            if a:
-                total = a * c if total is None else total + a * c
-        out.append(patch.zero if total is None else total)
-    return out
-
-
-def _accumulate(out, c, comps):
-    """out += c * comps in place, touching only the nonzero comps."""
-    for k, v in enumerate(comps):
-        if v:
-            o = out[k]
-            out[k] = o + c * v if o else c * v
+    """Transposed product: entry j is sum_i m[i][j] * comps[i]."""
+    return [_dot(patch, col, comps) for col in zip(*m)]
 
 
 def _constant_key(*sections, tag=()):
@@ -550,9 +526,10 @@ def _constant_key(*sections, tag=()):
     the tuples of the sections' component values as ints and Fractions;
     None at the first component that is not constant.
 
-    Constant arguments are the frame sections and their constant
-    combinations, so the keys a structure stores are bounded by its frame
-    test sets and do not grow with random trials."""
+    Constant arguments are the frame sections, their constant
+    combinations and the random draws that happen to be constant (common
+    at max_degree 1), so the keys a structure stores are bounded by its
+    frame test sets plus those draws."""
     key = list(tag)
     for s in sections:
         values = []
@@ -631,15 +608,6 @@ def perp_under_gram(U, gram, twin):
     basis = nullspace(rows, patch, ncols=twin.rank)
     sections = [Section(twin, v) for v in basis]
     return Subbundle(twin, Frame(twin, sections))
-
-
-def _dot(patch, xs, ys):
-    """sum x * y over the pairs where both are nonzero."""
-    total = None
-    for a, b in zip(xs, ys):
-        if a and b:
-            total = a * b if total is None else total + a * b
-    return patch.zero if total is None else total
 
 
 def annihilator(U, twin=None, side="TM+A*"):

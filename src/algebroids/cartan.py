@@ -12,6 +12,9 @@ vector-field components, anchor entries and derivatives in this package
 are 0, so this leaves out most of the arithmetic.  For the same reason
 apply_vf returns 0 for a constant scalar before it scans the vector field:
 the kernels apply anchors to frame coefficients, and most are constants.
+The sums themselves are formed by the section kernels of scalars.py
+(_directional behind apply_vf, _dot behind the pairings and the interior
+product), on the scalars' representations.
 None of this can change a result, because every scalar is stored in
 canonical form: a sum has one representation whatever the order of its
 terms, and a skipped term is 0.
@@ -19,7 +22,8 @@ terms, and a skipped term is 0.
 
 from __future__ import annotations
 
-from .bundles import Section, TrivialBundle, _apply_transpose, _dot
+from .bundles import Section, TrivialBundle, _apply_transpose
+from .scalars import _directional, _dot
 
 __all__ = [
     "tangent", "cotangent",
@@ -40,15 +44,7 @@ def cotangent(patch):
 def apply_vf(X, f):
     """Directional derivative X(f) of a scalar along a vector field; 0
     at once for a constant f, without scanning X."""
-    if f.is_constant():
-        return f.patch.zero
-    total = f.patch.zero
-    for i, c in enumerate(X.components):
-        if c:
-            d = f.diff(i)
-            if d:
-                total = total + c * d
-    return total
+    return _directional(X.components, f)
 
 
 def pair_form_vf(theta, X):

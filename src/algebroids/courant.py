@@ -31,12 +31,12 @@ from itertools import product
 
 from .algebroid import _leibniz, induced_algebroid, side_B
 from .bundles import (Frame, Section, Subbundle, TrivialBundle,
-                      _apply_transpose, _constant_key, _dot, _recall,
+                      _apply_transpose, _constant_key, _recall,
                       apply_matrix, det, direct_sum, membership, nullspace,
                       random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
 from .reporting import Check, labelled
-from .scalars import random_scalar
+from .scalars import _dot, random_scalar
 
 __all__ = [
     "CourantPresentation", "standard_courant", "degenerate_courant",

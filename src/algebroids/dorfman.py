@@ -42,11 +42,11 @@ from functools import partial
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         bracket_eval, check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import (Section, _constant_key, _dot, _recall, annihilator,
+from .bundles import (Section, _constant_key, _recall, annihilator,
                       canonical_pairing)
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
-from .scalars import _key, random_scalar
+from .scalars import _dot, _key, random_scalar
 
 __all__ = [
     "DorfmanConnection", "ExtensionResult", "dorfman_eval",

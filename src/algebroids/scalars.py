@@ -599,6 +599,58 @@ def _quotient_rule(patch, r, i):
 
 
 # ---------------------------------------------------------------------------
+# section kernels: sums of products of ScalarFields, formed on their
+# representations by _mul and _add (called as module globals, like the
+# operators) and wrapped in one ScalarField per output entry.  Only
+# nonzero products are formed; an operand of another patch raises, as the
+# operators do.
+
+
+def _dot(patch, xs, ys):
+    """sum x * y over the pairs where both are nonzero."""
+    total = None
+    for a, b in zip(xs, ys):
+        if a.rep and b.rep:
+            if (a.patch is not patch or b.patch is not patch) \
+                    and not a.patch == patch == b.patch:
+                raise ValueError("scalars from different patches")
+            t = _mul(patch, a.rep, b.rep)
+            total = t if total is None else _add(patch, total, t)
+    return ScalarField(patch, total) if total else patch.zero
+
+
+def _directional(xs, f):
+    """X(f) = sum_i xs[i] * df/dx_i for the components xs of a vector
+    field, over the nonzero xs[i]; 0 at once for a constant f."""
+    patch = f.patch
+    if f.is_constant():
+        return patch.zero
+    total = None
+    for i, a in enumerate(xs):
+        if a.rep:
+            d = f.diff(i).rep
+            if d:
+                if a.patch is not patch and a.patch != patch:
+                    raise ValueError("scalars from different patches")
+                t = _mul(patch, a.rep, d)
+                total = t if total is None else _add(patch, total, t)
+    return ScalarField(patch, total) if total else patch.zero
+
+
+def _accumulate(out, c, comps):
+    """out += c * comps in place, touching only the nonzero comps."""
+    patch, cr = c.patch, c.rep
+    for k, v in enumerate(comps):
+        if v.rep:
+            o = out[k]
+            if (v.patch is not patch or o.patch is not patch) \
+                    and not v.patch == patch == o.patch:
+                raise ValueError("scalars from different patches")
+            t = _mul(patch, cr, v.rep)
+            out[k] = ScalarField(patch, _add(patch, o.rep, t) if o.rep else t)
+
+
+# ---------------------------------------------------------------------------
 # integer-coefficient kernels on term dicts {exponent tuple: nonzero int};
 # they never mutate an argument
 

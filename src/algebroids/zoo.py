@@ -33,10 +33,9 @@ from .bialgebroid import (AManinPair, DiracBialgebroid, LADiracTriple,
                           build_courant_C, check_la_dirac, check_manin_pair,
                           triple_from_bialgebroid)
 from .bundles import (Frame, GraphQuotient, Section, Subbundle, TrivialBundle,
-                      _accumulate, _apply_transpose, _dot,
-                      _independent_extension, apply_matrix, direct_sum,
-                      matrix_rank, membership, nullspace, random_combination,
-                      random_section, rref)
+                      _apply_transpose, _independent_extension, apply_matrix,
+                      direct_sum, matrix_rank, membership, nullspace,
+                      random_combination, random_section, rref)
 from .cartan import (apply_vf, cotangent, d_function, d_oneform,
                      interior_vf_2form, lie_bracket_vf, lie_derivative_1form,
                      pair_form_vf, tangent, two_form_matrix)
@@ -44,7 +43,7 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig, labelled
-from .scalars import Patch, _monomials, parse_scalar
+from .scalars import Patch, _accumulate, _dot, _monomials, parse_scalar
 
 
 # ---------------------------------------------------------------------------

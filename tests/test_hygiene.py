@@ -15,7 +15,11 @@ top-level function whose name contains "rref" or "nullspace".
 
 No module under src/ imports sympy, at the top or inside a function:
 the package computes on Python ints alone, and sympy is only the tests'
-oracle."""
+oracle.
+
+Knowledge of the scalar representation stays in scalars.py: no other
+module reads a `.rep` attribute, except at the sites REP_READS_ALLOWED
+names, each with its reason."""
 
 import ast
 from pathlib import Path
@@ -35,6 +39,16 @@ ORPHANS_ALLOWED = {
     # the negative control of acceptance criterion 9: a Dirac bialgebra
     # whose p-polar is not an ideal
     "aff1_non_ideal_mutant",
+}
+
+# (module, enclosing function) of the .rep reads outside scalars.py, and
+# why each is there
+REP_READS_ALLOWED = {
+    ("dorfman.py", "nabla_bas_TMAs"):
+        "the value-tier memo key: scalars._key of every component",
+    ("bundles.py", "Section.is_zero"):
+        "the zero test of every residual and Leibniz table entry, without "
+        "a method call per component",
 }
 
 
@@ -122,6 +136,26 @@ def orphan_functions(modules, readers):
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             and stmt.name not in loaded and stmt.name not in _exported(tree)]
+
+
+def rep_reads(tree):
+    """(enclosing function, line) of every load of a .rep attribute; the
+    function is a dotted path through classes, "" at module level."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr == "rep"
+                  and isinstance(child.ctx, ast.Load)):
+                out.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
 
 
 def elimination_functions(modules):
@@ -228,3 +262,23 @@ def test_sympy_scan_catches_planted_imports():
         "        return p\n")
     assert sympy_imports(tree) == [(1, False), (2, False), (6, False),
                                    (8, True)]
+
+
+def test_representation_read_only_in_scalars():
+    found = {(p.name, scope) for p in MODULES if p.name != "scalars.py"
+             for scope, _ in rep_reads(_tree(p))}
+    assert found - set(REP_READS_ALLOWED) == set()
+    # an allowed site that no longer reads .rep leaves the list
+    assert set(REP_READS_ALLOWED) - found == set()
+
+
+def test_rep_scan_catches_planted_reads():
+    tree = ast.parse(
+        "x = f.rep\n"
+        "class K:\n"
+        "    def m(self, g):\n"
+        "        self.rep = g.rep\n"
+        "        def inner():\n"
+        "            return [c.rep for c in g]\n"
+        "        return inner, g.represent, rep\n")
+    assert rep_reads(tree) == [("", 1), ("K.m", 4), ("K.m.inner", 6)]

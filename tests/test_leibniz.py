@@ -8,7 +8,7 @@ expansions are kept below as the reference.
 
 from hypothesis import given, settings, strategies as st
 
-from algebroids.algebroid import (AnchoredBundle, DullAlgebroid,
+from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                                   bracket_eval, side_B, side_Q,
                                   tangent_algebroid)
 from algebroids.bundles import (Frame, Section, Solver, Subbundle,
@@ -17,7 +17,7 @@ from algebroids.cartan import apply_vf, lie_bracket_vf, tangent
 from algebroids.courant import CourantPresentation
 from algebroids.dorfman import (DorfmanConnection, dorfman_eval,
                                 extend_lie_bracket_to_dull)
-from algebroids.scalars import Patch
+from algebroids.scalars import Patch, _int_mul
 
 PATCH = Patch(["x", "y"])
 X, Y = PATCH.coordinate(0), PATCH.coordinate(1)
@@ -253,3 +253,26 @@ def test_extension_table_over_tilted_frame_matches_expansion():
     for i in range(Q.rank):
         for j in range(Q.rank):
             assert_same_section(got[i][j], want[i][j])
+
+
+def test_leibniz_forms_a_product_only_for_a_nonzero_table_entry(monkeypatch):
+    # polynomial f and g and zero anchors: the kernel's only products are
+    # the f_i g_j, each one multiplication in Z[x] (scalars._int_mul)
+    rank = 3
+    bundle = TrivialBundle(PATCH, rank, "E")
+    zero = bundle.zero_section()
+    f = [X + 1, X * Y, Y]
+    g = [Y + 2, X, X * X]
+    still = tangent(PATCH).zero_section()
+    calls = []
+    monkeypatch.setattr("algebroids.scalars._int_mul",
+                        lambda *args: calls.append(args) or _int_mul(*args))
+
+    table = [[zero] * rank for _ in range(rank)]
+    assert _leibniz(bundle, table, f, g, still, still) == zero
+    assert calls == []
+
+    table[1][2] = bundle.basis_section(0)
+    got = _leibniz(bundle, table, f, g, still, still)
+    assert len(calls) == 1
+    assert got == Section(bundle, [X * Y * X * X, PATCH.zero, PATCH.zero])

@@ -8,6 +8,7 @@ plant zeros and +-1 among genuinely rational entries, so every skip branch
 runs in both directions.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
@@ -18,7 +19,7 @@ from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
 from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
                                pair_form_vf, tangent)
 from algebroids.courant import CourantPresentation
-from algebroids.scalars import Patch
+from algebroids.scalars import Patch, _accumulate, _dot
 
 PATCH = Patch(["x", "y"])
 X, Y = PATCH.coordinate(0), PATCH.coordinate(1)
@@ -414,3 +415,20 @@ def test_leibniz_adds_the_anchor_term_over_the_given_frame():
     got = _leibniz(bundle, [[zero, zero], [zero, zero]], [ZERO, ZERO],
                    [ZERO, X * X], X1)
     assert_same(got, [ZERO, 2 * X])
+
+
+OTHER = Patch(["u", "v"])
+U = OTHER.coordinate(0)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: _dot(PATCH, [X, Y], [ONE, U]),
+    lambda: _accumulate([X, ZERO], X, [ONE, U]),
+    lambda: apply_matrix([[X, ONE]], [Y, U], PATCH),
+    lambda: _apply_transpose([[X], [ONE]], [Y, U], PATCH),
+    lambda: apply_vf(Section(tangent(OTHER), [U, ONE]), X * Y),
+], ids=["_dot", "_accumulate", "apply_matrix", "_apply_transpose",
+        "apply_vf"])
+def test_kernels_refuse_a_scalar_of_another_patch(kernel):
+    with pytest.raises(ValueError, match="different patches"):
+        kernel()
