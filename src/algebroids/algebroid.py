@@ -17,20 +17,22 @@ scalars' representations and form only nonzero products.  Skipping them
 cannot change a result: every scalar is canonical, so a sum has one
 representation whatever the order of its terms.
 
-Memo rule, in two tiers, both looked up and stored by bundles._recall.
-The constant tier: a DullAlgebroid keeps the brackets bracket_eval
-computes on constant arguments (frame sections and their constant
-combinations), keyed by their component values (bundles._constant_key).
-The frame test sets ask for those brackets again and again.  Their number
-is bounded by the frame test sets plus the random draws that happen to be
-constant, which are common at max_degree 1; it does not grow with the
-number of random trials otherwise.
-The value tier keeps results on non-constant arguments, keyed by the
-values of all components (scalars._key), in a dict of fixed size that
-drops its oldest entry first; only nabla^bas on a Dorfman connection has
-one (see the dorfman module).  A memo lives as long as its structure,
-which is why an algebroid's anchor and bracket table are read-only once
-it has evaluated a bracket.
+Memo rule, in two tiers, looked up and stored by one bundles._recall call
+at each of the seven memoised entry points: bracket_eval, dorfman_eval,
+omega_map, nabla_bas_TMAs, basic_curvature and the brackets of
+CourantPresentation and QuotientCourant.  The constant tier, _memo, keeps
+results on constant arguments (frame sections and their constant
+combinations) for as long as the structure lives, keyed by their
+component values (bundles._constant_key).  Their number is bounded by the
+frame test sets plus the random draws that happen to be constant, common
+at max_degree 1.  The value tier, _recent, keeps the newest
+bundles._RECENT results on other arguments, keyed by the values of all
+components (scalars._value_key): the Jacobi sums, nabla^bas inside R^bas
+and the quotient Jacobi check ask for the same random sections again and
+again.  Scalars are canonical, so a hit is the very value a recomputation
+would build.  An algebroid's anchor and bracket table are read-only once
+it has evaluated a bracket, which lists the table's nonzero entries once
+(_nonzero_rows).
 
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
@@ -49,8 +51,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .bundles import (Section, TrivialBundle, _apply_transpose, _constant_key,
-                      _recall, apply_matrix, membership, random_section)
+from .bundles import (Section, TrivialBundle, _apply_transpose, _recall,
+                      apply_matrix, membership, random_section)
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
@@ -69,7 +71,7 @@ class AnchoredBundle:
     """A bundle with an anchor into TM; the anchor matrix has shape
     dim x rank, column j holding the coordinates of rho(e_j)."""
 
-    __slots__ = ("bundle", "anchor")
+    __slots__ = ("bundle", "anchor", "_TM")
 
     def __init__(self, bundle, anchor):
         patch = bundle.patch
@@ -78,6 +80,7 @@ class AnchoredBundle:
             raise ValueError("anchor must be dim x rank")
         self.bundle = bundle
         self.anchor = anchor
+        self._TM = tangent(patch)
 
     @property
     def patch(self):
@@ -89,9 +92,8 @@ class AnchoredBundle:
 
     def anchor_vf(self, s):
         """rho(s) as a vector field."""
-        patch = self.patch
-        return Section(tangent(patch),
-                       apply_matrix(self.anchor, s.components, patch))
+        return Section(self._TM,
+                       apply_matrix(self.anchor, s.components, self.patch))
 
     def apply_anchor(self, s, f):
         """Directional derivative rho(s)(f)."""
@@ -116,8 +118,11 @@ class DullAlgebroid:
                     raise ValueError("bracket values must live in the bundle")
         self.anchored = anchored
         self.bracket = bracket
-        # bracket_eval on constant arguments (see the module docstring)
+        # the nonzero table rows and the two memo tiers of bracket_eval
+        # (see the module docstring)
+        self._rows = None
         self._memo = {}
+        self._recent = {}
         self.skew_checked = False
         self.anchor_compat_checked = False
         self.jacobi_checked = False
@@ -181,27 +186,41 @@ def induced_algebroid(sub, bracket, anchor_vf, name):
     return DullAlgebroid(AnchoredBundle(bundle, anchor), table), outside
 
 
-def _leibniz(bundle, table, f, g, X1, X2=None, weight=None, D=None,
+def _nonzero_rows(table):
+    """The nonzero entries of each row of a frame table, as {j: components}
+    in increasing j."""
+    return [{j: s.components for j, s in enumerate(row) if not s.is_zero()}
+            for row in table]
+
+
+def _rows(owner, table):
+    """owner's table as _nonzero_rows, listed at its first evaluation and
+    kept on owner._rows."""
+    if owner._rows is None:
+        owner._rows = _nonzero_rows(table)
+    return owner._rows
+
+
+def _leibniz(bundle, rows, f, g, X1, X2=None, weight=None, D=None,
              frame=None):
     """sum f_i g_j T[i][j] + sum X1(g_j) e_j - sum X2(f_i) e_i
     + sum weight(i) D(f_i) for coefficient lists f, g over the output frame
-    e (the standard basis of bundle unless given).  X2 is None for a
-    Dorfman connection; weight and D come only with a pairing term.
+    e (the standard basis of bundle unless given), with the table T given
+    by its _nonzero_rows.  X2 is None for a Dorfman connection; weight and
+    D come only with a pairing term.
 
     The terms are summed into one component list, and only nonzero
     coefficients, frame entries and D(f_i) entries are touched: the
-    product f_i g_j is formed only when T[i][j] has a nonzero component,
-    and scalars._accumulate adds it in on the representations.  On the
+    product f_i g_j is formed only when T[i][j] is a nonzero entry, and
+    scalars._accumulate adds it in on the representations.  On the
     standard basis X1(g_j) is added to component j directly."""
     out = [bundle.patch.zero] * bundle.rank
     fs = [(i, fi) for i, fi in enumerate(f) if fi]
-    gs = [(j, gj) for j, gj in enumerate(g) if gj]
     for i, fi in fs:
-        row = table[i]
-        for j, gj in gs:
-            entry = row[j]
-            if not entry.is_zero():
-                _accumulate(out, fi * gj, entry.components)
+        for j, entry in rows[i].items():
+            gj = g[j]
+            if gj:
+                _accumulate(out, fi * gj, entry)
     for j, gj in enumerate(g):
         d = apply_vf(X1, gj)
         if d:
@@ -232,8 +251,8 @@ def bracket_eval(alg, q1, q2):
     bundle = alg.bundle
     if q1.bundle != bundle or q2.bundle != bundle:
         raise ValueError("sections do not live in the algebroid bundle")
-    return _recall(alg._memo, _constant_key(q1, q2), lambda: _leibniz(
-        bundle, alg.bracket, q1.components, q2.components,
+    return _recall(alg, (q1, q2), lambda: _leibniz(
+        bundle, _rows(alg, alg.bracket), q1.components, q2.components,
         alg.anchor_vf(q1), alg.anchor_vf(q2)))
 
 
@@ -408,18 +427,14 @@ class LinearConnection:
 
     def eval(self, X, s):
         """nabla_X s = sum_i X^i (d_i s + sum_j s^j gamma[i][j])."""
-        patch = self.bundle.patch
-        out = self.bundle.zero_section()
-        for i in range(patch.dim):
-            xi = X.components[i]
-            if xi.is_zero():
-                continue
-            row = Section(self.bundle, [c.diff(i) for c in s.components])
-            for j, sj in enumerate(s.components):
-                if not sj.is_zero():
-                    row = row + sj * self.gamma[i][j]
-            out = out + xi * row
-        return out
+        out = [self.bundle.patch.zero] * self.bundle.rank
+        for i, xi in enumerate(X.components):
+            if xi:
+                _accumulate(out, xi, [c.diff(i) for c in s.components])
+                for sj, entry in zip(s.components, self.gamma[i]):
+                    if sj and not entry.is_zero():
+                        _accumulate(out, xi * sj, entry.components)
+        return Section(self.bundle, out)
 
 
 class BasicConnections:

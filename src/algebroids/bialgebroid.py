@@ -32,13 +32,13 @@ with [.,.]_d the anchored bracket of A + T*M and nabla^bas over pr_A of the
 second index.  verify_appendix_lemmas exposes the identities this formula
 rests on; they double as the convention oracle for the curvature sign.
 
-QuotientCourant.bracket keeps what it computes on constant representatives
-in the constant tier of the algebroid module's memo rule (bundles._recall),
-living as long as the carrier; a hit skips the inner bracket_eval,
-nabla^bas, dorfman_eval and membership calls as well.  It has no value
-tier: few rational representatives repeat, and their keys cost more than
-the hits save.  The triple's algebroid, connection and subbundles are
-read-only once the carrier has evaluated a bracket.
+QuotientCourant.bracket memoises on representatives by the algebroid
+module's two-tier rule (bundles._recall), living as long as the carrier; a
+hit skips the inner bracket_eval, nabla^bas, dorfman_eval and membership
+calls as well.  The value tier pays off in the Jacobi check, which asks
+for [c2, [c1, c3]] again from the tuple (c2, c1, c3).  The triple's
+algebroid, connection and subbundles are read-only once the carrier has
+evaluated a bracket.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from itertools import combinations, product
 from .algebroid import (DullAlgebroid, bracket_eval, check_algebroid,
                         induced_algebroid, rho_rhot, side_B, side_Q)
 from .bundles import (Frame, FrameError, GraphQuotient, Section, Solver,
-                      Subbundle, _constant_key, _recall, annihilator,
+                      Subbundle, _recall, annihilator,
                       apply_matrix, canonical_pairing, degenerate_pairing,
                       matrix_rank, membership, nullspace, random_combination,
                       random_section)
@@ -379,8 +379,10 @@ class QuotientCourant(GraphQuotient):
         self._dC = degenerate_courant(alg)
         self.ra = alg.rank
         self.axioms_checked = False
-        # bracket on constant arguments (see the module docstring)
+        self._TM = tangent(self.patch)
+        # the two memo tiers of bracket (see the module docstring)
         self._memo = {}
+        self._recent = {}
 
     @property
     def rank(self):
@@ -391,7 +393,7 @@ class QuotientCourant(GraphQuotient):
         u, tau = self.split(c)
         rho_a = apply_matrix(self.alg.anchored.anchor,
                             tau.components[:self.ra], patch)
-        return Section(tangent(patch),
+        return Section(self._TM,
                        [u.components[i] + rho_a[i]
                         for i in range(patch.dim)])
 
@@ -411,8 +413,7 @@ class QuotientCourant(GraphQuotient):
     def bracket(self, c1, c2):
         if c1.bundle != self.bundle or c2.bundle != self.bundle:
             raise ValueError("sections do not live in the carrier bundle")
-        return _recall(self._memo, _constant_key(c1, c2),
-                       lambda: self._bracket(c1, c2))
+        return _recall(self, (c1, c2), lambda: self._bracket(c1, c2))
 
     def _bracket(self, c1, c2):
         alg, D = self.alg, self.D

@@ -69,7 +69,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ScalarField, _accumulate, _dot, random_scalar
+from .scalars import (ScalarField, _accumulate, _dot, _value_key,
+                      random_scalar)
 
 __all__ = [
     "TrivialBundle", "Section", "Frame", "Subbundle", "GraphQuotient",
@@ -135,7 +136,7 @@ class TrivialBundle:
 class Section:
     """A section of a trivialized bundle: a tuple of scalar components."""
 
-    __slots__ = ("bundle", "components")
+    __slots__ = ("bundle", "components", "_key")  # _key: see _recall
 
     def __init__(self, bundle, components):
         components = tuple(components)
@@ -521,36 +522,53 @@ def _apply_transpose(m, comps, patch):
     return [_dot(patch, col, comps) for col in zip(*m)]
 
 
-def _constant_key(*sections, tag=()):
-    """The memo key of a bracket or connection on one structure: tag, then
-    the tuples of the sections' component values as ints and Fractions;
-    None at the first component that is not constant.
+# entries of the value tier of every bracket and connection memo (see the
+# algebroid module docstring); the benchmark rounds ask for a result again
+# at most 55 new entries later, and 32 would lose quotient bracket hits
+_RECENT = 64
+
+
+def _constant_key(s):
+    """The component values of a section as ints and Fractions, or None
+    when one is not constant.
 
     Constant arguments are the frame sections, their constant
     combinations and the random draws that happen to be constant (common
     at max_degree 1), so the keys a structure stores are bounded by its
     frame test sets plus those draws."""
-    key = list(tag)
+    values = []
+    for c in s.components:
+        v = c.as_constant()
+        if v is None:
+            return None
+        values.append(v)
+    return tuple(values)
+
+
+def _recall(owner, sections, compute, tag=()):
+    """compute() once per key in a memo tier of owner (see the algebroid
+    module docstring): tag, then one part per section, its _constant_key
+    or else its scalars._value_key.  A key of constant parts only goes to
+    owner._memo, any other to owner._recent, which drops its oldest entry
+    beyond _RECENT.  A section is never mutated, so it keeps its part,
+    built on first use, as (constant, part) in its _key slot."""
+    key, constant = tag, True
     for s in sections:
-        values = []
-        for c in s.components:
-            v = c.as_constant()
-            if v is None:
-                return None
-            values.append(v)
-        key.append(tuple(values))
-    return tuple(key)
-
-
-def _recall(memo, key, compute, cap=None):
-    """compute() once per key in memo, or afresh and unstored for a key of
-    None; with a cap, the memo drops its oldest entry beyond cap."""
-    if key is None:
-        return compute()
+        try:
+            c, part = s._key
+        except AttributeError:
+            part = _constant_key(s)
+            c = part is not None
+            if not c:
+                part = _value_key(s.components)
+            s._key = c, part
+        constant = constant and c
+        key += (part,)
+    memo = owner._memo if constant else owner._recent
     out = memo.get(key)
     if out is None:
         out = memo[key] = compute()
-        if cap is not None and len(memo) > cap:
+        if not constant and len(memo) > _RECENT:
             del memo[next(iter(memo))]
     return out
 

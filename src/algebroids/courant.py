@@ -16,12 +16,12 @@ object implementing the small carrier protocol used here (frame_sections,
 random_element, bracket, pairing, anchor_vf, D_of, is_zero), so quotient
 carriers can reuse it.
 
-CourantPresentation.bracket keeps what it computes on constant arguments
-in the constant tier of the algebroid module's memo rule (bundles._recall):
-keyed by the component values of both sections (frame sections and their
-constant combinations, whose number the frame bounds), and living as long
-as the presentation, whose tables are read-only once it has evaluated a
-bracket.
+CourantPresentation.bracket memoises by the algebroid module's two-tier
+rule (bundles._recall): results on constant arguments in the constant
+tier, whose size the frame bounds, and the newest on non-constant ones in
+the value tier, both keyed by the component values of the two sections
+and living as long as the presentation.  Its tables are read-only once it
+has evaluated a bracket, which lists the nonzero table entries once.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .algebroid import _leibniz, induced_algebroid, side_B
+from .algebroid import _leibniz, _rows, induced_algebroid, side_B
 from .bundles import (Frame, Section, Subbundle, TrivialBundle,
-                      _apply_transpose, _constant_key, _recall,
+                      _apply_transpose, _recall,
                       apply_matrix, det, direct_sum, membership, nullspace,
                       random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
@@ -83,8 +83,12 @@ class CourantPresentation:
         self.dmat = dmat
         self.degenerate = degenerate
         self.axioms_checked = False
-        # bracket on constant arguments (see the module docstring)
+        self._TM = tangent(patch)
+        # the nonzero table rows and the two memo tiers of bracket (see the
+        # module docstring)
+        self._rows = None
         self._memo = {}
+        self._recent = {}
 
     @property
     def patch(self):
@@ -116,9 +120,8 @@ class CourantPresentation:
         return c.is_zero()
 
     def anchor_vf(self, c):
-        patch = self.patch
-        return Section(tangent(patch),
-                       apply_matrix(self.anchor, c.components, patch))
+        return Section(self._TM,
+                       apply_matrix(self.anchor, c.components, self.patch))
 
     def apply_anchor(self, c, f):
         return apply_vf(self.anchor_vf(c), f)
@@ -145,9 +148,9 @@ class CourantPresentation:
         def weight(i):  # <e_i, c2> from the Gram table
             return _dot(self.patch, self.gram[i], g)
 
-        return _recall(self._memo, _constant_key(c1, c2), lambda: _leibniz(
-            bundle, self.table, c1.components, g, self.anchor_vf(c1),
-            self.anchor_vf(c2), weight, self.D_of))
+        return _recall(self, (c1, c2), lambda: _leibniz(
+            bundle, _rows(self, self.table), c1.components, g,
+            self.anchor_vf(c1), self.anchor_vf(c2), weight, self.D_of))
 
 
 def standard_courant(patch):

@@ -24,14 +24,15 @@ connection agrees with it only for q in Gamma(TM + 0) and only modulo the
 annihilator A + 0, which is exactly the quotient where Bott-type
 connections live.
 
-The connection memoises by the algebroid module's two-tier rule.  Its
-constant tier, _memo, keeps dorfman_eval's results under (q, b) keys and
-those of omega_map, nabla_bas_TMAs and basic_curvature under keys tagged
-"omega", "bas" and "curv".  Its value tier, _recent, keeps the newest 32
-results of nabla_bas_TMAs on non-constant arguments (random sections, or
-frames of a U with non-constant entries), which the lemma bialgebroid2,
-basic_curvature and the quotient Jacobi check ask for again and again.
-A table may be edited only before the connection's first evaluation.
+The connection memoises by the algebroid module's two-tier rule, in both
+tiers: dorfman_eval's results under (q, b) keys and those of omega_map,
+nabla_bas_TMAs and basic_curvature under keys tagged "omega", "bas" and
+"curv", so the four share the connection's _memo and its _recent.  The
+value tier holds random sections and frames of a U with non-constant
+entries, which the lemma bialgebroid2, basic_curvature and the quotient
+Jacobi check ask for again and again.
+A table may be edited only before the connection's first evaluation,
+which lists its nonzero entries once (algebroid._nonzero_rows).
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
-                        bracket_eval, check_anchor_compat, lie_derivative_ATM,
+                        _nonzero_rows, _rows, bracket_eval,
+                        check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import (Section, _constant_key, _recall, annihilator,
-                      canonical_pairing)
+from .bundles import Section, _recall, annihilator, canonical_pairing
 from .cartan import apply_vf, lie_bracket_vf, tangent
 from .reporting import Check
-from .scalars import _dot, _key, random_scalar
+from .scalars import _dot, random_scalar
 
 __all__ = [
     "DorfmanConnection", "ExtensionResult", "dorfman_eval",
@@ -54,10 +55,6 @@ __all__ = [
     "omega_map", "nabla_bas_TMAs", "nabla_bas_ATM", "basic_curvature",
     "dorfman_curvature", "extend_lie_bracket_to_dull",
 ]
-
-# entries of the value tier of nabla_bas_TMAs (see the module docstring)
-_RECENT = 32
-
 
 def _pr_tm(patch, rank):
     """Anchor matrix of pr_TM on a bundle whose first dim components are
@@ -70,7 +67,8 @@ class DorfmanConnection:
     """Frame table of a Dorfman connection: table[i][j] = Delta_{q_i} b_j,
     a section of B, with q over the TM + A* frame and b over A + T*M."""
 
-    __slots__ = ("Q", "B", "table", "_dual", "_memo", "_recent")
+    __slots__ = ("Q", "B", "table", "dim", "rank_A", "_TM", "_dual",
+                 "_rows", "_memo", "_recent")
 
     def __init__(self, Q, B, table):
         if Q.patch != B.patch or Q.rank != B.rank:
@@ -87,8 +85,13 @@ class DorfmanConnection:
         self.Q = Q
         self.B = B
         self.table = table
+        self.dim = Q.patch.dim
+        self.rank_A = Q.rank - self.dim
+        self._TM = tangent(Q.patch)
         self._dual = None
-        # the two memo tiers (see the module docstring)
+        # the nonzero table rows and the two memo tiers (see the module
+        # docstring)
+        self._rows = None
         self._memo = {}
         self._recent = {}
 
@@ -101,16 +104,8 @@ class DorfmanConnection:
     def patch(self):
         return self.Q.patch
 
-    @property
-    def dim(self):
-        return self.patch.dim
-
-    @property
-    def rank_A(self):
-        return self.Q.rank - self.patch.dim
-
     def anchor_vf(self, q):
-        return Section(tangent(self.patch), q.components[:self.dim])
+        return Section(self._TM, q.components[:self.dim])
 
     def apply_anchor(self, q, f):
         return apply_vf(self.anchor_vf(q), f)
@@ -151,8 +146,8 @@ def dorfman_eval(D, q, b):
     if b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
     dim, ra = D.dim, D.rank_A
-    return _recall(D._memo, _constant_key(q, b), lambda: _leibniz(
-        D.B, D.table, q.components, b.components, D.anchor_vf(q),
+    return _recall(D, (q, b), lambda: _leibniz(
+        D.B, _rows(D, D.table), q.components, b.components, D.anchor_vf(q),
         weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B))
 
 
@@ -263,8 +258,7 @@ def omega_map(D, v, a):
         b = Section(D.B, list(a.components) + [patch.zero] * dim)
         pair = _dot(patch, v.components[dim:], a.components)
         return dorfman_eval(D, v, b) - D.d_B(pair)
-    return _recall(D._memo, _constant_key(v, a, tag=("omega", v.bundle)),
-                   compute)
+    return _recall(D, (v, a), compute, tag=("omega", v.bundle))
 
 
 def nabla_bas_TMAs(D, alg, a, v):
@@ -274,12 +268,7 @@ def nabla_bas_TMAs(D, alg, a, v):
         om = omega_map(D, v, a)
         return rho_rhot(alg, om, target=v.bundle) \
             + lie_derivative_TMAs(alg, a, v)
-    tag = (alg, a.bundle, v.bundle)
-    memo, key, cap = D._memo, _constant_key(a, v, tag=("bas",) + tag), None
-    if key is None:
-        memo, cap = D._recent, _RECENT
-        key = tag + tuple(_key(c.rep) for s in (a, v) for c in s.components)
-    return _recall(memo, key, compute, cap)
+    return _recall(D, (a, v), compute, tag=("bas", alg, a.bundle, v.bundle))
 
 
 def nabla_bas_ATM(D, alg, a, t):
@@ -300,9 +289,8 @@ def basic_curvature(D, alg, a1, a2, v):
                 - lie_derivative_ATM(alg, a2, omega_map(D, v, a1))
                 + omega_map(D, nabla_bas_TMAs(D, alg, a2, v), a1)
                 - omega_map(D, nabla_bas_TMAs(D, alg, a1, v), a2))
-    key = _constant_key(a1, a2, v,
-                        tag=("curv", alg, a1.bundle, a2.bundle, v.bundle))
-    return _recall(D._memo, key, compute)
+    return _recall(D, (a1, a2, v), compute,
+                   tag=("curv", alg, a1.bundle, a2.bundle, v.bundle))
 
 
 def dorfman_curvature(D, u1, u2, t):
@@ -380,7 +368,9 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
               for i in range(n)]
 
     X = [pr(Q.basis_section(i)) for i in range(n)]
-    table = [[_leibniz(Q, g, coeffs[i], coeffs[j], X[i], X[j], frame=mixed)
+    rows = _nonzero_rows(g)
+    table = [[_leibniz(Q, rows, coeffs[i], coeffs[j], X[i], X[j],
+                       frame=mixed)
               for j in range(n)] for i in range(n)]
 
     dull = DullAlgebroid(AnchoredBundle(Q, _pr_tm(patch, n)), table)

@@ -436,6 +436,12 @@ def _key(r):
     return frozenset(r[0].items()), frozenset(r[1].items())
 
 
+def _value_key(components):
+    """The hashable values of a component list: a section's part of a
+    value-tier memo key (bundles._recall)."""
+    return tuple(_key(c.rep) for c in components)
+
+
 def _unit(patch, r):
     """1 or -1 when r is that constant, else None."""
     if type(r) is dict and len(r) == 1:

@@ -19,7 +19,11 @@ oracle.
 
 Knowledge of the scalar representation stays in scalars.py: no other
 module reads a `.rep` attribute, except at the sites REP_READS_ALLOWED
-names, each with its reason."""
+names, each with its reason.
+
+Every bracket and connection memo goes through one path: memo keys are
+built only in bundles._recall, the one caller of _constant_key and
+scalars._value_key."""
 
 import ast
 from pathlib import Path
@@ -44,8 +48,6 @@ ORPHANS_ALLOWED = {
 # (module, enclosing function) of the .rep reads outside scalars.py, and
 # why each is there
 REP_READS_ALLOWED = {
-    ("dorfman.py", "nabla_bas_TMAs"):
-        "the value-tier memo key: scalars._key of every component",
     ("bundles.py", "Section.is_zero"):
         "the zero test of every residual and Leibniz table entry, without "
         "a method call per component",
@@ -138,8 +140,8 @@ def orphan_functions(modules, readers):
             and stmt.name not in loaded and stmt.name not in _exported(tree)]
 
 
-def rep_reads(tree):
-    """(enclosing function, line) of every load of a .rep attribute; the
+def _scoped(tree, match):
+    """(enclosing function, line) of every node that match accepts; the
     function is a dotted path through classes, "" at module level."""
     out = []
 
@@ -149,13 +151,34 @@ def rep_reads(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            elif (isinstance(child, ast.Attribute) and child.attr == "rep"
-                  and isinstance(child.ctx, ast.Load)):
+            elif match(child):
                 out.append((".".join(scope), child.lineno))
             visit(child, inner)
 
     visit(tree, ())
     return out
+
+
+def rep_reads(tree):
+    """(enclosing function, line) of every load of a .rep attribute."""
+    return _scoped(tree, lambda n: isinstance(n, ast.Attribute)
+                   and n.attr == "rep" and isinstance(n.ctx, ast.Load))
+
+
+KEY_FUNCTIONS = {"_constant_key", "_value_key"}
+
+
+def key_builds(tree):
+    """(enclosing function, line) of every call of a memo-key function,
+    bare or as an attribute."""
+    def match(n):
+        if not isinstance(n, ast.Call):
+            return False
+        f = n.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name in KEY_FUNCTIONS
+
+    return _scoped(tree, match)
 
 
 def elimination_functions(modules):
@@ -282,3 +305,24 @@ def test_rep_scan_catches_planted_reads():
         "            return [c.rep for c in g]\n"
         "        return inner, g.represent, rep\n")
     assert rep_reads(tree) == [("", 1), ("K.m", 4), ("K.m.inner", 6)]
+
+
+def test_memo_keys_built_only_in_recall():
+    found = {(p.name, scope) for p in MODULES
+             for scope, _ in key_builds(_tree(p))}
+    assert found == {("bundles.py", "_recall")}
+
+
+def test_key_scan_catches_planted_builds():
+    tree = ast.parse(
+        "def _recall(owner, sections):\n"
+        "    return _constant_key(sections[0])\n"
+        "def bracket_eval(alg, q1, q2):\n"
+        "    key = (_constant_key(q1), bundles._constant_key(q2))\n"
+        "    return scalars._value_key(q1.components), _constant_key\n"
+        "class C:\n"
+        "    def bracket(self, c1):\n"
+        "        return _value_key(c1.components)\n")
+    assert key_builds(tree) == [("_recall", 2), ("bracket_eval", 4),
+                                ("bracket_eval", 4), ("bracket_eval", 5),
+                                ("C.bracket", 8)]

@@ -9,7 +9,7 @@ expansions are kept below as the reference.
 from hypothesis import given, settings, strategies as st
 
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
-                                  bracket_eval, side_B, side_Q,
+                                  _nonzero_rows, bracket_eval, side_B, side_Q,
                                   tangent_algebroid)
 from algebroids.bundles import (Frame, Section, Solver, Subbundle,
                                 TrivialBundle, complement)
@@ -269,10 +269,10 @@ def test_leibniz_forms_a_product_only_for_a_nonzero_table_entry(monkeypatch):
                         lambda *args: calls.append(args) or _int_mul(*args))
 
     table = [[zero] * rank for _ in range(rank)]
-    assert _leibniz(bundle, table, f, g, still, still) == zero
+    assert _leibniz(bundle, _nonzero_rows(table), f, g, still, still) == zero
     assert calls == []
 
     table[1][2] = bundle.basis_section(0)
-    got = _leibniz(bundle, table, f, g, still, still)
+    got = _leibniz(bundle, _nonzero_rows(table), f, g, still, still)
     assert len(calls) == 1
     assert got == Section(bundle, [X * Y * X * X, PATCH.zero, PATCH.zero])

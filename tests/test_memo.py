@@ -2,42 +2,48 @@
 
 bracket_eval, dorfman_eval, CourantPresentation.bracket,
 QuotientCourant.bracket, and omega_map, nabla_bas_TMAs and basic_curvature
-on a Dorfman connection store a result when every component of every
-argument is constant, keyed by the component values, in a dict on the
-structure that owns the bracket or connection (the constant tier).  These
-tests pin the three properties that make that safe and bounded:
+on a Dorfman connection each look their results up through
+bundles._recall, in two tiers on the structure that owns them.  The
+constant tier stores a result when every component of every argument is
+constant, keyed by the component values.  These tests pin the three
+properties that make that safe and bounded:
 
 * a stored result is the value a fresh structure computes, and equal
   arguments built as different objects share one entry (the key is the
   value, never the object);
-* an argument with a non-constant component is never stored, so the
-  number of entries after a suite does not depend on its random trials;
+* an argument with a non-constant component is never stored there, so
+  the number of entries after a suite does not depend on its random
+  trials;
 * each structure has its own memo, so two structures on the same bundle
   with different tables never see each other's results.
 
-nabla_bas_TMAs also keeps its newest results on non-constant arguments,
-keyed by their values, in a second dict of fixed size on the connection
-(the value tier); the last two tests pin its bound and its hits.
+Every other result goes to the value tier, keyed by the values of all
+components, which keeps the newest bundles._RECENT entries.  The last
+tests pin, at every entry point, its bound, that a hit is the value a
+fresh structure computes, that equal sections built separately share an
+entry, that a wrong argument still raises when its values match a stored
+entry, and that the key parts a section keeps are the ones _recall would
+build afresh.
 """
 
 import pytest
 
-from algebroids import bialgebroid, cli, instances
-from algebroids import dorfman as dorfman_module
+from algebroids import bundles, cli, instances
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, bracket_eval,
                                   check_algebroid, side_B, side_Q)
 from algebroids.bialgebroid import (LADiracTriple, build_courant_C,
                                     verify_appendix_lemmas)
-from algebroids.bundles import Frame, Section, Subbundle, TrivialBundle
+from algebroids.bundles import (Frame, Section, Subbundle, TrivialBundle,
+                                _constant_key)
 from algebroids.courant import check_courant_axioms, degenerate_courant
 from algebroids.dorfman import (DorfmanConnection, basic_curvature,
                                 check_dorfman_axioms, dorfman_eval,
                                 nabla_bas_TMAs, omega_map)
 from algebroids.reporting import CheckConfig
-from algebroids.scalars import Patch
+from algebroids.scalars import Patch, _value_key
 
 PATCH = Patch(["x", "y"])
-X = PATCH.coordinate(0)
+X, Y = PATCH.coordinate(0), PATCH.coordinate(1)
 
 
 def action_algebroid(c):
@@ -92,20 +98,29 @@ def stored(s):
     return len(s._memo)
 
 
-def tagged(tag):
-    """The number of entries of one kernel in the constant tier of a
-    triple's connection, which dorfman_eval's entries share."""
-    return lambda T: sum(1 for key in T.D._memo if key[0] == tag)
+def recent(s):
+    return len(s._recent)
+
+
+def tagged(tag, tier="_memo"):
+    """The number of entries of one kernel in a tier of a triple's
+    connection, which dorfman_eval's entries share."""
+    return lambda T: sum(1 for key in getattr(T.D, tier) if key[0] == tag)
 
 
 class Entry:
     """One memoised entry point: a structure factory (c selects the
     table), the call, the bundles of its two arguments, a suite that
-    exercises it and the number of entries it has stored."""
+    exercises it, the number of entries it has stored in the constant
+    and in the value tier, the structure that owns its memo, and the
+    argument positions checked only by their length."""
 
-    def __init__(self, make, call, bundles, suite, count=stored):
-        self.make, self.call, self.bundles, self.suite, self.count = \
-            make, call, bundles, suite, count
+    def __init__(self, make, call, bundles, suite, count=stored,
+                 count_recent=recent, owner=lambda s: s, loose=()):
+        self.make, self.call, self.bundles, self.suite = \
+            make, call, bundles, suite
+        self.count, self.count_recent = count, count_recent
+        self.owner, self.loose = owner, loose
 
 
 ENTRIES = {
@@ -131,19 +146,22 @@ ENTRIES = {
         triple,
         lambda T, v, a: omega_map(T.D, v, a),
         lambda T: (T.D.Q, T.alg.bundle),
-        verify_appendix_lemmas, tagged("omega")),
+        verify_appendix_lemmas, tagged("omega"),
+        tagged("omega", "_recent"), lambda T: T.D, loose=(1,)),
     "nabla_bas_TMAs": Entry(
         triple,
         lambda T, a, v: nabla_bas_TMAs(T.D, T.alg, a, v),
         lambda T: (T.alg.bundle, T.D.Q),
-        verify_appendix_lemmas, tagged("bas")),
+        verify_appendix_lemmas, tagged("bas"),
+        tagged("bas", "_recent"), lambda T: T.D),
     # R^bas(a, e_1) v
     "basic_curvature": Entry(
         triple,
         lambda T, a, v: basic_curvature(T.D, T.alg, a,
                                         T.alg.bundle.basis_section(1), v),
         lambda T: (T.alg.bundle, T.D.Q),
-        verify_appendix_lemmas, tagged("curv")),
+        verify_appendix_lemmas, tagged("curv"),
+        tagged("curv", "_recent"), lambda T: T.D),
 }
 
 params = pytest.mark.parametrize("name", sorted(ENTRIES))
@@ -244,38 +262,101 @@ def test_structures_keep_separate_results(name):
     assert [str(entry.call(s2, p, q)) for p, q in pairs] == r2
 
 
-def test_value_tier_holds_a_fixed_number_of_entries():
-    # random trials add non-constant arguments without end; the value
-    # tier keeps only the newest, so its size does not follow trials
-    # (degree 1 keeps the round short; the bound does not depend on it)
-    sizes = []
-    for trials in (0, 3, 8):
-        T = triple(1)
-        verify_appendix_lemmas(T, CheckConfig(seed=0, trials=trials,
-                                              max_degree=1))
-        sizes.append(len(T.D._recent))
-    assert max(sizes) <= dorfman_module._RECENT
-    # at 8 trials more distinct arguments arrive than the tier holds
-    assert sizes[-1] == dorfman_module._RECENT
+def varied(entry, s, m):
+    """m non-constant sections over each argument bundle, all distinct;
+    i and j reach the results through products and derivatives alike."""
+    first, second = entry.bundles(s)
+    e, b = first.basis_sections(), second.basis_sections()
+    return ([Y * (X + i) * e[0] + Y * e[-1] for i in range(m)],
+            [X * (Y + j) * b[-1] + X * b[0] for j in range(m)])
 
 
-def test_value_tier_hits_equal_a_fresh_connection(monkeypatch):
-    # wrap nabla_bas_TMAs where the lemma suite and basic_curvature look
-    # it up; a hit returns an object the value tier already held
-    real = dorfman_module.nabla_bas_TMAs
-    hits = []
+@params
+def test_value_tier_holds_a_fixed_number_of_entries(name):
+    # more distinct non-constant arguments than the tier holds: it never
+    # grows past the bound, ends full, and keeps this entry point's newest
+    entry = ENTRIES[name]
+    s = entry.make(1)
+    owner = entry.owner(s)
+    ps, qs = varied(entry, s, 9)
+    for p in ps:
+        for q in qs:
+            entry.call(s, p, q)
+            assert len(owner._recent) <= bundles._RECENT
+    assert len(owner._recent) == bundles._RECENT
+    assert entry.count_recent(s) > 0
+    assert entry.count(s) == 0
 
-    def checking(D, alg, a, v):
-        held = list(D._recent.values())
-        out = real(D, alg, a, v)
-        if any(out is r for r in held):
-            hits.append(out)
-            fresh = DorfmanConnection(D.Q, D.B, D.table)
-            assert same(out, real(fresh, alg, a, v))
-        return out
 
-    monkeypatch.setattr(dorfman_module, "nabla_bas_TMAs", checking)
-    monkeypatch.setattr(bialgebroid, "nabla_bas_TMAs", checking)
-    T = triple(1)
-    verify_appendix_lemmas(T, CheckConfig(seed=0, trials=2))
-    assert len(hits) > 0
+@params
+def test_value_tier_hits_equal_a_fresh_structure(name, monkeypatch):
+    # every pair of non-constant arguments twice; pairs share one section
+    # with others, so a key that missed a section would return another
+    # pair's result
+    entry = ENTRIES[name]
+    s = entry.make(1)
+    owner = entry.owner(s)
+    ps, qs = varied(entry, s, 3)
+    pairs = [(p, q) for p in ps for q in qs]
+    got, hits = [], 0
+    for p, q in pairs + pairs[::-1]:
+        held = list(owner._recent.values())
+        out = entry.call(s, p, q)
+        hits += any(out is r for r in held)
+        got.append(out)
+    assert hits > 0
+    # a fresh structure with no value tier recomputes every result
+    monkeypatch.setattr(bundles, "_RECENT", 0)
+    fresh = entry.make(1)
+    for (p, q), out in zip(pairs + pairs[::-1], got):
+        assert same(out, entry.call(fresh, p, q))
+
+
+@params
+def test_equal_non_constant_sections_share_one_entry(name):
+    entry = ENTRIES[name]
+    s = entry.make(1)
+    (p1,), (q1,) = varied(entry, s, 1)
+    p2 = Section(p1.bundle, list(p1.components))
+    q2 = Section(q1.bundle, list(q1.components))
+    r1 = entry.call(s, p1, q1)
+    assert entry.count_recent(s) == 1
+    assert entry.call(s, p2, q2) is r1
+    assert entry.count_recent(s) == 1
+
+
+@params
+def test_wrong_argument_raises_when_its_values_match_an_entry(name):
+    # the value key holds component values only: an argument of another
+    # bundle (or, where only its length is checked, another length) with
+    # the values of a stored one must still be refused
+    entry = ENTRIES[name]
+    s = entry.make(1)
+    (p,), (q,) = varied(entry, s, 1)
+    entry.call(s, p, q)
+    for i, arg in enumerate((p, q)):
+        comps = list(arg.components)
+        if i in entry.loose:
+            comps.append(PATCH.zero)
+        wrong = Section(TrivialBundle(PATCH, len(comps), "other"), comps)
+        args = [p, q]
+        args[i] = wrong
+        with pytest.raises(ValueError):
+            entry.call(s, *args)
+    assert entry.count_recent(s) == 1
+
+
+@params
+def test_sections_keep_the_key_parts_recall_builds(name):
+    entry = ENTRIES[name]
+    s = entry.make(1)
+    ps, qs = varied(entry, s, 1)
+    first, second = entry.bundles(s)
+    for p, q in ((ps[0], qs[0]), (first.basis_section(0), qs[0]),
+                 (first.basis_section(0), second.basis_section(0))):
+        entry.call(s, p, q)
+        for arg in (p, q):
+            constant = _constant_key(arg)
+            assert arg._key == (
+                (True, constant) if constant is not None
+                else (False, _value_key(arg.components)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from algebroids.algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
-                                  rho_transpose)
+                                  _nonzero_rows, rho_transpose)
 from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
                                 _apply_transpose, apply_matrix,
                                 canonical_pairing, degenerate_pairing)
@@ -397,7 +397,8 @@ def test_leibniz(rank, with_frame, with_x2, with_pairing, data):
             grad = [h.diff(k) for k in range(PATCH.dim)]
             return Section(bundle, dense_apply_matrix(dmat, grad))
 
-    got = _leibniz(bundle, table, f, g, X1, X2, weight, D, frame)
+    got = _leibniz(bundle, _nonzero_rows(table), f, g, X1, X2, weight, D,
+                   frame)
     assert got.bundle == bundle
     assert_same(got, dense_leibniz(rank, table, f, g, X1, X2, weight, D,
                                    frame))
@@ -409,11 +410,10 @@ def test_leibniz_adds_the_anchor_term_over_the_given_frame():
     zero = bundle.zero_section()
     frame = [Section(bundle, [ONE, Y]), Section(bundle, [X, ONE])]
     X1 = Section(TM, [ONE, ZERO])
-    got = _leibniz(bundle, [[zero, zero], [zero, zero]], [ZERO, ZERO],
-                   [ZERO, X * X], X1, frame=frame)
+    rows = _nonzero_rows([[zero, zero], [zero, zero]])
+    got = _leibniz(bundle, rows, [ZERO, ZERO], [ZERO, X * X], X1, frame=frame)
     assert_same(got, [2 * X * X, 2 * X])
-    got = _leibniz(bundle, [[zero, zero], [zero, zero]], [ZERO, ZERO],
-                   [ZERO, X * X], X1)
+    got = _leibniz(bundle, rows, [ZERO, ZERO], [ZERO, X * X], X1)
     assert_same(got, [ZERO, 2 * X])
 
 
