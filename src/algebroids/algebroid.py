@@ -18,21 +18,22 @@ cannot change a result: every scalar is canonical, so a sum has one
 representation whatever the order of its terms.
 
 Memo rule, in two tiers, looked up and stored by one bundles._recall call
-at each of the seven memoised entry points: bracket_eval, dorfman_eval,
+at each of the eight memoised entry points: bracket_eval, dorfman_eval,
 omega_map, nabla_bas_TMAs, basic_curvature and the brackets of
-CourantPresentation and QuotientCourant.  The constant tier, _memo, keeps
-results on constant arguments (frame sections and their constant
-combinations) for as long as the structure lives, keyed by their
-component values (bundles._constant_key).  Their number is bounded by the
-frame test sets plus the random draws that happen to be constant, common
-at max_degree 1.  The value tier, _recent, keeps the newest
-bundles._RECENT results on other arguments, keyed by the values of all
-components (scalars._value_key): the Jacobi sums, nabla^bas inside R^bas
-and the quotient Jacobi check ask for the same random sections again and
-again.  Scalars are canonical, so a hit is the very value a recomputation
-would build.  An algebroid's anchor and bracket table are read-only once
-it has evaluated a bracket, which lists the table's nonzero entries once
-(_nonzero_rows).
+CourantPresentation, QuotientCourant and zoo.AbarAlgebroid.  Each refuses
+an argument of the wrong bundle with ValueError before the lookup.  The
+constant tier, _memo, keeps results on constant arguments (frame sections
+and their constant combinations) for as long as the structure lives,
+keyed by their component values (bundles._constant_key).  Their number is
+bounded by the frame test sets plus the random draws that happen to be
+constant, common at max_degree 1.  The value tier, _recent, keeps the
+newest bundles._RECENT results on other arguments, keyed by the values of
+all components (scalars._value_key): the Jacobi sums, nabla^bas inside
+R^bas and the quotient Jacobi check ask for the same random sections
+again and again.  Scalars are canonical, so a hit is the very value a
+recomputation would build.  An algebroid's anchor and bracket table are
+read-only once it has evaluated a bracket, which lists the table's
+nonzero entries once (_nonzero_rows).
 
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
@@ -41,7 +42,9 @@ success.
 Identity-checking protocol: non-tensorial identities are verified on the
 test set of reporting.Check.tuples (all frame tuples, then `trials` random
 polynomial sections of degree at most `max_degree`); tensorial ones on
-frames only (C-infinity-linearity makes the frame check complete).
+frames only (C-infinity-linearity makes the frame check complete).  A loop
+over a test set stops once its check is settled (reporting module
+docstring).
 induced_algebroid reads the algebroid a bracket induces on a closed
 subbundle; Dirac structures and the U of an LA-Dirac triple both use it.
 """
@@ -273,6 +276,8 @@ def check_anchor_compat(alg, config=None, name="algebroid.anchor_compat"):
         residual = lhs - rhs
         if not residual.is_zero():
             check.witness(residual, **{l1: q1, l2: q2})
+            if check.settled:
+                break
     res = check.result()
     if res.passed:
         alg.anchor_compat_checked = True
@@ -290,6 +295,8 @@ def check_skew(alg, config=None, name="algebroid.skew"):
         residual = bracket_eval(alg, q1, q2) + bracket_eval(alg, q2, q1)
         if not residual.is_zero():
             check.witness(residual, **{l1: q1, l2: q2})
+            if check.settled:
+                break
     res = check.result()
     if res.passed:
         alg.skew_checked = True
@@ -310,6 +317,8 @@ def check_jacobi(alg, config=None, name="algebroid.jacobi"):
                     - bracket_eval(alg, q2, bracket_eval(alg, q1, q3)))
         if not residual.is_zero():
             check.witness(residual, **{l1: q1, l2: q2, l3: q3})
+            if check.settled:
+                break
     res = check.result()
     if res.passed:
         alg.jacobi_checked = True

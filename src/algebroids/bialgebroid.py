@@ -187,12 +187,13 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     if closed:
         draw = partial(random_combination, U)
         taus = labelled("e", B.basis_sections())
-        for (l1, u1), (l2, u2) in check.tuples(
+        for ((l1, u1), (l2, u2)), (lt, tau) in product(check.tuples(
                 combinations(labelled("u", U.frame), 2),
-                ("random#%d.1", draw), ("random#%d.2", draw)):
-            for lt, tau in taus:
-                check.witness_outside(dorfman_curvature(D, u1, u2, tau), K,
-                                      **{l1: u1, l2: u2, lt: tau})
+                ("random#%d.1", draw), ("random#%d.2", draw)), taus):
+            check.witness_outside(dorfman_curvature(D, u1, u2, tau), K,
+                                  **{l1: u1, l2: u2, lt: tau})
+            if check.settled:
+                break
         results.append(check.result())
     else:
         results.append(check.skipped("bracket does not close on U"))
@@ -260,6 +261,8 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
             - rho_rhot(alg, nabla_bas_ATM(D, alg, a, tau), target=Q)
         if not residual.is_zero():
             check.witness(residual, a=la, tau=lt)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check("%s.basic_like" % prefix, config)
@@ -271,6 +274,8 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
             + nabla_bas_ATM(D, alg, pr_A(t2), t1)
         if not residual.is_zero():
             check.witness(residual, tau1=l1, tau2=l2)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check("%s.complicated" % prefix, config)
@@ -285,6 +290,8 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
             - canonical_pairing(nabla_bas_TMAs(D, alg, pr_A(taup), nu), tau)
         if not residual.is_zero():
             check.witness(residual, nu=ln, tau1=l1, tau2=l2)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check("%s.eq_for_morphism" % prefix, config)
@@ -299,28 +306,32 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
             - nabla_bas_TMAs(D, alg, pr_A(k), u)
         if not residual.is_zero():
             check.witness(residual, u=lu, k=lk)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check("%s.bialgebroid1" % prefix, config)
     flipped = Check("%s.bialgebroid1" % prefix, config)
     draw_U = partial(random_combination, U)
-    # flipped shares the check's name, so its stream starts afresh
-    taus = flipped.tuples(frames_B, ("random#%d", draw_B))
-    for (l1, u), (l2, v) in check.tuples(
+    # flipped shares the check's name, so its stream starts afresh; pr_A
+    # of each tau is taken once
+    taus = [(lt, tau, pr_A(tau))
+            for lt, tau in flipped.tuples(frames_B, ("random#%d", draw_B))]
+    for ((l1, u), (l2, v)), (lt, tau, a) in product(check.tuples(
             product(labelled("u", U.frame), repeat=2),
-            ("random#%d.1", draw_U), ("random#%d.2", draw_U)):
-        for lt, tau in taus:
-            a = pr_A(tau)
-            lhs = nabla_bas_TMAs(D, alg, a, bracket_eval(dual, u, v)) \
-                - bracket_eval(dual, nabla_bas_TMAs(D, alg, a, u), v) \
-                - bracket_eval(dual, u, nabla_bas_TMAs(D, alg, a, v)) \
-                + nabla_bas_TMAs(D, alg, pr_A(dorfman_eval(D, u, tau)), v) \
-                - nabla_bas_TMAs(D, alg, pr_A(dorfman_eval(D, v, tau)), u)
-            curv = rho_rhot(alg, dorfman_curvature(D, u, v, tau), target=Q)
-            if not (lhs + curv).is_zero():
-                check.witness(lhs + curv, u=l1, v=l2, tau=lt)
-            if not (lhs - curv).is_zero():
-                flipped.witness(lhs - curv, u=l1, v=l2, tau=lt)
+            ("random#%d.1", draw_U), ("random#%d.2", draw_U)), taus):
+        lhs = nabla_bas_TMAs(D, alg, a, bracket_eval(dual, u, v)) \
+            - bracket_eval(dual, nabla_bas_TMAs(D, alg, a, u), v) \
+            - bracket_eval(dual, u, nabla_bas_TMAs(D, alg, a, v)) \
+            + nabla_bas_TMAs(D, alg, pr_A(dorfman_eval(D, u, tau)), v) \
+            - nabla_bas_TMAs(D, alg, pr_A(dorfman_eval(D, v, tau)), u)
+        curv = rho_rhot(alg, dorfman_curvature(D, u, v, tau), target=Q)
+        if not (lhs + curv).is_zero():
+            check.witness(lhs + curv, u=l1, v=l2, tau=lt)
+        if not (lhs - curv).is_zero():
+            flipped.witness(lhs - curv, u=l1, v=l2, tau=lt)
+        if check.settled and flipped.settled:
+            break
     straight = check.result()
     if not straight.passed and not flipped.witnesses:
         straight.note = ("residual vanishes with the opposite sign of "
@@ -328,24 +339,28 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results.append(straight)
 
     check = Check("%s.bialgebroid2" % prefix, config)
-    t_pairs = Check("%s.bialgebroid2.aux" % prefix, config).tuples(
-        product(frames_B, repeat=2),
-        ("random#%d.0", draw_B), ("random#%d.1", draw_B))
-    for lu, u in check.tuples(labelled("q", Q.basis_sections()),
-                              ("random#%d.u", partial(random_section, Q))):
-        for (l1, t1), (l2, t2) in t_pairs:
-            a1 = pr_A(t1)
-            a2 = pr_A(t2)
-            n1 = nabla_bas_TMAs(D, alg, a1, u)
-            n2 = nabla_bas_TMAs(D, alg, a2, u)
-            lhs = dorfman_eval(D, u, bracket_d(t1, t2)) \
-                - bracket_d(dorfman_eval(D, u, t1), t2) \
-                - bracket_d(t1, dorfman_eval(D, u, t2)) \
-                + dorfman_eval(D, n1, t2) - dorfman_eval(D, n2, t1) \
-                + D.d_B(canonical_pairing(n2, t1))
-            residual = lhs + basic_curvature(D, alg, a1, a2, u)
-            if not residual.is_zero():
-                check.witness(residual, u=lu, tau1=l1, tau2=l2)
+    # pr_A of each tau and the bracket of each tau pair, taken once
+    t_pairs = [((l1, t1, pr_A(t1)), (l2, t2, pr_A(t2)), bracket_d(t1, t2))
+               for (l1, t1), (l2, t2) in Check(
+                   "%s.bialgebroid2.aux" % prefix, config).tuples(
+                   product(frames_B, repeat=2),
+                   ("random#%d.0", draw_B), ("random#%d.1", draw_B))]
+    for (lu, u), ((l1, t1, a1), (l2, t2, a2), b12) in product(
+            check.tuples(labelled("q", Q.basis_sections()),
+                         ("random#%d.u", partial(random_section, Q))),
+            t_pairs):
+        n1 = nabla_bas_TMAs(D, alg, a1, u)
+        n2 = nabla_bas_TMAs(D, alg, a2, u)
+        lhs = dorfman_eval(D, u, b12) \
+            - bracket_d(dorfman_eval(D, u, t1), t2) \
+            - bracket_d(t1, dorfman_eval(D, u, t2)) \
+            + dorfman_eval(D, n1, t2) - dorfman_eval(D, n2, t1) \
+            + D.d_B(canonical_pairing(n2, t1))
+        residual = lhs + basic_curvature(D, alg, a1, a2, u)
+        if not residual.is_zero():
+            check.witness(residual, u=lu, tau1=l1, tau2=l2)
+            if check.settled:
+                break
     results.append(check.result())
 
     return results
@@ -566,6 +581,8 @@ def check_manin_pair(mp, config=None, prefix="manin"):
         value = C.bracket(d1, d2)
         if usolver.solve(C.coordinates(value))[0] != "solution":
             closed.witness(value, d1=l1, d2=l2)
+            if closed.settled:
+                break
     results.append(closed.result())
     results.append(induced.result())
 
@@ -587,19 +604,22 @@ def check_manin_pair(mp, config=None, prefix="manin"):
 
     check = Check("%s.pairing_compat" % prefix, config)
     Qbundle = side_Q(alg)
-    taus = check.tuples(labelled("e", dc.bundle.basis_sections()),
-                        ("random#%d", partial(random_section, dc.bundle)))
-    for p, u in enumerate(U_in_C.frame):
-        iota_u = Section(Qbundle, [mp.iota[i][p]
-                                   for i in range(Qbundle.rank)])
-        for lt, tau in taus:
-            image = Section(C.bundle, apply_matrix(mp.Phi, tau.components,
-                                                   patch))
-            residual = C.pairing(u, image) \
-                - canonical_pairing(iota_u, Section(side_B(alg),
-                                                    tau.components))
-            if not residual.is_zero():
-                check.witness(residual, u="u%d" % p, tau=lt)
+    us = [(p, u, Section(Qbundle, [mp.iota[i][p]
+                                   for i in range(Qbundle.rank)]))
+          for p, u in enumerate(U_in_C.frame)]
+    # the image of each tau under Phi, and tau in A + T*M, taken once
+    taus = [(lt, Section(C.bundle, apply_matrix(mp.Phi, tau.components,
+                                                patch)),
+             Section(side_B(alg), tau.components))
+            for lt, tau in check.tuples(
+                labelled("e", dc.bundle.basis_sections()),
+                ("random#%d", partial(random_section, dc.bundle)))]
+    for (p, u, iota_u), (lt, image, tau) in product(us, taus):
+        residual = C.pairing(u, image) - canonical_pairing(iota_u, tau)
+        if not residual.is_zero():
+            check.witness(residual, u="u%d" % p, tau=lt)
+            if check.settled:
+                break
     results.append(check.result())
 
     mp.checks = results

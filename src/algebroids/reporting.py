@@ -18,6 +18,13 @@ with slot 0/1/2, 1/2 or a letter, "random#<t>" for a single slot, or
 A membership verdict is recorded in one place, Check.witness_outside: it
 witnesses a value that is not a section of a subbundle and returns the
 membership coefficients of one that is.
+
+Settled rule: a check keeps at most MAX_WITNESSES witnesses, and the next
+failure only sets the "further witnesses truncated" note.  From then on
+its status, witnesses and note are fixed, so Check.settled is True and
+every loop over a test set stops there (`if check.settled: break`); a
+loop that feeds two checks stops once both are settled.  Test sets are
+still drawn in full up front, so no random stream moves.
 """
 
 from __future__ import annotations
@@ -105,7 +112,9 @@ class Check:
     """Accumulator for one named check.
 
     Usage: c = Check("courant.axiom_2", config); record witnesses with
-    c.witness(residual, c1=..., c2=...); finish with c.result().
+    c.witness(residual, c1=..., c2=...); finish with c.result().  Once
+    c.settled is True no further witness can change the result, and the
+    loop over the test set stops (see the module docstring).
     """
 
     def __init__(self, name, config=None):
@@ -149,8 +158,10 @@ class Check:
         return None
 
     @property
-    def failed(self):
-        return bool(self.witnesses)
+    def settled(self):
+        """MAX_WITNESSES witnesses are held and a further failure set the
+        truncation note: the result can no longer change."""
+        return self._truncated
 
     def result(self, status=None, note=None):
         if status is None:

@@ -33,9 +33,9 @@ from .bialgebroid import (AManinPair, DiracBialgebroid, LADiracTriple,
                           build_courant_C, check_la_dirac, check_manin_pair,
                           triple_from_bialgebroid)
 from .bundles import (Frame, GraphQuotient, Section, Subbundle, TrivialBundle,
-                      _apply_transpose, _independent_extension, apply_matrix,
-                      direct_sum, matrix_rank, membership, nullspace,
-                      random_combination, random_section, rref)
+                      _apply_transpose, _independent_extension, _recall,
+                      apply_matrix, direct_sum, matrix_rank, membership,
+                      nullspace, random_combination, random_section, rref)
 from .cartan import (apply_vf, cotangent, d_function, d_oneform,
                      interior_vf_2form, lie_bracket_vf, lie_derivative_1form,
                      pair_form_vf, tangent, two_form_matrix)
@@ -349,6 +349,8 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
         want = graph(bracket_eval(As, a1, a2))
         if not (got - want).is_zero():
             check.witness(got - want, alpha1=l1, alpha2=l2)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check(prefix + ".transpose_intertwine", config)
@@ -364,6 +366,8 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
         rhs = rhs - interior_d_dual(As, rho_t_theta, a)
         if not (lhs - rhs).is_zero():
             check.witness(lhs - rhs, a=a, theta=theta, trial=t)
+            if check.settled:
+                break
     results.append(check.result())
     return results
 
@@ -455,6 +459,8 @@ def check_im2form(alg, sigma, config=None, prefix="im2form"):
             anti.witness(d1, a1=l1, a2=l2)
         if not d2.is_zero():
             brk.witness(d2, a1=l1, a2=l2)
+        if anti.settled and brk.settled:
+            break
     return [anti.result(), brk.result()]
 
 
@@ -834,7 +840,9 @@ class AbarAlgebroid(GraphQuotient):
     slots and A-frame components after; the class of (X, a) vanishes iff a
     is a section of J with X = -rho(a).  reduced() re-expresses everything
     on the canonical transversal (the F_M frame plus a complement of J) as
-    an honest bracket-table algebroid."""
+    an honest bracket-table algebroid, built once per quotient.  bracket
+    memoises on representatives by the algebroid module's two-tier rule
+    (bundles._recall), living as long as the quotient."""
 
     def __init__(self, iis):
         alg = iis.alg
@@ -843,6 +851,10 @@ class AbarAlgebroid(GraphQuotient):
         self.iis = iis
         self.rank = self.true_rank
         self.bas = BasicConnections(alg, iis.conn)
+        self._reduced = None
+        # the two memo tiers of bracket
+        self._memo = {}
+        self._recent = {}
 
     x_vf = GraphQuotient.v_part
     a_part = GraphQuotient.e_part
@@ -853,6 +865,11 @@ class AbarAlgebroid(GraphQuotient):
     def bracket(self, c1, c2):
         """[X1 (+) a1, X2 (+) a2] = ([X1, X2] + nabla^bas_{a1} X2
         - nabla^bas_{a2} X1) (+) ([a1, a2] + nabla_{X1} a2 - nabla_{X2} a1)."""
+        if c1.bundle != self.bundle or c2.bundle != self.bundle:
+            raise ValueError("sections do not live in the quotient bundle")
+        return _recall(self, (c1, c2), lambda: self._bracket(c1, c2))
+
+    def _bracket(self, c1, c2):
         alg, conn = self.iis.alg, self.iis.conn
         X1, X2 = self.x_vf(c1), self.x_vf(c2)
         a1, a2 = self.a_part(c1), self.a_part(c2)
@@ -888,7 +905,10 @@ class AbarAlgebroid(GraphQuotient):
         return j
 
     def reduced(self):
-        """The honest bracket-table algebroid on the canonical transversal."""
+        """The honest bracket-table algebroid on the canonical transversal,
+        built at the first call and kept."""
+        if self._reduced is not None:
+            return self._reduced
         frames = self.frame_sections()
         n = len(frames)
         patch = self.patch
@@ -900,7 +920,8 @@ class AbarAlgebroid(GraphQuotient):
                 anchor[k][m] = vf.components[k]
         table = [[Section(rb, self.coordinates(self.bracket(f1, f2)))
                   for f2 in frames] for f1 in frames]
-        return DullAlgebroid(AnchoredBundle(rb, anchor), table)
+        self._reduced = DullAlgebroid(AnchoredBundle(rb, anchor), table)
+        return self._reduced
 
 
 def random_extension_perturbation(iis, rng, max_degree=1):
@@ -922,10 +943,12 @@ def random_extension_perturbation(iis, rng, max_degree=1):
     return LinearConnection(alg.bundle, gamma)
 
 
-def check_abar(abar, config=None, prefix="abar"):
+def check_abar(abar, config=None, prefix="abar", iis_results=None):
     """Certify the quotient: the reduced algebroid's axioms, the exact
     expression of the presentation Jacobiator through the two curvatures,
-    and independence of the choice of extension nabla."""
+    and independence of the choice of extension nabla.  A failing Jacobi
+    check names the failing checks of iis_results, the check_iis results
+    of the same ideal system and config (run here when not given)."""
     config = config or CheckConfig()
     iis = abar.iis
     red = abar.reduced()
@@ -933,8 +956,9 @@ def check_abar(abar, config=None, prefix="abar"):
     jac_idx = next(i for i, r in enumerate(results)
                    if r.name == prefix + ".jacobi")
     if results[jac_idx].status == "fail":
-        failing = [r.name for r in check_iis(iis, config)
-                   if r.status == "fail"]
+        if iis_results is None:
+            iis_results = check_iis(iis, config)
+        failing = [r.name for r in iis_results if r.status == "fail"]
         results[jac_idx] = replace(
             results[jac_idx],
             note="ideal system conditions failing: " + ", ".join(failing))
@@ -955,6 +979,8 @@ def check_abar(abar, config=None, prefix="abar"):
             check.witness(Section(abar.bundle,
                                   list(xres.components) + list(ares.components)),
                           c1=l1, c2=l2, c3=l3)
+            if check.settled:
+                break
     results.append(check.result())
 
     check = Check(prefix + ".extension_independent", config)
@@ -966,14 +992,17 @@ def check_abar(abar, config=None, prefix="abar"):
         diff = abar.bracket(c1, c2) - abar2.bracket(c1, c2)
         if not abar.is_zero(diff):
             check.witness(diff, c1=l1, c2=l2)
+            if check.settled:
+                break
     results.append(check.result())
     return results
 
 
-def bialgebroid_from_iis(iis, config=None, verify=True):
+def bialgebroid_from_iis(iis, config=None, verify=True, abar=None):
     """The Dirac bialgebroid (A, F_M + J-polar) of an ideal system, plus its
     Manin pair inside the double of the reduced quotient algebroid with its
-    abelian dual.  Returns (db, mp)."""
+    abelian dual; abar is the quotient AbarAlgebroid(iis), built here when
+    not given.  Returns (db, mp)."""
     if verify:
         failing = [r.name for r in check_iis(iis, config)
                    if r.status == "fail"]
@@ -983,7 +1012,10 @@ def bialgebroid_from_iis(iis, config=None, verify=True):
     alg, F, J, conn = iis.alg, iis.F_M, iis.J, iis.conn
     patch = alg.patch
     dim, ra = patch.dim, alg.rank
-    abar = AbarAlgebroid(iis)
+    if abar is None:
+        abar = AbarAlgebroid(iis)
+    elif abar.iis is not iis:
+        raise ValueError("abar must be the quotient of this ideal system")
     red = abar.reduced()
     n = red.rank
     dual = trivial_dual_algebroid(dual_partner(red.bundle))
@@ -1487,11 +1519,11 @@ def _pipeline_presymplectic(instance, config):
 
 def _pipeline_iis(instance, config):
     iis = instance["iis"]
-    results = list(check_iis(iis, config))
-    iis_ok = not any(r.status == "fail" for r in results)
+    iis_results = check_iis(iis, config)
+    iis_ok = not any(r.status == "fail" for r in iis_results)
     abar = AbarAlgebroid(iis)
-    results += check_abar(abar, config)
-    db, mp = bialgebroid_from_iis(iis, config, verify=False)
+    results = iis_results + check_abar(abar, config, iis_results=iis_results)
+    db, mp = bialgebroid_from_iis(iis, config, verify=False, abar=abar)
     results += check_algebroid(db.alg_U, config, prefix="u_algebroid")
     results += check_manin_pair(mp, config)
     if not iis_ok:

@@ -23,7 +23,14 @@ names, each with its reason.
 
 Every bracket and connection memo goes through one path: memo keys are
 built only in bundles._recall, the one caller of _constant_key and
-scalars._value_key."""
+scalars._value_key.
+
+A check stops once its report is settled: every for loop over a test set
+(its iterable calls X.tuples(...) or reads a name bound to a value that
+does) that witnesses on the check X alone has, in its own body and not in
+a nested loop, `if X.settled: break`.  A loop that witnesses on several
+checks is named in MULTI_CHECK_LOOPS and stops only once all of them are
+settled (`if X.settled and Y.settled: break`)."""
 
 import ast
 from pathlib import Path
@@ -51,6 +58,16 @@ REP_READS_ALLOWED = {
     ("bundles.py", "Section.is_zero"):
         "the zero test of every residual and Leibniz table entry, without "
         "a method call per component",
+}
+
+
+# (module, enclosing function) of the test-set loops that feed two checks,
+# and those checks; each loop stops only once both are settled
+MULTI_CHECK_LOOPS = {
+    # the straight and the flipped sign of R_Delta in one residual pass
+    ("bialgebroid.py", "verify_appendix_lemmas"): ("check", "flipped"),
+    # both IM conditions come from one im2form_defects call
+    ("zoo.py", "check_im2form"): ("anti", "brk"),
 }
 
 
@@ -179,6 +196,74 @@ def key_builds(tree):
         return name in KEY_FUNCTIONS
 
     return _scoped(tree, match)
+
+
+def _functions(node, scope=()):
+    """(dotted name, node) of every function, through classes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+            if not isinstance(child, ast.ClassDef):
+                yield ".".join(inner), child
+            yield from _functions(child, inner)
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _own_nodes(stmts, nested=SCOPES):
+    """The nodes under stmts, not descending into the nested types."""
+    stack = list(stmts)
+    while stack:
+        n = stack.pop()
+        yield n
+        if not isinstance(n, nested):
+            stack.extend(ast.iter_child_nodes(n))
+
+
+def _calls_tuples(node):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "tuples" for n in ast.walk(node))
+
+
+def _settled_names(test):
+    """The checks X of a test `X.settled` or `X.settled and Y.settled`,
+    or None for any other test."""
+    parts = (test.values if isinstance(test, ast.BoolOp)
+             and isinstance(test.op, ast.And) else [test])
+    if not all(isinstance(p, ast.Attribute) and p.attr == "settled"
+               and isinstance(p.value, ast.Name) for p in parts):
+        return None
+    return {p.value.id for p in parts}
+
+
+def settled_loops(tree):
+    """(enclosing function, line, witnessed checks, stops) of every for
+    loop over a test set, in line order: the checks X of its X.witness and
+    X.witness_outside calls, nested loops included, and whether its own
+    body holds an `if` on exactly those checks' settled that breaks."""
+    out = []
+    for scope, fn in _functions(tree):
+        body = list(_own_nodes(fn.body))
+        sets = {t.id for n in body if isinstance(n, ast.Assign)
+                and _calls_tuples(n.value)
+                for t in n.targets if isinstance(t, ast.Name)}
+        for loop in body:
+            if not isinstance(loop, ast.For) or not (
+                    _calls_tuples(loop.iter) or sets & _loaded(loop.iter)):
+                continue
+            checks = {n.func.value.id for n in ast.walk(loop)
+                      if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in ("witness", "witness_outside")
+                      and isinstance(n.func.value, ast.Name)}
+            stops = any(
+                isinstance(n, ast.If) and _settled_names(n.test) == checks
+                and any(isinstance(b, ast.Break) for b in n.body)
+                for n in _own_nodes(loop.body, SCOPES + (ast.For, ast.While)))
+            out.append((scope, loop.lineno, tuple(sorted(checks)), stops))
+    return sorted(out, key=lambda r: r[1])
 
 
 def elimination_functions(modules):
@@ -326,3 +411,63 @@ def test_key_scan_catches_planted_builds():
     assert key_builds(tree) == [("_recall", 2), ("bracket_eval", 4),
                                 ("bracket_eval", 4), ("bracket_eval", 5),
                                 ("C.bracket", 8)]
+
+
+def test_test_set_loops_stop_once_settled():
+    loops = [(p.name, scope, line, checks, stops) for p in MODULES
+             for scope, line, checks, stops in settled_loops(_tree(p))]
+    assert {module for module, *_ in loops} == {
+        "algebroid.py", "bialgebroid.py", "courant.py", "dorfman.py",
+        "zoo.py"}
+    assert [(module, line) for module, _, line, checks, stops in loops
+            if checks and not stops] == []
+    multi = {(module, scope): checks for module, scope, _, checks, _ in loops
+             if len(checks) > 1}
+    # an allowed loop that no longer feeds two checks leaves the list
+    assert multi == MULTI_CHECK_LOOPS
+
+
+def test_settled_scan_catches_planted_loops():
+    tree = ast.parse(
+        "def f(check, other, xs):\n"
+        "    for a in check.tuples(xs):\n"
+        "        check.witness(a)\n"
+        "        if check.settled:\n"
+        "            break\n"
+        "    for a in check.tuples(xs):\n"
+        "        check.witness(a)\n"
+        "    fs = [f for _, f in check.tuples(xs)]\n"
+        "    for a, b in product(xs, fs):\n"
+        "        check.witness_outside(a, b)\n"
+        "        if other.settled:\n"
+        "            break\n"
+        "    for a in fs:\n"
+        "        check.witness(a)\n"
+        "        other.witness(a)\n"
+        "        if check.settled and other.settled:\n"
+        "            break\n"
+        "    for a in fs:\n"
+        "        if a:\n"
+        "            check.witness(a)\n"
+        "        other.witness(a)\n"
+        "        if check.settled:\n"
+        "            break\n"
+        "    for a in fs:\n"
+        "        for b in xs:\n"
+        "            check.witness(a, b)\n"
+        "            if check.settled:\n"
+        "                break\n"
+        "    for a in xs:\n"
+        "        check.witness(a)\n"
+        "class K:\n"
+        "    def m(self, check):\n"
+        "        for a in check.tuples([]):\n"
+        "            if not a:\n"
+        "                check.witness(a)\n"
+        "                if check.settled:\n"
+        "                    break\n")
+    assert settled_loops(tree) == [
+        ("f", 2, ("check",), True), ("f", 6, ("check",), False),
+        ("f", 9, ("check",), False), ("f", 13, ("check", "other"), True),
+        ("f", 18, ("check", "other"), False), ("f", 24, ("check",), False),
+        ("K.m", 33, ("check",), True)]

@@ -14,6 +14,13 @@ Dorfman connection, the zero skips in Section.__sub__ and __rmul__, a
 Leibniz product formed only against a nonzero table entry, and a value
 tier at every memo site: 912 and 4,374.
 
+Two more rounds run `check all` on the failing presets iis-curved-negative
+and nonclosed-zdxdy.  Every loop over a test set stops once its check is
+settled (MAX_WITNESSES witnesses and a truncation note), the iis pipeline
+builds one quotient algebroid and runs check_iis once, and a Courant
+morphism check applies Phi once per test section: 1,418 and 1,575 ops,
+where every loop run to its end made 1,680 and 1,819.
+
 Earlier figures counted the binary ScalarField operators instead, which
 the kernels no longer call.  On that counter the dense kernels made
 145,010 and 388,158 operations, the sparse kernels without the memos and
@@ -30,6 +37,8 @@ quotient round on (x^2 + 1)/y makes any sympy arithmetic (no PythonMPQ
 coefficient, PolyElement or FracElement operation); the last two tests
 count it.
 """
+
+from functools import partial
 
 import pytest
 from sympy.external.pythonmpq import PythonMPQ
@@ -94,9 +103,17 @@ def quotient_round():
     return round_
 
 
+def check_all_round(preset):
+    data = instances.instance_from_preset(zoo.zoo_preset(preset))
+    return lambda: cli.run(data, "all", trials=0)
+
+
 @pytest.mark.parametrize("round_, count", [
-    (lemma_round, 912), (quotient_round, 4_374)],
-    ids=["lemmas-poisson-xy", "quotient-rational"])
+    (lemma_round, 912), (quotient_round, 4_374),
+    (partial(check_all_round, "iis-curved-negative"), 1_418),
+    (partial(check_all_round, "nonclosed-zdxdy"), 1_575)],
+    ids=["lemmas-poisson-xy", "quotient-rational",
+         "all-iis-curved-negative", "all-nonclosed-zdxdy"])
 def test_scalar_op_budget(monkeypatch, round_, count):
     ops = count_ops(monkeypatch, round_())
     assert ops <= 1.1 * count, \
