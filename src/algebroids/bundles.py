@@ -45,9 +45,12 @@ and a bundle map phi: K -> V, is written once, as GraphQuotient.  Its
 elements are representatives: rank(V) frame coefficients followed by E
 components.  A class vanishes iff its E-part e lies in K and v + phi(e) = 0;
 its coordinates move the K-part of e into the V slot through phi and keep
-the complement coefficients.  The Courant algebroid of an LA-Dirac triple
-(phi = (rho, rho^t)) and the quotient algebroid of an infinitesimal ideal
-system (phi = rho) are its two instances.
+the complement coefficients.  A representative is split into its V-part
+(a combination of the V frame) and e once per quotient: the split is kept
+on the section, which like the frame is never mutated.  The Courant
+algebroid of an LA-Dirac triple (phi = (rho, rho^t)) and the quotient
+algebroid of an infinitesimal ideal system (phi = rho) are its two
+instances.
 
 Sparse rule: apply_matrix, its transpose _apply_transpose,
 Frame.combination, canonical_pairing, degenerate_pairing and Section.__add__
@@ -136,7 +139,9 @@ class TrivialBundle:
 class Section:
     """A section of a trivialized bundle: a tuple of scalar components."""
 
-    __slots__ = ("bundle", "components", "_key")  # _key: see _recall
+    # _key: see _recall; _split: (quotient, (v_part, e_part)), the split
+    # of this representative kept by GraphQuotient.split
+    __slots__ = ("bundle", "components", "_key", "_split")
 
     def __init__(self, bundle, components):
         components = tuple(components)
@@ -740,7 +745,18 @@ class GraphQuotient:
         return Section(self.E, c.components[self.rV:])
 
     def split(self, c):
-        return self.v_part(c), self.e_part(c)
+        """(v_part(c), e_part(c)), built once per representative: c and
+        the V frame are never mutated, so c keeps them in its _split slot
+        with this quotient as owner, and another quotient recomputes."""
+        try:
+            owner, parts = c._split
+            if owner is self:
+                return parts
+        except AttributeError:
+            pass
+        parts = self.v_part(c), self.e_part(c)
+        c._split = self, parts
+        return parts
 
     def _phi_coordinates(self, k):
         inside, coeffs = membership(self.phi(k), self.V)
@@ -782,8 +798,8 @@ class GraphQuotient:
     def is_zero(self, c):
         """c represents the zero class: its E-part e lies in Gamma(K) and
         its V-part cancels phi(e)."""
-        e = self.e_part(c)
+        v, e = self.split(c)
         inside, _ = membership(e, self.K)
         if not inside:
             return False
-        return (self.v_part(c) + self.phi(e)).is_zero()
+        return (v + self.phi(e)).is_zero()

@@ -164,8 +164,8 @@ def _suite_iis(data, config):
     if data.iis is None:
         raise InstanceError("the iis suite needs an [iis] section")
     results = check_iis(data.iis, config)
-    results += check_abar(AbarAlgebroid(data.iis), config)
-    return results
+    return results + check_abar(AbarAlgebroid(data.iis), config,
+                                iis_results=results)
 
 
 def _suite_im2form(data, config):

@@ -31,14 +31,20 @@ polynomial over 1, or a negative power) forms its numerator and denominator
 on the same kernels and cancels them once, in _reduce, by their gcd in
 Z[x].  _int_gcd takes the integer content (math.gcd) and the monomial
 factor (least exponents) first; that alone settles the common case, a
-monomial denominator such as y^k.  Otherwise it takes the recursive gcd
-over Z[rest][x_v] (Geddes, Czapor and Labahn, Algorithms for Computer
-Algebra, 1992, ch. 7): the gcd of the contents in Z[rest], by _int_gcd
-again, times the primitive part of the last subresultant remainder in x_v,
-the variable of least degree.  (A primitive remainder sequence in the last
-variable takes the content of every remainder, a recursive gcd each; on
-three coordinates with 2^70 contents its intermediate contents reached
-degree 64 in a gcd that now takes milliseconds.)  Both cofactors come from
+monomial denominator such as y^k.  Next it divides the primitive part of
+lower total degree (fewer terms on a tie) into the other by _int_quo: if
+that is exact, the divisor is the gcd up to sign, because it divides both
+and every common divisor divides it.  On the quotient Courant round of
+(x^2 + 1)/y every gcd that gets this far ends here, as
+gcd(x^4 y + 2 x^2 y + y, x^2 y^2 + y^2) = x^2 y + y does.  Otherwise it
+takes the recursive gcd over Z[rest][x_v] (Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, 1992, ch. 7): the gcd of the contents in
+Z[rest], by _int_gcd again, times the primitive part of the last
+subresultant remainder in x_v, the variable of least degree.  (A
+primitive remainder sequence in the last variable takes the content of
+every remainder, a recursive gcd each; on three coordinates with 2^70
+contents its intermediate contents reached degree 64 in a gcd that now
+takes milliseconds.)  Both cofactors come from
 exact _int_quo, which also checks the gcd: a gcd that does not divide
 raises ArithmeticError.  A result whose denominator is 1 is the
 numerator's dict, so equal values never differ in representation.
@@ -767,7 +773,9 @@ def _int_gcd(p, q, monomial_mul):
     factor (the least exponent of each variable) come first.  When p or q
     is a single term, they are the whole gcd; this settles a monomial
     denominator such as y^k.  Otherwise the gcd of what is left, the two
-    primitive parts without a monomial factor, is _prs_gcd's."""
+    primitive parts without a monomial factor, is _prs_gcd's: trial
+    division of one by the other first (a divisor that divides is the gcd
+    up to sign), then the subresultant remainder sequence."""
     c = math.gcd(*p.values(), *q.values())
     e = tuple(map(min, zip(*p, *q)))
     if len(p) > 1 and len(q) > 1:
@@ -788,14 +796,22 @@ def _prs_gcd(p, q, monomial_mul):
     """The gcd, with a positive leading coefficient, of two term dicts of
     content 1 without a monomial factor.
 
-    They are read as polynomials in one variable x_v, with coefficients in
-    Z[rest].  The gcd is the gcd of their contents in x_v, taken
-    recursively by _int_gcd in one variable fewer, times the primitive part
-    of the last nonzero remainder of the subresultant pseudo-remainder
-    sequence of their primitive parts (_last_subresultant).  x_v is the
+    Trial division comes first: the operand of lower total degree, or of
+    fewer terms on a tie, is divided into the other by _int_quo.  If it
+    divides, it is the gcd up to the units +-1 of Z[x] (it divides both,
+    and every common divisor divides it), and only its sign is set.
+    Otherwise they are read as polynomials in one variable x_v, with
+    coefficients in Z[rest].  The gcd is the gcd of their contents in x_v,
+    taken recursively by _int_gcd in one variable fewer (with the same
+    trial first), times the primitive part of the last nonzero remainder
+    of the subresultant pseudo-remainder sequence of their primitive parts
+    (_last_subresultant).  x_v is the
     variable whose lower degree in p and q is least, ties going to the
     lower higher degree: when it occurs in only one of them, the gcd is
     free of it and the contents settle it with no remainder sequence."""
+    lo, hi = sorted((p, q), key=lambda t: (max(map(sum, t)), len(t)))
+    if _int_quo(hi, lo, monomial_mul) is not None:
+        return lo if _lc(lo) > 0 else _neg(lo)
     dp, dq = tuple(map(max, zip(*p))), tuple(map(max, zip(*q)))
     v = min((i for i in range(len(dp)) if dp[i] or dq[i]),
             key=lambda i: (min(dp[i], dq[i]), max(dp[i], dq[i])))

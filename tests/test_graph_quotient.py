@@ -19,8 +19,8 @@ from algebroids.algebroid import (LinearConnection, rho_rhot,
                                   tangent_algebroid)
 from algebroids.bialgebroid import QuotientCourant
 from algebroids.bundles import (Frame, Section, Solver, Subbundle,
-                                complement, membership, random_combination,
-                                rref)
+                                TrivialBundle, complement, membership,
+                                random_combination, rref)
 from algebroids.cartan import tangent
 from algebroids.scalars import Patch, random_scalar
 
@@ -284,3 +284,57 @@ def test_frame_coefficients_refuse_sections_outside_the_span():
     assert [str(v) for v in frame.coefficients(inside)] == ["y"]
     with pytest.raises(RuntimeError, match="outside the span"):
         frame.coefficients(tm.basis_section(0).components)
+
+
+# ---------------------------------------------------------------------------
+# the split, kept on each representative
+
+
+def _counting_combinations(monkeypatch):
+    calls = []
+    real = Frame.combination
+
+    def counting(self, coeffs):
+        calls.append(self)
+        return real(self, coeffs)
+
+    monkeypatch.setattr(Frame, "combination", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_split_is_built_once_per_representative(name, monkeypatch):
+    Q, _ = case(name)
+    patch = Q.patch
+    c = Section(Q.bundle, [patch.scalar(v) for v in
+                           (POOL * 2)[3:3 + Q.bundle.rank]])
+    want_v, want_e = Q.v_part(c), Q.e_part(c)
+    calls = _counting_combinations(monkeypatch)
+    parts = Q.split(c)
+    assert Q.split(c) is parts and len(calls) == 1
+    Q.is_zero(c)
+    assert calls.count(Q.V.frame) == 1
+    assert parts == (want_v, want_e)
+
+
+def test_split_is_kept_per_quotient():
+    # equal representative bundles over different V frames of one rank:
+    # phi plays no part in a split, V does
+    patch = Patch(["x", "y"])
+    tm = tangent(patch)
+    E = TrivialBundle(patch, 2, "E")
+    K = Subbundle(E, Frame(E, [E.section(["1", "0"])]))
+    quotients = []
+    for v in (["1", "0"], ["1", "x"]):
+        V = Subbundle(tm, Frame(tm, [tm.section(v)]))
+        quotients.append(bundles.GraphQuotient(
+            V, K, lambda k, V=V: k.components[0] * V.frame[0], "V+E"))
+    Q1, Q2 = quotients
+    assert Q1.bundle == Q2.bundle
+    c = Section(Q1.bundle, [patch.scalar(t) for t in ("y", "1", "x")])
+    v1, e1 = Q1.split(c)
+    v2, e2 = Q2.split(c)
+    assert [str(a) for a in v1] == ["y", "0"]
+    assert [str(a) for a in v2] == ["y", "x*y"]
+    assert e1 == e2 == E.section(["1", "x"])
+    assert Q1.split(c) == (v1, e1) and Q2.split(c) == (v2, e2)

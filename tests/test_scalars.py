@@ -11,6 +11,7 @@ the printer as it was written on sympy's polynomials.
 
 import contextlib
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -678,7 +679,7 @@ def test_int_gcd_matches_sympy(case):
         g = _int_gcd(terms(p), terms(q), mul)
         want = terms(p.gcd(q))
         assert g in (want, _neg(want))
-        assert max(g.items(), key=lambda t: (sum(t[0]), t[0]))[1] > 0
+        assert _lead_coeff(g) > 0
         cp, cq = _int_quo(terms(p), g, mul), _int_quo(terms(q), g, mul)
         assert cp is not None and cq is not None
         assert ring.from_dict(cp).gcd(ring.from_dict(cq)) in (1, -1)
@@ -810,10 +811,10 @@ def counting_sympy_ops():
 
 
 @contextlib.contextmanager
-def counting_gcds():
-    """The list of _int_gcd calls made inside the with block."""
+def counting_calls(name):
+    """The list of calls of scalars.<name> made inside the with block."""
     with pytest.MonkeyPatch.context() as m:
-        yield _count_calls(m, "_int_gcd")
+        yield _count_calls(m, name)
 
 
 @settings(max_examples=150, deadline=None)
@@ -869,7 +870,7 @@ def test_exact_quotients_make_no_rational_coefficient_ops(case):
     patch = Patch(["x", "y", "z"][:n])
     f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
     prod = f * g
-    with counting_sympy_ops() as calls, counting_gcds() as gcds:
+    with counting_sympy_ops() as calls, counting_calls("_int_gcd") as gcds:
         back = prod / g
     assert calls == [] and back.rep == d1
     assert gcds == []   # an exact quotient in Z[x] needs no gcd
@@ -898,7 +899,7 @@ def test_polynomial_values_run_no_gcd():
     patch = Patch(["x", "y"])
     f = parse_scalar("x^2*y - 3*x + 2", patch)
     g = random_scalar(patch, random.Random(1), max_degree=3)
-    with counting_gcds() as gcds:
+    with counting_calls("_int_gcd") as gcds:
         for h in (f + g, f - g, f * g, f ** 4, -f, f.diff(0), f / -1,
                   0 / f, f * 1, g - g):
             str(h), hash(h), h == f, h.is_constant(), h.evaluate([1, 2])
@@ -906,6 +907,73 @@ def test_polynomial_values_run_no_gcd():
         assert gcds == []
         half = f / 2       # a genuinely rational value is a pair
     assert len(gcds) == 1 and half.rep == (f.rep, {(0, 0): 2})
+
+
+# ---------------------------------------------------------------------------
+# trial division before the remainder sequence
+#
+# p = q * r for a primitive q: the primitive part of q divides that of p,
+# so _int_gcd must settle on it by trial division, with its sign set, and
+# never start a subresultant sequence.  A factor shared by both inputs but
+# equal to neither still goes through the sequence.
+
+
+@st.composite
+def planted_divisors(draw):
+    """(n, q, r): q primitive with two to four terms on n = 2 or 3
+    coordinates and a leading coefficient of either sign, r a cofactor with
+    coefficients up to 2^70 in size."""
+    n = draw(st.sampled_from([2, 3]))
+    monom = st.tuples(*[st.integers(0, 2)] * n)
+    q = draw(st.dictionaries(monom, st.integers(-6, 6).filter(bool),
+                             min_size=2, max_size=4))
+    unit = draw(st.sampled_from([1, -1])) * (1 if _lead_coeff(q) > 0 else -1)
+    c = math.gcd(*q.values())
+    q = {m: unit * v // c for m, v in q.items()}
+    r = draw(st.dictionaries(monom, big_coeffs, min_size=1, max_size=3))
+    return n, q, r
+
+
+def _lead_coeff(p):
+    return max(p.items(), key=lambda t: (sum(t[0]), t[0]))[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_divisors(), st.sampled_from([1, -3, BIG]))
+def test_planted_divisor_is_the_gcd_without_a_remainder_sequence(case, k):
+    n, q, r = case
+    patch = PLANTED_PATCHES[n]
+    ring = PolyRing(list(patch.coords), ZZ, order="grlex")
+    mul = patch._monomial_mul
+    Q = ring.from_dict(q)
+    P = Q * ring.from_dict(r)
+    with counting_calls("_last_subresultant") as sequences:
+        for a, b in [(P, Q), (Q, P), (P, Q * k), (Q * k, P)]:
+            g = _int_gcd(terms(a), terms(b), mul)
+            want = terms(a.gcd(b))
+            assert g in (want, _neg(want))
+            assert _lead_coeff(g) > 0
+    assert sequences == []
+
+
+@pytest.mark.parametrize("n, h, a, b", [
+    (2, "(x^2 + 1)*(x - y)", "x + y + 1", "x*y - 3"),
+    (2, "-(x*y + 2)", "2^70*(x^2 - y)", "3*(y^2 + x)"),
+    (3, "(x*z + y)*(z - 1)", "x - z^2", "-(y*z + 2^70)"),
+])
+def test_proper_common_factor_runs_the_remainder_sequence(n, h, a, b):
+    patch = PLANTED_PATCHES[n]
+    ring = PolyRing(list(patch.coords), ZZ, order="grlex")
+    mul = patch._monomial_mul
+    H, A, B = (ring.from_dict(parse_scalar(t, patch).numer)
+               for t in (h, a, b))
+    for p, q in [(H * A, H * B), (H * B, H * A)]:
+        with counting_calls("_last_subresultant") as sequences:
+            g = _int_gcd(terms(p), terms(q), mul)
+        want = terms(p.gcd(q))
+        assert g in (want, _neg(want))
+        assert _lead_coeff(g) > 0
+        assert sequences
 
 
 # ---------------------------------------------------------------------------

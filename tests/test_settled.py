@@ -10,7 +10,7 @@ Jacobi on many frame triples makes fewer bracket evaluations with it.
 
 The iis pipeline runs check_iis once and builds one AbarAlgebroid, whose
 reduced algebroid is built once and shared by check_abar and
-bialgebroid_from_iis.
+bialgebroid_from_iis; the iis suite runs check_iis once too.
 """
 
 import pytest
@@ -120,6 +120,25 @@ def test_check_abar_reads_the_given_iis_results():
                            iis_results=zoo.check_iis(iis, config))
     assert [r.to_dict(timing=False) for r in own] == \
         [r.to_dict(timing=False) for r in given]
+
+
+def test_iis_suite_runs_check_iis_once(monkeypatch):
+    # the suite hands its own check_iis results to check_abar, whose
+    # failing Jacobi check names them; the cli and zoo names are one
+    # function
+    runs = [0]
+    real = zoo.check_iis
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "check_iis", counting)
+    monkeypatch.setattr(cli, "check_iis", counting)
+    report = cli.run("iis-curved-negative", "iis", trials=0)
+    jacobi = next(r for r in report.results if r.name == "abar.jacobi")
+    assert jacobi.note.startswith("ideal system conditions failing: iis.")
+    assert runs[0] == 1
 
 
 def test_bialgebroid_from_iis_refuses_another_quotient():
