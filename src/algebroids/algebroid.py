@@ -42,9 +42,9 @@ success.
 Identity-checking protocol: non-tensorial identities are verified on the
 test set of reporting.Check.tuples (all frame tuples, then `trials` random
 polynomial sections of degree at most `max_degree`); tensorial ones on
-frames only (C-infinity-linearity makes the frame check complete).  A loop
-over a test set stops once its check is settled (reporting module
-docstring).
+frames only (C-infinity-linearity makes the frame check complete).  The
+test-set loop is reporting.Check.run, which stops once its check is
+settled (reporting module docstring).
 induced_algebroid reads the algebroid a bracket induces on a closed
 subbundle; Dirac structures and the U of an LA-Dirac triple both use it.
 """
@@ -268,17 +268,11 @@ def check_anchor_compat(alg, config=None, name="algebroid.anchor_compat"):
     check = Check(name, config)
     frame = labelled("e", alg.bundle.basis_sections())
     draw = partial(random_section, alg.bundle)
-    for (l1, q1), (l2, q2) in check.tuples(
-            product(frame, repeat=2),
-            ("random#%d.1", draw), ("random#%d.2", draw)):
-        lhs = alg.anchor_vf(bracket_eval(alg, q1, q2))
-        rhs = lie_bracket_vf(alg.anchor_vf(q1), alg.anchor_vf(q2))
-        residual = lhs - rhs
-        if not residual.is_zero():
-            check.witness(residual, **{l1: q1, l2: q2})
-            if check.settled:
-                break
-    res = check.result()
+    res = check.run(
+        check.tuples(product(frame, repeat=2),
+                     ("random#%d.1", draw), ("random#%d.2", draw)),
+        lambda q1, q2: alg.anchor_vf(bracket_eval(alg, q1, q2))
+        - lie_bracket_vf(alg.anchor_vf(q1), alg.anchor_vf(q2)))
     if res.passed:
         alg.anchor_compat_checked = True
     return res
@@ -289,15 +283,10 @@ def check_skew(alg, config=None, name="algebroid.skew"):
     check = Check(name, config)
     frame = labelled("e", alg.bundle.basis_sections())
     draw = partial(random_section, alg.bundle)
-    for (l1, q1), (l2, q2) in check.tuples(
-            product(frame, repeat=2),
-            ("random#%d.1", draw), ("random#%d.2", draw)):
-        residual = bracket_eval(alg, q1, q2) + bracket_eval(alg, q2, q1)
-        if not residual.is_zero():
-            check.witness(residual, **{l1: q1, l2: q2})
-            if check.settled:
-                break
-    res = check.result()
+    res = check.run(
+        check.tuples(product(frame, repeat=2),
+                     ("random#%d.1", draw), ("random#%d.2", draw)),
+        lambda q1, q2: bracket_eval(alg, q1, q2) + bracket_eval(alg, q2, q1))
     if res.passed:
         alg.skew_checked = True
     return res
@@ -309,17 +298,12 @@ def check_jacobi(alg, config=None, name="algebroid.jacobi"):
     check = Check(name, config)
     frame = labelled("e", alg.bundle.basis_sections())
     draw = partial(random_section, alg.bundle)
-    for (l1, q1), (l2, q2), (l3, q3) in check.tuples(
-            product(frame, repeat=3), ("random#%d.0", draw),
-            ("random#%d.1", draw), ("random#%d.2", draw)):
-        residual = (bracket_eval(alg, q1, bracket_eval(alg, q2, q3))
-                    - bracket_eval(alg, bracket_eval(alg, q1, q2), q3)
-                    - bracket_eval(alg, q2, bracket_eval(alg, q1, q3)))
-        if not residual.is_zero():
-            check.witness(residual, **{l1: q1, l2: q2, l3: q3})
-            if check.settled:
-                break
-    res = check.result()
+    res = check.run(
+        check.tuples(product(frame, repeat=3), ("random#%d.0", draw),
+                     ("random#%d.1", draw), ("random#%d.2", draw)),
+        lambda q1, q2, q3: bracket_eval(alg, q1, bracket_eval(alg, q2, q3))
+        - bracket_eval(alg, bracket_eval(alg, q1, q2), q3)
+        - bracket_eval(alg, q2, bracket_eval(alg, q1, q3)))
     if res.passed:
         alg.jacobi_checked = True
     return res

@@ -60,7 +60,7 @@ from .dorfman import (DorfmanConnection, basic_curvature, dorfman_curvature,
                       dorfman_eval, dual_dull_bracket,
                       extend_lie_bracket_to_dull, nabla_bas_ATM,
                       nabla_bas_TMAs)
-from .reporting import Check, labelled
+from .reporting import Check, labelled, named
 
 __all__ = [
     "LADiracTriple", "check_la_dirac", "verify_phi_skew",
@@ -187,14 +187,12 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     if closed:
         draw = partial(random_combination, U)
         taus = labelled("e", B.basis_sections())
-        for ((l1, u1), (l2, u2)), (lt, tau) in product(check.tuples(
+        results.append(check.run(
+            (pair + (t,) for pair, t in product(check.tuples(
                 combinations(labelled("u", U.frame), 2),
-                ("random#%d.1", draw), ("random#%d.2", draw)), taus):
-            check.witness_outside(dorfman_curvature(D, u1, u2, tau), K,
-                                  **{l1: u1, l2: u2, lt: tau})
-            if check.settled:
-                break
-        results.append(check.result())
+                ("random#%d.1", draw), ("random#%d.2", draw)), taus)),
+            partial(dorfman_curvature, D),
+            zero=lambda v: membership(v, K)[0]))
     else:
         results.append(check.skipped("bracket does not close on U"))
 
@@ -253,62 +251,51 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
     results = []
 
     check = Check("%s.intertwine_bas" % prefix, config)
-    for (la, a), (lt, tau) in check.tuples(
+    results.append(check.run(
+        check.tuples(
             product(labelled("a", alg.bundle.basis_sections()), frames_B),
             ("random#%d.a", partial(random_section, alg.bundle)),
-            ("random#%d.t", draw_B)):
-        residual = nabla_bas_TMAs(D, alg, a, rho_rhot(alg, tau, target=Q)) \
-            - rho_rhot(alg, nabla_bas_ATM(D, alg, a, tau), target=Q)
-        if not residual.is_zero():
-            check.witness(residual, a=la, tau=lt)
-            if check.settled:
-                break
-    results.append(check.result())
+            ("random#%d.t", draw_B)),
+        lambda a, tau: nabla_bas_TMAs(D, alg, a, rho_rhot(alg, tau, target=Q))
+        - rho_rhot(alg, nabla_bas_ATM(D, alg, a, tau), target=Q),
+        inputs=named("a", "tau")))
 
     check = Check("%s.basic_like" % prefix, config)
-    for (l1, t1), (l2, t2) in check.tuples(
-            product(frames_B, repeat=2),
-            ("random#%d.0", draw_B), ("random#%d.1", draw_B)):
-        residual = bracket_d(t1, t2) \
-            - dorfman_eval(D, rho_rhot(alg, t1, target=Q), t2) \
-            + nabla_bas_ATM(D, alg, pr_A(t2), t1)
-        if not residual.is_zero():
-            check.witness(residual, tau1=l1, tau2=l2)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames_B, repeat=2),
+                     ("random#%d.0", draw_B), ("random#%d.1", draw_B)),
+        lambda t1, t2: bracket_d(t1, t2)
+        - dorfman_eval(D, rho_rhot(alg, t1, target=Q), t2)
+        + nabla_bas_ATM(D, alg, pr_A(t2), t1),
+        inputs=named("tau1", "tau2")))
 
-    check = Check("%s.complicated" % prefix, config)
-    for (ln, nu), (l1, tau), (l2, taup) in check.tuples(
-            product(labelled("q", Q.basis_sections()), frames_B, frames_B),
-            ("random#%d.nu", partial(random_section, Q)),
-            ("random#%d.1", draw_B), ("random#%d.2", draw_B)):
+    def complicated(nu, tau, taup):
         inner = rho_rhot(alg, dorfman_eval(D, nu, tau), target=Q) \
             - bracket_eval(dual, nu, rho_rhot(alg, tau, target=Q)) \
             - nabla_bas_TMAs(D, alg, pr_A(tau), nu)
-        residual = canonical_pairing(inner, taup) \
+        return canonical_pairing(inner, taup) \
             - canonical_pairing(nabla_bas_TMAs(D, alg, pr_A(taup), nu), tau)
-        if not residual.is_zero():
-            check.witness(residual, nu=ln, tau1=l1, tau2=l2)
-            if check.settled:
-                break
-    results.append(check.result())
+
+    check = Check("%s.complicated" % prefix, config)
+    results.append(check.run(
+        check.tuples(
+            product(labelled("q", Q.basis_sections()), frames_B, frames_B),
+            ("random#%d.nu", partial(random_section, Q)),
+            ("random#%d.1", draw_B), ("random#%d.2", draw_B)),
+        complicated, inputs=named("nu", "tau1", "tau2")))
 
     check = Check("%s.eq_for_morphism" % prefix, config)
     # k is drawn before u in each trial
-    for (lk, k), (lu, u) in check.tuples(
+    results.append(check.run(
+        check.tuples(
             [(k, u) for u in labelled("u", U.frame)
              for k in labelled("k", K.frame)],
             ("random#%d.k", partial(random_combination, K)),
-            ("random#%d.u", partial(random_combination, U))):
-        residual = rho_rhot(alg, dorfman_eval(D, u, k), target=Q) \
-            - bracket_eval(dual, u, rho_rhot(alg, k, target=Q)) \
-            - nabla_bas_TMAs(D, alg, pr_A(k), u)
-        if not residual.is_zero():
-            check.witness(residual, u=lu, k=lk)
-            if check.settled:
-                break
-    results.append(check.result())
+            ("random#%d.u", partial(random_combination, U))),
+        lambda k, u: rho_rhot(alg, dorfman_eval(D, u, k), target=Q)
+        - bracket_eval(dual, u, rho_rhot(alg, k, target=Q))
+        - nabla_bas_TMAs(D, alg, pr_A(k), u),
+        inputs=lambda e: {"u": e[1][0], "k": e[0][0]}))
 
     check = Check("%s.bialgebroid1" % prefix, config)
     flipped = Check("%s.bialgebroid1" % prefix, config)
@@ -338,17 +325,15 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
                          "R_Delta; flip the curvature convention")
     results.append(straight)
 
-    check = Check("%s.bialgebroid2" % prefix, config)
     # pr_A of each tau and the bracket of each tau pair, taken once
-    t_pairs = [((l1, t1, pr_A(t1)), (l2, t2, pr_A(t2)), bracket_d(t1, t2))
+    t_pairs = [((l1, (t1, pr_A(t1))), (l2, (t2, pr_A(t2), bracket_d(t1, t2))))
                for (l1, t1), (l2, t2) in Check(
                    "%s.bialgebroid2.aux" % prefix, config).tuples(
                    product(frames_B, repeat=2),
                    ("random#%d.0", draw_B), ("random#%d.1", draw_B))]
-    for (lu, u), ((l1, t1, a1), (l2, t2, a2), b12) in product(
-            check.tuples(labelled("q", Q.basis_sections()),
-                         ("random#%d.u", partial(random_section, Q))),
-            t_pairs):
+
+    def bialgebroid2(u, first, second):
+        (t1, a1), (t2, a2, b12) = first, second
         n1 = nabla_bas_TMAs(D, alg, a1, u)
         n2 = nabla_bas_TMAs(D, alg, a2, u)
         lhs = dorfman_eval(D, u, b12) \
@@ -356,12 +341,15 @@ def verify_appendix_lemmas(triple, config=None, prefix="lemmas"):
             - bracket_d(t1, dorfman_eval(D, u, t2)) \
             + dorfman_eval(D, n1, t2) - dorfman_eval(D, n2, t1) \
             + D.d_B(canonical_pairing(n2, t1))
-        residual = lhs + basic_curvature(D, alg, a1, a2, u)
-        if not residual.is_zero():
-            check.witness(residual, u=lu, tau1=l1, tau2=l2)
-            if check.settled:
-                break
-    results.append(check.result())
+        return lhs + basic_curvature(D, alg, a1, a2, u)
+
+    check = Check("%s.bialgebroid2" % prefix, config)
+    results.append(check.run(
+        ((u,) + pair for u, pair in product(
+            check.tuples(labelled("q", Q.basis_sections()),
+                         ("random#%d.u", partial(random_section, Q))),
+            t_pairs)),
+        bialgebroid2, inputs=named("u", "tau1", "tau2")))
 
     return results
 
@@ -495,7 +483,7 @@ def build_courant_C(triple, config=None, verify=True):
     induced algebroid on U is read off the restricted dual bracket."""
     if verify:
         failing = [r.name for r in check_la_dirac(triple, config)
-                   if r.status == "fail"]
+                   if r.failed]
         if failing:
             raise ValueError("not an LA-Dirac triple; failing checks: "
                              + ", ".join(failing))
@@ -576,14 +564,10 @@ def check_manin_pair(mp, config=None, prefix="manin"):
                         u1="u%d" % p, u2="u%d" % q)
                     break
     draw = partial(random_combination, U_in_C)
-    for (l1, d1), (l2, d2) in closed.tuples(
-            [], ("random#%d.1", draw), ("random#%d.2", draw)):
-        value = C.bracket(d1, d2)
-        if usolver.solve(C.coordinates(value))[0] != "solution":
-            closed.witness(value, d1=l1, d2=l2)
-            if closed.settled:
-                break
-    results.append(closed.result())
+    results.append(closed.run(
+        closed.tuples([], ("random#%d.1", draw), ("random#%d.2", draw)),
+        C.bracket, inputs=named("d1", "d2"),
+        zero=lambda v: usolver.solve(C.coordinates(v))[0] == "solution"))
     results.append(induced.result())
 
     dc = degenerate_courant(alg)
@@ -604,23 +588,20 @@ def check_manin_pair(mp, config=None, prefix="manin"):
 
     check = Check("%s.pairing_compat" % prefix, config)
     Qbundle = side_Q(alg)
-    us = [(p, u, Section(Qbundle, [mp.iota[i][p]
-                                   for i in range(Qbundle.rank)]))
+    us = [("u%d" % p, (u, Section(Qbundle, [mp.iota[i][p]
+                                            for i in range(Qbundle.rank)])))
           for p, u in enumerate(U_in_C.frame)]
     # the image of each tau under Phi, and tau in A + T*M, taken once
-    taus = [(lt, Section(C.bundle, apply_matrix(mp.Phi, tau.components,
-                                                patch)),
-             Section(side_B(alg), tau.components))
+    taus = [(lt, (Section(C.bundle, apply_matrix(mp.Phi, tau.components,
+                                                 patch)),
+                  Section(side_B(alg), tau.components)))
             for lt, tau in check.tuples(
                 labelled("e", dc.bundle.basis_sections()),
                 ("random#%d", partial(random_section, dc.bundle)))]
-    for (p, u, iota_u), (lt, image, tau) in product(us, taus):
-        residual = C.pairing(u, image) - canonical_pairing(iota_u, tau)
-        if not residual.is_zero():
-            check.witness(residual, u="u%d" % p, tau=lt)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        product(us, taus),
+        lambda u, tau: C.pairing(u[0], tau[0])
+        - canonical_pairing(u[1], tau[1]), inputs=named("u", "tau")))
 
     mp.checks = results
     return results

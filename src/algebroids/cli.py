@@ -16,7 +16,7 @@ triple and serializes its frames, pairing and bracket table to a file
 whose [courant.C] section can be re-checked with `check courant`.
 
 Exit codes: 0 every check passed (skips allowed), 1 at least one check
-failed, 2 ill-formed input.  Reports are deterministic for a fixed
+failed or errored, 2 ill-formed input.  Reports are deterministic for a fixed
 (instance, suite, seed, trials, max degree) up to the timing fields.
 """
 
@@ -51,46 +51,70 @@ SUITES = ("courant", "dirac", "la-dirac", "manin", "lemmas", "bialgebroid",
 # ---- deriving suite inputs from an instance ---------------------------
 
 
+# (the instance fields an input derives from, in priority order; the
+# message when an instance sets none of them)
+_SIGMA = (("sigma", "omega"), "this suite needs a [sigma] or [omega] section")
+_TRIPLE = (("triple", "iis", "pi") + _SIGMA[0],
+           "this suite needs a [triple] section, or [iis], [pi], [sigma] or "
+           "[omega] data to derive one from")
+_BIALGEBROID = (("bialgebroid",) + _TRIPLE[0],
+                "the bialgebroid suite needs a [bialgebroid] section, or "
+                "[iis], [pi], [sigma] or [omega] data")
+
+# The one table of what each suite derives its input from; courant runs on
+# any instance, and dirac on the candidates of _dirac_candidates.
+_NEEDS = {
+    "la-dirac": _TRIPLE, "manin": _TRIPLE, "lemmas": _TRIPLE,
+    "bialgebroid": _BIALGEBROID,
+    "iis": (("iis",), "the iis suite needs an [iis] section"),
+    "im2form": _SIGMA,
+    "bialgebra": (("bialgebra",),
+                  "the bialgebra suite needs a [bialgebra] section"),
+}
+
+
+def _source(data, needs):
+    """The first field in needs that data sets; InstanceError with the
+    message of needs when it sets none."""
+    fields, message = needs
+    for f in fields:
+        if getattr(data, f) is not None:
+            return f
+    raise InstanceError(message)
+
+
 def _sigma_of(data):
-    if data.sigma is not None:
+    if _source(data, _SIGMA) == "sigma":
         return data.sigma
-    if data.omega is not None:
-        return (tangent_algebroid(data.patch),
-                sigma_from_2form(data.patch, data.omega))
-    raise InstanceError("this suite needs a [sigma] or [omega] section")
+    return (tangent_algebroid(data.patch),
+            sigma_from_2form(data.patch, data.omega))
 
 
 def _triple_of(data):
     """An LA-Dirac triple: explicit [triple], or derived from the
     structured data in priority order iis, pi, sigma/omega."""
-    if data.triple is not None:
+    source = _source(data, _TRIPLE)
+    if source == "triple":
         return data.triple
-    if data.iis is not None:
+    if source == "iis":
         return iis_triple(data.iis)
-    if data.pi is not None:
+    if source == "pi":
         return poisson_triple(poisson_bialgebroid(data.patch, data.pi))
-    if data.sigma is not None or data.omega is not None:
-        alg, sigma = _sigma_of(data)
-        return presymplectic_triple(alg, sigma)
-    raise InstanceError("this suite needs a [triple] section, or [iis], "
-                        "[pi], [sigma] or [omega] data to derive one from")
+    return presymplectic_triple(*_sigma_of(data))
 
 
 def _bialgebroid_of(data):
-    if data.bialgebroid is not None:
+    source = _source(data, _BIALGEBROID)
+    if source == "bialgebroid":
         return data.bialgebroid
-    if data.triple is not None:
+    if source == "triple":
         return bialgebroid_from_triple(data.triple)
-    if data.iis is not None:
+    if source == "iis":
         return bialgebroid_from_iis(data.iis, verify=False)[0]
-    if data.pi is not None:
+    if source == "pi":
         lb = poisson_bialgebroid(data.patch, data.pi)
         return bialgebroid_from_lie_bialgebroid(lb, verify=False)[0]
-    if data.sigma is not None or data.omega is not None:
-        alg, sigma = _sigma_of(data)
-        return bialgebroid_from_im2form(alg, sigma)[0]
-    raise InstanceError("the bialgebroid suite needs a [bialgebroid] "
-                        "section, or [iis], [pi], [sigma] or [omega] data")
+    return bialgebroid_from_im2form(*_sigma_of(data))[0]
 
 
 def _suite_courant(data, config):
@@ -161,8 +185,7 @@ def _suite_bialgebroid(data, config):
 
 
 def _suite_iis(data, config):
-    if data.iis is None:
-        raise InstanceError("the iis suite needs an [iis] section")
+    _source(data, _NEEDS["iis"])
     results = check_iis(data.iis, config)
     return results + check_abar(AbarAlgebroid(data.iis), config,
                                 iis_results=results)
@@ -174,9 +197,7 @@ def _suite_im2form(data, config):
 
 
 def _suite_bialgebra(data, config):
-    if data.bialgebra is None:
-        raise InstanceError("the bialgebra suite needs a [bialgebra] "
-                            "section")
+    _source(data, _NEEDS["bialgebra"])
     return check_dirac_bialgebra(data.bialgebra, config)
 
 
@@ -194,25 +215,10 @@ _SUITE_FNS = {
 
 
 def _runnable(data, suite):
-    if suite == "courant":
-        return True
     if suite == "dirac":
         return bool(_dirac_candidates(data))
-    if suite in ("la-dirac", "manin", "lemmas"):
-        return (data.triple is not None or data.iis is not None
-                or data.pi is not None or data.sigma is not None
-                or data.omega is not None)
-    if suite == "bialgebroid":
-        return (data.bialgebroid is not None or data.triple is not None
-                or data.iis is not None or data.pi is not None
-                or data.sigma is not None or data.omega is not None)
-    if suite == "iis":
-        return data.iis is not None
-    if suite == "im2form":
-        return data.sigma is not None or data.omega is not None
-    if suite == "bialgebra":
-        return data.bialgebra is not None
-    return False
+    return suite not in _NEEDS or any(
+        getattr(data, f) is not None for f in _NEEDS[suite][0])
 
 
 def _suite_all(data, config):

@@ -35,7 +35,7 @@ from .bundles import (Frame, Section, Subbundle, TrivialBundle,
                       apply_matrix, det, direct_sum, membership, nullspace,
                       random_combination, random_section)
 from .cartan import apply_vf, cotangent, lie_bracket_vf, tangent
-from .reporting import Check, labelled
+from .reporting import Check, labelled, named
 from .scalars import _dot, random_scalar
 
 __all__ = [
@@ -224,71 +224,46 @@ def check_courant_axioms(C, config=None, prefix="courant"):
     results = []
 
     check = Check("%s.jacobi" % prefix, config)
-    for (l1, c1), (l2, c2), (l3, c3) in check.tuples(
-            product(frames, repeat=3), *triple):
-        residual = C.bracket(c1, C.bracket(c2, c3)) \
-            - C.bracket(C.bracket(c1, c2), c3) \
-            - C.bracket(c2, C.bracket(c1, c3))
-        if not C.is_zero(residual):
-            check.witness(residual, **{l1: c1, l2: c2, l3: c3})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=3), *triple),
+        lambda c1, c2, c3: C.bracket(c1, C.bracket(c2, c3))
+        - C.bracket(C.bracket(c1, c2), c3)
+        - C.bracket(c2, C.bracket(c1, c3)), zero=C.is_zero))
 
     check = Check("%s.pairing_invariance" % prefix, config)
-    for (l1, c1), (l2, c2), (l3, c3) in check.tuples(
-            product(frames, repeat=3), *triple):
-        residual = C.apply_anchor(c1, C.pairing(c2, c3)) \
-            - C.pairing(C.bracket(c1, c2), c3) \
-            - C.pairing(c2, C.bracket(c1, c3))
-        if not residual.is_zero():
-            check.witness(residual, **{l1: c1, l2: c2, l3: c3})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=3), *triple),
+        lambda c1, c2, c3: C.apply_anchor(c1, C.pairing(c2, c3))
+        - C.pairing(C.bracket(c1, c2), c3)
+        - C.pairing(c2, C.bracket(c1, c3))))
 
     check = Check("%s.skew_defect" % prefix, config)
-    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
-        residual = C.bracket(c1, c2) + C.bracket(c2, c1) \
-            - C.D_of(C.pairing(c1, c2))
-        if not C.is_zero(residual):
-            check.witness(residual, **{l1: c1, l2: c2})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=2), *pair),
+        lambda c1, c2: C.bracket(c1, c2) + C.bracket(c2, c1)
+        - C.D_of(C.pairing(c1, c2)), zero=C.is_zero))
 
     check = Check("%s.anchor_morphism" % prefix, config)
-    for (l1, c1), (l2, c2) in check.tuples(product(frames, repeat=2), *pair):
-        residual = C.anchor_vf(C.bracket(c1, c2)) \
-            - lie_bracket_vf(C.anchor_vf(c1), C.anchor_vf(c2))
-        if not residual.is_zero():
-            check.witness(residual, **{l1: c1, l2: c2})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=2), *pair),
+        lambda c1, c2: C.anchor_vf(C.bracket(c1, c2))
+        - lie_bracket_vf(C.anchor_vf(c1), C.anchor_vf(c2))))
 
     check = Check("%s.leibniz" % prefix, config)
-    for (l1, c1), (l2, c2), (_, f) in check.tuples(
-            product(frames, frames, coords),
-            ("random#%d.1", C.random_element),
-            ("random#%d.2", C.random_element), ("random#%d.f", scalar)):
-        residual = C.bracket(c1, f * c2) - f * C.bracket(c1, c2) \
-            - C.apply_anchor(c1, f) * c2
-        if not C.is_zero(residual):
-            check.witness(residual, **{l1: c1, l2: c2, "f": f})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, frames, coords),
+                     ("random#%d.1", C.random_element),
+                     ("random#%d.2", C.random_element),
+                     ("random#%d.f", scalar)),
+        lambda c1, c2, f: C.bracket(c1, f * c2) - f * C.bracket(c1, c2)
+        - C.apply_anchor(c1, f) * c2, zero=C.is_zero,
+        inputs=lambda e: dict(e[:2], f=e[2][1])))
 
     check = Check("%s.differential_pairing" % prefix, config)
-    for (lc, c), (_, f) in product(
-            frames, check.tuples(coords, ("random#%d", scalar))):
-        residual = C.pairing(C.D_of(f), c) - C.apply_anchor(c, f)
-        if not residual.is_zero():
-            check.witness(residual, c=lc, f=f)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        product(frames, check.tuples(coords, ("random#%d", scalar))),
+        lambda c, f: C.pairing(C.D_of(f), c) - C.apply_anchor(c, f),
+        inputs=lambda e: {"c": e[0][0], "f": e[1][1]}))
 
     if all(r.passed for r in results):
         C.axioms_checked = True
@@ -341,13 +316,10 @@ def check_dirac(C, D, config=None, prefix="dirac"):
 
     check = Check("%s.closed" % prefix, config)
     draw = partial(random_combination, D)
-    for (l1, d1), (l2, d2) in check.tuples(
-            product(labelled("d", D.frame), repeat=2),
-            ("random#%d.1", draw), ("random#%d.2", draw)):
-        check.witness_outside(C.bracket(d1, d2), D, **{l1: d1, l2: d2})
-        if check.settled:
-            break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(labelled("d", D.frame), repeat=2),
+                     ("random#%d.1", draw), ("random#%d.2", draw)),
+        C.bracket, zero=lambda v: membership(v, D)[0]))
     return results
 
 
@@ -448,36 +420,27 @@ def check_courant_morphism(Phi, C1, C2, config=None, prefix="morphism"):
     frames = [(label, (c, apply(c)))
               for label, c in labelled("e", C1.frame_sections())]
     pair = [("random#%d.0", draw), ("random#%d.1", draw)]
-    results = []
     check = Check("%s.anchor" % prefix, config)
-    for label, (c, pc) in check.tuples(frames, ("random#%d", draw)):
-        residual = C2.anchor_vf(pc) - C1.anchor_vf(c)
-        if not residual.is_zero():
-            check.witness(residual, c=label)
-            if check.settled:
-                break
-    results.append(check.result())
+    results = [check.run(
+        check.tuples(frames, ("random#%d", draw)),
+        lambda c: C2.anchor_vf(c[1]) - C1.anchor_vf(c[0]), inputs=named("c"))]
+
+    # inputs print the section, not its image
+    def sections(entries):
+        return {label: c for label, (c, _) in entries}
 
     check = Check("%s.pairing" % prefix, config)
-    for (l1, (c1, p1)), (l2, (c2, p2)) in check.tuples(
-            product(frames, repeat=2), *pair):
-        residual = C2.pairing(p1, p2) - C1.pairing(c1, c2)
-        if not residual.is_zero():
-            check.witness(residual, **{l1: c1, l2: c2})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=2), *pair),
+        lambda c1, c2: C2.pairing(c1[1], c2[1]) - C1.pairing(c1[0], c2[0]),
+        inputs=sections))
 
+    # zero test owned by the target: quotient carriers compare classes
     check = Check("%s.bracket" % prefix, config)
-    for (l1, (c1, p1)), (l2, (c2, p2)) in check.tuples(
-            product(frames, repeat=2), *pair):
-        residual = apply(C1.bracket(c1, c2)) - C2.bracket(p1, p2)
-        # zero test owned by the target: quotient carriers compare classes
-        if not C2.is_zero(residual):
-            check.witness(residual, **{l1: c1, l2: c2})
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        check.tuples(product(frames, repeat=2), *pair),
+        lambda c1, c2: apply(C1.bracket(c1[0], c2[0]))
+        - C2.bracket(c1[1], c2[1]), zero=C2.is_zero, inputs=sections))
     return results
 
 
@@ -523,8 +486,8 @@ def bott_dorfman(C, D, config=None, prefix="bott"):
                                      for k in range(patch.dim)]),
         ("random#%d", partial(random_scalar, patch)))
     frame = labelled("d", D.frame)
-    for (l1, d1), (l2, d2), (_, f) in product(frame, frame, functions):
-        check.witness_outside(C.bracket(d1, f * d2), D, d1=l1, d2=l2, f=f)
-        if check.settled:
-            break
-    return bott, [check.result()]
+    return bott, [check.run(
+        product(frame, frame, functions),
+        lambda d1, d2, f: C.bracket(d1, f * d2),
+        zero=lambda v: membership(v, D)[0],
+        inputs=lambda e: {"d1": e[0][0], "d2": e[1][0], "f": e[2][1]})]

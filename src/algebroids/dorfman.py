@@ -177,15 +177,11 @@ def check_dorfman_axioms(D, config=None, prefix="dorfman"):
     functions = check.tuples(
         [(patch.coords[k], patch.coordinate(k)) for k in range(patch.dim)],
         ("random#%d", partial(random_scalar, patch)))
-    for (lq, qi), (_, f) in product(labelled("e", D.Q.basis_sections()),
-                                    functions):
-        residual = dorfman_eval(D, qi, D.d_B(f)) \
-            - D.d_B(D.apply_anchor(qi, f))
-        if not residual.is_zero():
-            check.witness(residual, q=lq, f=f)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        product(labelled("e", D.Q.basis_sections()), functions),
+        lambda qi, f: dorfman_eval(D, qi, D.d_B(f))
+        - D.d_B(D.apply_anchor(qi, f)),
+        inputs=lambda e: {"q": e[0][0], "f": e[1][1]}))
     return results
 
 

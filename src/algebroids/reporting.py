@@ -19,12 +19,18 @@ A membership verdict is recorded in one place, Check.witness_outside: it
 witnesses a value that is not a section of a subbundle and returns the
 membership coefficients of one that is.
 
+Every test set goes through one loop, Check.run, except in the two loops
+that feed two checks at once: it evaluates the residual on each tuple,
+zero-tests it and witnesses the ones that fail.  An exception raised
+there does not end the suite: the check records status "error" with the
+note "<ExceptionType>: <message>", and the checks after it still run.
+
 Settled rule: a check keeps at most MAX_WITNESSES witnesses, and the next
 failure only sets the "further witnesses truncated" note.  From then on
 its status, witnesses and note are fixed, so Check.settled is True and
-every loop over a test set stops there (`if check.settled: break`); a
-loop that feeds two checks stops once both are settled.  Test sets are
-still drawn in full up front, so no random stream moves.
+Check.run stops there; the two hand-written loops that feed two checks
+at once stop once both are settled.  Test sets are still drawn in full
+up front, so no random stream moves.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 from .bundles import membership
 
 __all__ = ["CheckConfig", "Witness", "CheckResult", "Check", "Report",
-           "labelled"]
+           "labelled", "named"]
 
 MAX_WITNESSES = 5
 
@@ -45,6 +51,12 @@ MAX_WITNESSES = 5
 def labelled(tag, values):
     """Frame entries labelled by tag and index: [(tag0, v0), (tag1, v1)]."""
     return [("%s%d" % (tag, i), v) for i, v in enumerate(values)]
+
+
+def named(*keys):
+    """Witness inputs for Check.run under fixed keys, each printing the
+    label of its entry: named("u", "tau") gives {"u": l0, "tau": l1}."""
+    return lambda entries: {k: label for k, (label, _) in zip(keys, entries)}
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,10 @@ class CheckResult:
     def passed(self):
         return self.status == "pass"
 
+    @property
+    def failed(self):
+        return self.status in ("fail", "error")
+
     def to_dict(self, timing=True):
         d = {
             "name": self.name,
@@ -111,8 +127,9 @@ class CheckResult:
 class Check:
     """Accumulator for one named check.
 
-    Usage: c = Check("courant.axiom_2", config); record witnesses with
-    c.witness(residual, c1=..., c2=...); finish with c.result().  Once
+    Usage: c = Check("courant.axiom_2", config); then either
+    c.run(c.tuples(...), residual), or record witnesses with
+    c.witness(residual, c1=..., c2=...) and finish with c.result().  Once
     c.settled is True no further witness can change the result, and the
     loop over the test set stops (see the module docstring).
     """
@@ -140,6 +157,24 @@ class Check:
                           for label, draw in slots)
             out.append(drawn if len(slots) > 1 else drawn[0])
         return out
+
+    def run(self, items, residual, zero=None, inputs=dict):
+        """The one loop over a test set.  Each item is a (label, value)
+        entry or a tuple of them; residual(*values) is witnessed with
+        inputs(entries) unless zero(residual) holds (default: its
+        is_zero()), and the loop stops once settled.  Returns result(),
+        or an "error" result naming an exception raised on the way."""
+        try:
+            for item in items:
+                entries = (item,) if isinstance(item[0], str) else item
+                r = residual(*(value for _, value in entries))
+                if not (r.is_zero() if zero is None else zero(r)):
+                    self.witness(r, **inputs(entries))
+                    if self.settled:
+                        break
+        except Exception as exc:
+            return self.result("error", "%s: %s" % (type(exc).__name__, exc))
+        return self.result()
 
     def witness(self, residual, **inputs):
         if len(self.witnesses) >= MAX_WITNESSES:
@@ -205,7 +240,7 @@ class Report:
         """The one pass rule, behind the JSON field, the text result line
         and the CLI exit code: no result has status fail or error.  Skips
         do not count against it."""
-        return not any(r.status in ("fail", "error") for r in self.results)
+        return not any(r.failed for r in self.results)
 
     def to_dict(self, timing=True):
         return {

@@ -42,7 +42,7 @@ from .cartan import (apply_vf, cotangent, d_function, d_oneform,
 from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
-from .reporting import Check, CheckConfig, labelled
+from .reporting import Check, CheckConfig, labelled, named
 from .scalars import Patch, _accumulate, _dot, _monomials, parse_scalar
 
 
@@ -191,7 +191,7 @@ def check_lie_bialgebroid(lb, config=None, prefix="lie_bialgebroid"):
     """Both duals are Lie algebroids and the double is Courant."""
     results = list(check_algebroid(lb.alg_A, config, prefix=prefix + ".A"))
     results += check_algebroid(lb.alg_Astar, config, prefix=prefix + ".Astar")
-    if any(r.status == "fail" for r in results):
+    if any(r.failed for r in results):
         results.append(Check(prefix + ".double", config).skipped(
             "one side is not a Lie algebroid"))
         return results
@@ -344,31 +344,25 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
     alphas = check.tuples(
         labelled("eps", As.bundle.basis_sections()),
         ("random%d", partial(random_section, As.bundle)))
-    for (l1, a1), (l2, a2) in itertools.combinations(alphas, 2):
-        got = bracket_eval(dull, graph(a1), graph(a2))
-        want = graph(bracket_eval(As, a1, a2))
-        if not (got - want).is_zero():
-            check.witness(got - want, alpha1=l1, alpha2=l2)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        itertools.combinations(alphas, 2),
+        lambda a1, a2: bracket_eval(dull, graph(a1), graph(a2))
+        - graph(bracket_eval(As, a1, a2)), inputs=named("alpha1", "alpha2")))
 
-    check = Check(prefix + ".transpose_intertwine", config)
-    rng = check.rng()
-    ct = cotangent(patch)
-    for t in range(max(config.trials, 1)):
-        a = random_section(A.bundle, rng, config.max_degree)
-        theta = random_section(ct, rng, config.max_degree)
+    def transpose_intertwine(a, theta, _trial):
         lt = lie_derivative_1form(A.anchor_vf(a), theta)
         lhs = _rho_star_transpose(lb, lt.components)
         rhs = bracket_eval(A, a, _rho_star_transpose(lb, theta.components))
         rho_t_theta = Section(As.bundle, rho_transpose(A, theta.components))
-        rhs = rhs - interior_d_dual(As, rho_t_theta, a)
-        if not (lhs - rhs).is_zero():
-            check.witness(lhs - rhs, a=a, theta=theta, trial=t)
-            if check.settled:
-                break
-    results.append(check.result())
+        return lhs - (rhs - interior_d_dual(As, rho_t_theta, a))
+
+    check = Check(prefix + ".transpose_intertwine", config)
+    rng = check.rng()
+    ct = cotangent(patch)
+    draws = [(("a", random_section(A.bundle, rng, config.max_degree)),
+              ("theta", random_section(ct, rng, config.max_degree)),
+              ("trial", t)) for t in range(max(config.trials, 1))]
+    results.append(check.run(draws, transpose_intertwine))
     return results
 
 
@@ -377,7 +371,7 @@ def bialgebroid_from_lie_bialgebroid(lb, config=None, verify=True):
     graph of rho_*, plus the Manin pair (A + A*, A*).  Returns (db, mp)."""
     if verify:
         failing = [r.name for r in check_lie_bialgebroid(lb, config)
-                   if r.status == "fail"]
+                   if r.failed]
         if failing:
             raise ValueError("not a Lie bialgebroid; failing checks: "
                              + ", ".join(failing))
@@ -856,11 +850,9 @@ class AbarAlgebroid(GraphQuotient):
         self._memo = {}
         self._recent = {}
 
-    x_vf = GraphQuotient.v_part
-    a_part = GraphQuotient.e_part
-
     def anchor_vf(self, c):
-        return self.x_vf(c) + self.iis.alg.anchor_vf(self.a_part(c))
+        X, a = self.split(c)
+        return X + self.iis.alg.anchor_vf(a)
 
     def bracket(self, c1, c2):
         """[X1 (+) a1, X2 (+) a2] = ([X1, X2] + nabla^bas_{a1} X2
@@ -871,8 +863,7 @@ class AbarAlgebroid(GraphQuotient):
 
     def _bracket(self, c1, c2):
         alg, conn = self.iis.alg, self.iis.conn
-        X1, X2 = self.x_vf(c1), self.x_vf(c2)
-        a1, a2 = self.a_part(c1), self.a_part(c2)
+        (X1, a1), (X2, a2) = self.split(c1), self.split(c2)
         Xb = lie_bracket_vf(X1, X2)
         Xb = Xb + self.bas.on_vector_fields(a1, X2)
         Xb = Xb - self.bas.on_vector_fields(a2, X1)
@@ -895,7 +886,7 @@ class AbarAlgebroid(GraphQuotient):
         j = sum over cyclic permutations of
         R^bas(a1, a2)X3 - R_nabla(X1, X2)a3."""
         alg, conn = self.iis.alg, self.iis.conn
-        parts = [(self.x_vf(c), self.a_part(c)) for c in (c1, c2, c3)]
+        parts = [self.split(c) for c in (c1, c2, c3)]
         j = alg.bundle.zero_section()
         for i in range(3):
             (X1, a1), (X2, a2), (X3, a3) = (parts[i], parts[(i + 1) % 3],
@@ -958,43 +949,36 @@ def check_abar(abar, config=None, prefix="abar", iis_results=None):
     if results[jac_idx].status == "fail":
         if iis_results is None:
             iis_results = check_iis(iis, config)
-        failing = [r.name for r in iis_results if r.status == "fail"]
+        failing = [r.name for r in iis_results if r.failed]
         results[jac_idx] = replace(
             results[jac_idx],
             note="ideal system conditions failing: " + ", ".join(failing))
 
+    # the X and A parts of jacobiator - ((-rho(j)) (+) j), side by side
+    sides = direct_sum(tangent(abar.patch), iis.alg.bundle)
+
+    def correction(c1, c2, c3):
+        X, a = abar.split(abar.jacobiator(c1, c2, c3))
+        j = abar.jacobiator_correction(c1, c2, c3)
+        xres = X + iis.alg.anchor_vf(j)
+        return Section(sides, xres.components + (a - j).components)
+
     check = Check(prefix + ".jacobiator_correction", config)
     elems = check.tuples(labelled("f", abar.frame_sections()),
                          ("random%d", partial(random_section, abar.bundle)))
-    seen = 0
-    for (l1, c1), (l2, c2), (l3, c3) in itertools.combinations(elems, 3):
-        if seen >= len(elems) * 3:
-            break
-        seen += 1
-        jac = abar.jacobiator(c1, c2, c3)
-        j = abar.jacobiator_correction(c1, c2, c3)
-        xres = abar.x_vf(jac) + iis.alg.anchor_vf(j)
-        ares = abar.a_part(jac) - j
-        if not (xres.is_zero() and ares.is_zero()):
-            check.witness(Section(abar.bundle,
-                                  list(xres.components) + list(ares.components)),
-                          c1=l1, c2=l2, c3=l3)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        itertools.islice(itertools.combinations(elems, 3), len(elems) * 3),
+        correction, inputs=named("c1", "c2", "c3")))
 
     check = Check(prefix + ".extension_independent", config)
     rng = check.rng()
     conn2 = random_extension_perturbation(iis, rng,
                                           max_degree=min(config.max_degree, 1))
     abar2 = AbarAlgebroid(IISData(iis.alg, iis.F_M, iis.J, conn2))
-    for (l1, c1), (l2, c2) in itertools.combinations(elems, 2):
-        diff = abar.bracket(c1, c2) - abar2.bracket(c1, c2)
-        if not abar.is_zero(diff):
-            check.witness(diff, c1=l1, c2=l2)
-            if check.settled:
-                break
-    results.append(check.result())
+    results.append(check.run(
+        itertools.combinations(elems, 2),
+        lambda c1, c2: abar.bracket(c1, c2) - abar2.bracket(c1, c2),
+        zero=abar.is_zero, inputs=named("c1", "c2")))
     return results
 
 
@@ -1005,7 +989,7 @@ def bialgebroid_from_iis(iis, config=None, verify=True, abar=None):
     not given.  Returns (db, mp)."""
     if verify:
         failing = [r.name for r in check_iis(iis, config)
-                   if r.status == "fail"]
+                   if r.failed]
         if failing:
             raise ValueError("not an infinitesimal ideal system; failing "
                              "checks: " + ", ".join(failing))
@@ -1479,7 +1463,7 @@ def _pipeline_poisson(instance, config):
                                prefix="graph_dirac"))
     lb = poisson_bialgebroid(patch, pi)
     results += check_lie_bialgebroid(lb, config)
-    if any(r.status == "fail" for r in results):
+    if any(r.failed for r in results):
         return results
     triple = poisson_triple(lb)
     results += check_poisson_extras(lb, config, dorfman=triple.D)
@@ -1504,7 +1488,7 @@ def _pipeline_presymplectic(instance, config):
     results += check_im2form(alg, sigma, config)
     db, mp = bialgebroid_from_im2form(alg, sigma)
     results += check_manin_pair(mp, config)
-    if any(r.status == "fail" for r in results):
+    if any(r.failed for r in results):
         return results
     triple = presymplectic_triple(alg, sigma)
     results += _triple_checks(triple, config)
@@ -1520,7 +1504,7 @@ def _pipeline_presymplectic(instance, config):
 def _pipeline_iis(instance, config):
     iis = instance["iis"]
     iis_results = check_iis(iis, config)
-    iis_ok = not any(r.status == "fail" for r in iis_results)
+    iis_ok = not any(r.failed for r in iis_results)
     abar = AbarAlgebroid(iis)
     results = iis_results + check_abar(abar, config, iis_results=iis_results)
     db, mp = bialgebroid_from_iis(iis, config, verify=False, abar=abar)

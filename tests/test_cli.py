@@ -250,6 +250,36 @@ def test_skip_only_report_passes(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
 
+def test_exception_in_a_check_is_an_error_result(monkeypatch, capsys):
+    # a residual that raises on one tuple ends its check with an error
+    # result; the checks after it still run, and the exit code is 1, not
+    # the 2 of ill-formed input
+    from algebroids import courant
+    real, calls = courant.lie_bracket_vf, []
+
+    def planted(X, Y):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ZeroDivisionError("planted")
+        return real(X, Y)
+
+    monkeypatch.setattr(courant, "lie_bracket_vf", planted)
+    results = cli.run("poisson-xy", "courant", trials=1).results
+    names = [r.name for r in results]
+    bad = results[names.index("courant.anchor_morphism")]
+    assert (bad.status, bad.note) == ("error", "ZeroDivisionError: planted")
+    assert bad.to_dict(timing=False)["note"] == "ZeroDivisionError: planted"
+    later = results[names.index("courant.anchor_morphism") + 1:]
+    assert [r.name for r in later] == ["courant.leibniz",
+                                       "courant.differential_pairing"]
+    assert all(r.passed for r in later)
+    calls.clear()
+    assert cli.main(["check", "courant", "poisson-xy", "--trials", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_passed"] is False
+    assert [c["status"] for c in out["checks"]].count("error") == 1
+
+
 def test_explicit_dorfman_entries_parse():
     text = ("[patch]\ncoords = x, y\n\n[dorfman.D]\nalgebroid = TM\n"
             "0,0 = 0, 0, 1, 0\n\n[subbundle.U]\nambient = TM+TM*\n"

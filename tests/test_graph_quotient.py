@@ -193,8 +193,6 @@ def test_graph_quotient_matches_the_old_presentations(name, data):
     v, e = Q.split(c)
     if isinstance(ref, RefAbar):
         want_v, want_e = ref.x_vf(c), ref.a_part(c)
-        assert _strs(Q.x_vf(c)) == _strs(want_v)
-        assert _strs(Q.a_part(c)) == _strs(want_e)
     else:
         want_v, want_e = ref.split(c)
     assert (_strs(v), _strs(e)) == (_strs(want_v), _strs(want_e))
@@ -313,6 +311,12 @@ def test_split_is_built_once_per_representative(name, monkeypatch):
     parts = Q.split(c)
     assert Q.split(c) is parts and len(calls) == 1
     Q.is_zero(c)
+    if isinstance(Q, zoo.AbarAlgebroid):
+        # the anchor, the bracket and the Jacobiator parts read the kept
+        # split; _bracket, since the bracket memo may already hold (c, c)
+        Q.anchor_vf(c)
+        Q._bracket(c, c)
+        Q.jacobiator_correction(c, c, c)
     assert calls.count(Q.V.frame) == 1
     assert parts == (want_v, want_e)
 

@@ -25,12 +25,13 @@ Every bracket and connection memo goes through one path: memo keys are
 built only in bundles._recall, the one caller of _constant_key and
 scalars._value_key.
 
-A check stops once its report is settled: every for loop over a test set
-(its iterable calls X.tuples(...) or reads a name bound to a value that
-does) that witnesses on the check X alone has, in its own body and not in
-a nested loop, `if X.settled: break`.  A loop that witnesses on several
-checks is named in MULTI_CHECK_LOOPS and stops only once all of them are
-settled (`if X.settled and Y.settled: break`)."""
+Every identity check runs its test set through one loop, Check.run.  No
+other for loop iterates a test set (its iterable calls X.tuples(...) or
+reads a name bound to a value that does), and no other for or while loop
+reads X.settled in its own body, except at the sites HAND_LOOPS names,
+each with its reason.  Each of those witnesses on several checks and
+stops, in its own body and not in a nested loop, only once all of them
+are settled (`if X.settled and Y.settled: break`)."""
 
 import ast
 from pathlib import Path
@@ -61,13 +62,17 @@ REP_READS_ALLOWED = {
 }
 
 
-# (module, enclosing function) of the test-set loops that feed two checks,
-# and those checks; each loop stops only once both are settled
-MULTI_CHECK_LOOPS = {
-    # the straight and the flipped sign of R_Delta in one residual pass
-    ("bialgebroid.py", "verify_appendix_lemmas"): ("check", "flipped"),
-    # both IM conditions come from one im2form_defects call
-    ("zoo.py", "check_im2form"): ("anti", "brk"),
+# (module, enclosing function) of the one hand-written test-set loop left
+# outside Check.run at each site, the checks it feeds, and why it is there;
+# each stops only once all its checks are settled
+HAND_LOOPS = {
+    ("bialgebroid.py", "verify_appendix_lemmas"): (
+        ("check", "flipped"),
+        "one residual pass feeds the straight and the flipped sign of "
+        "R_Delta, two checks"),
+    ("zoo.py", "check_im2form"): (
+        ("anti", "brk"),
+        "one im2form_defects call gives both IM conditions, two checks"),
 }
 
 
@@ -227,6 +232,20 @@ def _calls_tuples(node):
                and n.func.attr == "tuples" for n in ast.walk(node))
 
 
+def _test_set_loops(fn):
+    """(loop, iterates a test set) of every for and while loop in fn's own
+    body: a test set is an iterable that calls X.tuples(...) or reads a
+    name bound to a value that does."""
+    body = list(_own_nodes(fn.body))
+    sets = {t.id for n in body if isinstance(n, ast.Assign)
+            and _calls_tuples(n.value)
+            for t in n.targets if isinstance(t, ast.Name)}
+    for loop in body:
+        if isinstance(loop, (ast.For, ast.While)):
+            yield loop, isinstance(loop, ast.For) and (
+                _calls_tuples(loop.iter) or bool(sets & _loaded(loop.iter)))
+
+
 def _settled_names(test):
     """The checks X of a test `X.settled` or `X.settled and Y.settled`,
     or None for any other test."""
@@ -245,13 +264,8 @@ def settled_loops(tree):
     body holds an `if` on exactly those checks' settled that breaks."""
     out = []
     for scope, fn in _functions(tree):
-        body = list(_own_nodes(fn.body))
-        sets = {t.id for n in body if isinstance(n, ast.Assign)
-                and _calls_tuples(n.value)
-                for t in n.targets if isinstance(t, ast.Name)}
-        for loop in body:
-            if not isinstance(loop, ast.For) or not (
-                    _calls_tuples(loop.iter) or sets & _loaded(loop.iter)):
+        for loop, over_set in _test_set_loops(fn):
+            if not over_set:
                 continue
             checks = {n.func.value.id for n in ast.walk(loop)
                       if isinstance(n, ast.Call)
@@ -263,6 +277,21 @@ def settled_loops(tree):
                 and any(isinstance(b, ast.Break) for b in n.body)
                 for n in _own_nodes(loop.body, SCOPES + (ast.For, ast.While)))
             out.append((scope, loop.lineno, tuple(sorted(checks)), stops))
+    return sorted(out, key=lambda r: r[1])
+
+
+def hand_loops(tree):
+    """(enclosing function, line) of every for loop over a test set and
+    every for or while loop whose own body, nested loops aside, reads a
+    .settled attribute, in line order."""
+    out = []
+    for scope, fn in _functions(tree):
+        for loop, over_set in _test_set_loops(fn):
+            if over_set or any(
+                    isinstance(n, ast.Attribute) and n.attr == "settled"
+                    for n in _own_nodes(loop.body, SCOPES + (ast.For,
+                                                             ast.While))):
+                out.append((scope, loop.lineno))
     return sorted(out, key=lambda r: r[1])
 
 
@@ -414,17 +443,46 @@ def test_key_scan_catches_planted_builds():
 
 
 def test_test_set_loops_stop_once_settled():
-    loops = [(p.name, scope, line, checks, stops) for p in MODULES
-             for scope, line, checks, stops in settled_loops(_tree(p))]
-    assert {module for module, *_ in loops} == {
-        "algebroid.py", "bialgebroid.py", "courant.py", "dorfman.py",
-        "zoo.py"}
-    assert [(module, line) for module, _, line, checks, stops in loops
-            if checks and not stops] == []
-    multi = {(module, scope): checks for module, scope, _, checks, _ in loops
-             if len(checks) > 1}
-    # an allowed loop that no longer feeds two checks leaves the list
-    assert multi == MULTI_CHECK_LOOPS
+    found = sorted((p.name, scope) for p in MODULES
+                   for scope, _ in hand_loops(_tree(p)))
+    # Check.run is the one loop; an allowed site that no longer holds its
+    # loop leaves the list
+    assert found == sorted([("reporting.py", "Check.run"), *HAND_LOOPS])
+    assert all(reason for _, reason in HAND_LOOPS.values())
+    stops = {(p.name, scope): (checks, stop) for p in MODULES
+             for scope, _, checks, stop in settled_loops(_tree(p))}
+    assert {site: stops.get(site) for site in HAND_LOOPS} == {
+        site: (checks, True) for site, (checks, _) in HAND_LOOPS.items()}
+
+
+def test_hand_loop_scan_catches_planted_loops():
+    tree = ast.parse(
+        "def f(check, xs):\n"
+        "    for a in check.tuples(xs):\n"
+        "        check.witness(a)\n"
+        "    fs = check.tuples(xs)\n"
+        "    for a, b in product(xs, fs):\n"
+        "        pass\n"
+        "    for a in xs:\n"
+        "        for b in xs:\n"
+        "            if check.settled:\n"
+        "                break\n"
+        "    while True:\n"
+        "        if check.settled:\n"
+        "            break\n"
+        "    for a in xs:\n"
+        "        def g():\n"
+        "            return check.settled\n"
+        "    ok = [a for a in check.tuples(xs)]\n"
+        "    for a in ok:\n"
+        "        check.witness(a)\n"
+        "class Check:\n"
+        "    def run(self, items):\n"
+        "        for item in items:\n"
+        "            if self.settled:\n"
+        "                break\n")
+    assert hand_loops(tree) == [("f", 2), ("f", 5), ("f", 8), ("f", 11),
+                                ("f", 18), ("Check.run", 22)]
 
 
 def test_settled_scan_catches_planted_loops():

@@ -430,6 +430,24 @@ def test_curved_mutant_jacobiator_matches_curvature_correction():
     assert good.status == "pass"
 
 
+def test_wrong_jacobiator_correction_prints_both_parts(monkeypatch):
+    # F_M has rank 1 on the 2-dimensional patch of foliation-x, so the
+    # witness is a vector field and a section of A side by side, not a
+    # representative of the quotient
+    iis = zoo.zoo_preset("foliation-x")["iis"]
+    assert iis.F_M.rank < iis.alg.patch.dim
+    real = zoo.AbarAlgebroid.jacobiator_correction
+    monkeypatch.setattr(
+        zoo.AbarAlgebroid, "jacobiator_correction",
+        lambda self, *cs: real(self, *cs) + iis.alg.bundle.basis_section(0))
+    res = zoo.check_abar(zoo.AbarAlgebroid(iis), CheckConfig(trials=2))
+    bad = [r for r in res if r.name == "abar.jacobiator_correction"][0]
+    assert bad.status == "fail"
+    assert bad.witnesses[0].to_dict() == {
+        "inputs": {"c1": "f0", "c2": "f1", "c3": "random0"},
+        "residual": "(1, 0, -1, 0)"}
+
+
 def test_iis_bialgebroid_oracles_and_round_trip():
     alg, F, J = foliation()
     iis = zoo.IISData(alg, F, J, LinearConnection.flat(alg.bundle))
