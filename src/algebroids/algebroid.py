@@ -21,19 +21,23 @@ Memo rule, in two tiers, looked up and stored by one bundles._recall call
 at each of the eight memoised entry points: bracket_eval, dorfman_eval,
 omega_map, nabla_bas_TMAs, basic_curvature and the brackets of
 CourantPresentation, QuotientCourant and zoo.AbarAlgebroid.  Each refuses
-an argument of the wrong bundle with ValueError before the lookup.  The
-constant tier, _memo, keeps results on constant arguments (frame sections
-and their constant combinations) for as long as the structure lives,
-keyed by their component values (bundles._constant_key).  Their number is
-bounded by the frame test sets plus the random draws that happen to be
-constant, common at max_degree 1.  The value tier, _recent, keeps the
-newest bundles._RECENT results on other arguments, keyed by the values of
-all components (scalars._value_key): the Jacobi sums, nabla^bas inside
-R^bas and the quotient Jacobi check ask for the same random sections
-again and again.  Scalars are canonical, so a hit is the very value a
-recomputation would build.  An algebroid's anchor and bracket table are
-read-only once it has evaluated a bracket, which lists the table's
-nonzero entries once (_nonzero_rows).
+an argument of the wrong bundle with ValueError before the lookup.  Each
+is linear over R in every section argument, so when one argument's key
+part is all zero constants, _recall returns the shared zero section of
+the result bundle (bundles.TrivialBundle.zero_section) before the lookup
+and stores nothing; anchor_vf and rho_rhot return it for a zero argument
+too.  The constant tier, _memo, keeps results on constant arguments
+(frame sections and their constant combinations) for as long as the
+structure lives, keyed by their component values (bundles._constant_key).
+Their number is bounded by the frame test sets plus the random draws
+that happen to be constant, common at max_degree 1.  The value tier,
+_recent, keeps the newest bundles._RECENT results on other arguments,
+keyed by the values of all components (scalars._value_key): the Jacobi
+sums, nabla^bas inside R^bas and the quotient Jacobi check ask for the
+same random sections again and again.  Scalars are canonical, so a hit
+is the very value a recomputation would build.  An algebroid's anchor
+and bracket table are read-only once it has evaluated a bracket, which
+lists the table's nonzero entries once (_nonzero_rows).
 
 Axioms are never assumed: check_skew, check_anchor_compat and check_jacobi
 produce exact residual witnesses and set the corresponding flags on
@@ -94,7 +98,9 @@ class AnchoredBundle:
         return self.bundle.rank
 
     def anchor_vf(self, s):
-        """rho(s) as a vector field."""
+        """rho(s) as a vector field; TM's shared zero for a zero s."""
+        if s.is_zero():
+            return self._TM.zero_section()
         return Section(self._TM,
                        apply_matrix(self.anchor, s.components, self.patch))
 
@@ -254,7 +260,7 @@ def bracket_eval(alg, q1, q2):
     bundle = alg.bundle
     if q1.bundle != bundle or q2.bundle != bundle:
         raise ValueError("sections do not live in the algebroid bundle")
-    return _recall(alg, (q1, q2), lambda: _leibniz(
+    return _recall(alg, bundle, (q1, q2), lambda: _leibniz(
         bundle, _rows(alg, alg.bracket), q1.components, q2.components,
         alg.anchor_vf(q1), alg.anchor_vf(q2)))
 
@@ -382,12 +388,18 @@ def rho_transpose(alg, theta_comps):
 
 
 def rho_rhot(alg, t, target=None):
-    """(rho, rho^t): A + T*M -> TM + A*, (a, theta) -> (rho(a), rho^t theta)."""
+    """(rho, rho^t): A + T*M -> TM + A*, (a, theta) -> (rho(a), rho^t theta);
+    the target's shared zero for a zero t."""
     ra = alg.rank
+    bundle = target if target is not None else side_Q(alg)
+    if len(t.components) < ra or bundle.rank != alg.patch.dim + ra:
+        raise ValueError("(rho, rho^t) maps A + T*M to a bundle of rank "
+                         "dim + rank(A)")
+    if t.is_zero():
+        return bundle.zero_section()
     a = Section(alg.bundle, t.components[:ra])
     X = alg.anchor_vf(a)
     alpha = rho_transpose(alg, t.components[ra:])
-    bundle = target if target is not None else side_Q(alg)
     return Section(bundle, list(X.components) + alpha)
 
 

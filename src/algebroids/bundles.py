@@ -21,7 +21,15 @@ determinant is a nonzero rational function; everything downstream is valid
 on the Zariski-open locus where that minor does not vanish, and the minor
 itself is available for reporting (certificate_minor).
 
-Frames and sections are never mutated after construction.  That is what
+Frames and sections are never mutated after construction.  So each bundle
+keeps one zero section (TrivialBundle.zero_section) and its frame sections,
+shared by every caller, and the zero paths return that zero at once:
+_recall for an argument whose memo key part is all zero constants (each
+memoised bracket and connection is linear in its section arguments), and
+TrivialBundle.wrap for zero components copied from another bundle.
+GraphQuotient.is_zero answers True for a zero representative with no
+membership test, and Solver.solve a zero right-hand side with the zero
+solution.  That is also what
 lets each Frame keep one Solver, built on its first membership test: the
 Solver eliminates the column matrix once with a tracked rref, keeping the
 transform T (T*A = R) and the pivots, and every later right-hand side b is
@@ -91,7 +99,8 @@ class FrameError(ValueError):
 class TrivialBundle:
     """A trivialized vector bundle over a patch, identified by rank."""
 
-    __slots__ = ("patch", "rank", "name")
+    # _zero, _basis: the shared zero and frame sections, built on first use
+    __slots__ = ("patch", "rank", "name", "_zero", "_basis")
 
     def __init__(self, patch, rank, name):
         if rank < 0:
@@ -101,16 +110,38 @@ class TrivialBundle:
         self.name = name
 
     def zero_section(self):
-        return Section(self, [self.patch.zero] * self.rank)
+        """The zero section, one object per bundle: sections are never
+        mutated, so every caller can share it, with its memo key part."""
+        try:
+            return self._zero
+        except AttributeError:
+            self._zero = Section(self, [self.patch.zero] * self.rank)
+            return self._zero
 
-    def basis_section(self, i):
-        z = self.patch.zero
-        comps = [z] * self.rank
-        comps[i] = self.patch.one
-        return Section(self, comps)
+    def wrap(self, components):
+        """components as a section of this bundle, the shared zero section
+        when every one is zero."""
+        if len(components) == self.rank and not any(components):
+            return self.zero_section()
+        return Section(self, components)
 
     def basis_sections(self):
-        return [self.basis_section(i) for i in range(self.rank)]
+        """The frame sections as a new list of sections kept on the bundle,
+        like its zero section."""
+        try:
+            return list(self._basis)
+        except AttributeError:
+            z, one = self.patch.zero, self.patch.one
+            self._basis = tuple(
+                Section(self, [one if j == i else z for j in range(self.rank)])
+                for i in range(self.rank))
+            return list(self._basis)
+
+    def basis_section(self, i):
+        try:
+            return self._basis[i]
+        except AttributeError:
+            return self.basis_sections()[i]
 
     def standard_frame(self):
         return Frame(self, self.basis_sections())
@@ -475,8 +506,11 @@ class Solver:
 
     def solve(self, rhs):
         """("solution", x) with x of length k, or ("witness", w) with w a
-        covector of length n satisfying w*A = 0 and w*rhs != 0."""
+        covector of length n satisfying w*A = 0 and w*rhs != 0.  A zero
+        rhs has the zero solution at once."""
         patch, T = self.patch, self.T
+        if not any(rhs):
+            return "solution", [patch.zero] * self.ncols
         rank = len(self.pivots)
         for i in range(rank, len(T)):
             y = _dot(patch, T[i], rhs)
@@ -550,13 +584,17 @@ def _constant_key(s):
     return tuple(values)
 
 
-def _recall(owner, sections, compute, tag=()):
+def _recall(owner, bundle, sections, compute, tag=()):
     """compute() once per key in a memo tier of owner (see the algebroid
     module docstring): tag, then one part per section, its _constant_key
     or else its scalars._value_key.  A key of constant parts only goes to
     owner._memo, any other to owner._recent, which drops its oldest entry
     beyond _RECENT.  A section is never mutated, so it keeps its part,
-    built on first use, as (constant, part) in its _key slot."""
+    built on first use, as (constant, part) in its _key slot.
+
+    compute is linear in each section and returns a section of bundle, so
+    a section whose part is all zero constants gives bundle's shared zero
+    section at once, with no lookup and nothing stored."""
     key, constant = tag, True
     for s in sections:
         try:
@@ -567,6 +605,8 @@ def _recall(owner, sections, compute, tag=()):
             if not c:
                 part = _value_key(s.components)
             s._key = c, part
+        if c and not any(part):
+            return bundle.zero_section()
         constant = constant and c
         key += (part,)
     memo = owner._memo if constant else owner._recent
@@ -797,7 +837,9 @@ class GraphQuotient:
 
     def is_zero(self, c):
         """c represents the zero class: its E-part e lies in Gamma(K) and
-        its V-part cancels phi(e)."""
+        its V-part cancels phi(e).  A zero representative does at once."""
+        if c.is_zero():
+            return True
         v, e = self.split(c)
         inside, _ = membership(e, self.K)
         if not inside:

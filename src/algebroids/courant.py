@@ -148,7 +148,7 @@ class CourantPresentation:
         def weight(i):  # <e_i, c2> from the Gram table
             return _dot(self.patch, self.gram[i], g)
 
-        return _recall(self, (c1, c2), lambda: _leibniz(
+        return _recall(self, bundle, (c1, c2), lambda: _leibniz(
             bundle, _rows(self, self.table), c1.components, g,
             self.anchor_vf(c1), self.anchor_vf(c2), weight, self.D_of))
 

@@ -27,10 +27,15 @@ connections live.
 The connection memoises by the algebroid module's two-tier rule, in both
 tiers: dorfman_eval's results under (q, b) keys and those of omega_map,
 nabla_bas_TMAs and basic_curvature under keys tagged "omega", "bas" and
-"curv", so the four share the connection's _memo and its _recent.  The
-value tier holds random sections and frames of a U with non-constant
-entries, which the lemma bialgebroid2, basic_curvature and the quotient
-Jacobi check ask for again and again.
+"curv", so the four share the connection's _memo and its _recent.  All
+four are linear in each section argument: a zero argument gives the
+shared zero section of the result bundle at once (the algebroid module's
+zero rule), and so does d_B of a constant.  They check their arguments
+before that and before the lookup (_check_args for the last three), so a
+wrong argument raises even when it is zero.  The value tier
+holds random sections and frames of a U with non-constant entries, which
+the lemma bialgebroid2, basic_curvature and the quotient Jacobi check ask
+for again and again.
 A table may be edited only before the connection's first evaluation,
 which lists its nonzero entries once (algebroid._nonzero_rows).
 """
@@ -112,7 +117,10 @@ class DorfmanConnection:
         return apply_vf(self.anchor_vf(q), f)
 
     def d_B(self, f):
-        """d_B f = (0, df) as a section of A + T*M."""
+        """d_B f = (0, df) as a section of A + T*M; B's shared zero section
+        for a constant f."""
+        if f.is_constant():
+            return self.B.zero_section()
         patch = self.patch
         return Section(self.B, [patch.zero] * self.rank_A
                        + [f.diff(k) for k in range(patch.dim)])
@@ -147,7 +155,7 @@ def dorfman_eval(D, q, b):
     if b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
     dim, ra = D.dim, D.rank_A
-    return _recall(D, (q, b), lambda: _leibniz(
+    return _recall(D, D.B, (q, b), lambda: _leibniz(
         D.B, _rows(D, D.table), q.components, b.components, D.anchor_vf(q),
         weight=lambda i: _pair_q_frame(i, b, dim, ra), D=D.d_B))
 
@@ -247,26 +255,41 @@ def dorfman_from_dull(alg, B):
 # the maps Omega, the basic connections and the two curvatures
 
 
+def _check_args(D, v, sections_of_A, alg=None):
+    """Refuse, before any memo lookup, a v outside TM + A* and a section
+    of A of the wrong length or, when alg is given, outside alg's bundle."""
+    for a in sections_of_A:
+        if len(a.components) != D.rank_A:
+            raise ValueError("expected a section of A")
+        if alg is not None and a.bundle != alg.bundle:
+            raise ValueError("sections do not live in the algebroid bundle")
+    if v.bundle != D.Q:
+        raise ValueError("expected a section of TM + A*")
+
+
 def omega_map(D, v, a):
     """Omega_v a = Delta_v (a, 0) - (0, d<alpha, a>) for v = (X, alpha)."""
+    _check_args(D, v, (a,))
+
     def compute():
-        patch, dim, ra = D.patch, D.dim, D.rank_A
-        if len(a.components) != ra:
-            raise ValueError("second argument must be a section of A")
+        patch, dim = D.patch, D.dim
         b = Section(D.B, list(a.components) + [patch.zero] * dim)
         pair = _dot(patch, v.components[dim:], a.components)
         return dorfman_eval(D, v, b) - D.d_B(pair)
-    return _recall(D, (v, a), compute, tag=("omega", v.bundle))
+    return _recall(D, D.B, (v, a), compute, tag=("omega", v.bundle))
 
 
 def nabla_bas_TMAs(D, alg, a, v):
     """Basic connection on TM + A*:
     nabla^bas_a v = (rho, rho^t)(Omega_v a) + L_a v."""
+    _check_args(D, v, (a,), alg)
+
     def compute():
         om = omega_map(D, v, a)
         return rho_rhot(alg, om, target=v.bundle) \
             + lie_derivative_TMAs(alg, a, v)
-    return _recall(D, (a, v), compute, tag=("bas", alg, a.bundle, v.bundle))
+    return _recall(D, v.bundle, (a, v), compute,
+                   tag=("bas", alg, a.bundle, v.bundle))
 
 
 def nabla_bas_ATM(D, alg, a, t):
@@ -280,6 +303,8 @@ def basic_curvature(D, alg, a1, a2, v):
     """R^bas(a1, a2) v = -Omega_v [a1, a2] + L_{a1}(Omega_v a2)
     - L_{a2}(Omega_v a1) + Omega_{nabla^bas_{a2} v} a1
     - Omega_{nabla^bas_{a1} v} a2, a section of A + T*M."""
+    _check_args(D, v, (a1, a2), alg)
+
     def compute():
         br = bracket_eval(alg, a1, a2)
         return (-omega_map(D, v, br)
@@ -287,7 +312,7 @@ def basic_curvature(D, alg, a1, a2, v):
                 - lie_derivative_ATM(alg, a2, omega_map(D, v, a1))
                 + omega_map(D, nabla_bas_TMAs(D, alg, a2, v), a1)
                 - omega_map(D, nabla_bas_TMAs(D, alg, a1, v), a2))
-    return _recall(D, (a1, a2, v), compute,
+    return _recall(D, D.B, (a1, a2, v), compute,
                    tag=("curv", alg, a1.bundle, a2.bundle, v.bundle))
 
 

@@ -22,8 +22,10 @@ membership coefficients of one that is.
 Every test set goes through one loop, Check.run, except in the two loops
 that feed two checks at once: it evaluates the residual on each tuple,
 zero-tests it and witnesses the ones that fail.  An exception raised
-there does not end the suite: the check records status "error" with the
-note "<ExceptionType>: <message>", and the checks after it still run.
+there, or in either of the two loops, does not end the suite: each check
+the loop feeds records status "error" with the note
+"<ExceptionType>: <message>" (Check.error), and the checks after it
+still run.
 
 Settled rule: a check keeps at most MAX_WITNESSES witnesses, and the next
 failure only sets the "further witnesses truncated" note.  From then on
@@ -173,8 +175,12 @@ class Check:
                     if self.settled:
                         break
         except Exception as exc:
-            return self.result("error", "%s: %s" % (type(exc).__name__, exc))
+            return self.error(exc)
         return self.result()
+
+    def error(self, exc):
+        """The "error" result of a loop that exc ended."""
+        return self.result("error", "%s: %s" % (type(exc).__name__, exc))
 
     def witness(self, residual, **inputs):
         if len(self.witnesses) >= MAX_WITNESSES:

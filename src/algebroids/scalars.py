@@ -156,7 +156,8 @@ class Patch:
     """
 
     __slots__ = ("coords", "_gens", "_axes", "_origin",
-                 "_monomial_mul", "zero", "one", "_diffs", "_ops")
+                 "_monomial_mul", "zero", "one", "_diffs", "_ops",
+                 "_draws")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -189,6 +190,8 @@ class Patch:
         # sums and products with a pair operand, keyed by ("+" or "*",
         # key, key)
         self._ops = {}
+        # the monomials random_scalar draws over, keyed by max_degree
+        self._draws = {}
 
     @property
     def dim(self):
@@ -1111,9 +1114,15 @@ def random_scalar(patch, rng, max_degree=2):
     Deterministic given the rng state; used for randomized identity checks
     (identities are polynomial in the inputs, so polynomial samples are as
     discriminating as rational ones and keep intermediate expressions small).
+    The monomials, in sorted order, are listed once per patch and
+    max_degree and kept on the patch.
     """
+    monomials = patch._draws.get(max_degree)
+    if monomials is None:
+        monomials = patch._draws[max_degree] = tuple(
+            _monomials(patch.dim, max_degree))
     d = {}
-    for monom in _monomials(patch.dim, max_degree):
+    for monom in monomials:
         c = rng.choice(_COEFF_POOL)
         if c:
             d[monom] = c

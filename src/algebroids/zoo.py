@@ -447,14 +447,17 @@ def check_im2form(alg, sigma, config=None, prefix="im2form"):
     elems = anti.tuples(
         labelled("e", alg.bundle.basis_sections()),
         ("random%d", partial(random_section, alg.bundle)))
-    for (l1, a1), (l2, a2) in itertools.combinations(elems, 2):
-        d1, d2 = im2form_defects(alg, sigma, a1, a2)
-        if not d1.is_zero():
-            anti.witness(d1, a1=l1, a2=l2)
-        if not d2.is_zero():
-            brk.witness(d2, a1=l1, a2=l2)
-        if anti.settled and brk.settled:
-            break
+    try:
+        for (l1, a1), (l2, a2) in itertools.combinations(elems, 2):
+            d1, d2 = im2form_defects(alg, sigma, a1, a2)
+            if not d1.is_zero():
+                anti.witness(d1, a1=l1, a2=l2)
+            if not d2.is_zero():
+                brk.witness(d2, a1=l1, a2=l2)
+            if anti.settled and brk.settled:
+                break
+    except Exception as exc:
+        return [anti.error(exc), brk.error(exc)]
     return [anti.result(), brk.result()]
 
 
@@ -859,7 +862,8 @@ class AbarAlgebroid(GraphQuotient):
         - nabla^bas_{a2} X1) (+) ([a1, a2] + nabla_{X1} a2 - nabla_{X2} a1)."""
         if c1.bundle != self.bundle or c2.bundle != self.bundle:
             raise ValueError("sections do not live in the quotient bundle")
-        return _recall(self, (c1, c2), lambda: self._bracket(c1, c2))
+        return _recall(self, self.bundle, (c1, c2),
+                       lambda: self._bracket(c1, c2))
 
     def _bracket(self, c1, c2):
         alg, conn = self.iis.alg, self.iis.conn

@@ -767,3 +767,49 @@ def test_fraction_free_pivots_and_determinants_stay_in_z_x(monkeypatch):
             p("x + y")]
     assert got == want
     assert all(type(v.rep) is dict for v in got[:4])
+
+
+# values that are not polynomials over 1, so each matrix below has at least
+# one genuinely rational entry
+NON_POLYNOMIAL = ["(x^2 + 1)/y", "1/x", "y/(x^2 + 1)", "(x + 1)/(y - 2)"]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices over Q(x, y) with a planted non-polynomial entry, and
+    optionally a column that combines two others with rational
+    coefficients, a row that combines two others and a zero row."""
+    parse = lambda e: parse_scalar(e, SOLVER_PATCH)
+    entry = st.sampled_from(RATIONAL_ENTRIES + NON_POLYNOMIAL).map(parse)
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rows[draw(st.integers(0, nrows - 1))][draw(st.integers(0, ncols - 1))] \
+        = parse(draw(st.sampled_from(NON_POLYNOMIAL)))
+    if ncols >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(ncols)))[:3]
+        a, b = draw(entry), draw(entry)
+        for row in rows:
+            row[k] = a * row[i] + b * row[j]
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        a, b = draw(entry), draw(entry)
+        rows[k] = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+    if nrows >= 2 and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [SOLVER_PATCH.zero] * ncols
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_nullspace_on_rational_entries(rows):
+    patch = SOLVER_PATCH
+    ncols = len(rows[0])
+    basis = nullspace(rows, patch)
+    # rank + nullity = columns, the rank from the fraction-free elimination
+    assert matrix_rank(rows, patch) + len(basis) == ncols
+    for v in basis:
+        assert len(v) == ncols
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, v)), patch.zero).is_zero()
+    # the basis vectors are independent
+    assert matrix_rank(basis, patch) == len(basis)

@@ -280,6 +280,45 @@ def test_exception_in_a_check_is_an_error_result(monkeypatch, capsys):
     assert [c["status"] for c in out["checks"]].count("error") == 1
 
 
+def test_exception_in_a_two_check_loop_errors_both(monkeypatch, capsys):
+    # the im2form loop feeds two checks from one im2form_defects call: an
+    # exception there records an error result on both, and the suite goes
+    # on with the Manin pair checks
+    def planted(alg, sigma, a1, a2):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(zoo, "im2form_defects", planted)
+    results = cli.run("presymplectic-dxdy", "all", trials=1).results
+    names = [r.name for r in results]
+    for name in ("im2form.antisymmetry", "im2form.bracket"):
+        bad = results[names.index(name)]
+        assert (bad.status, bad.note, bad.witnesses) == \
+            ("error", "ZeroDivisionError: planted", [])
+    later = results[names.index("im2form.bracket") + 1:]
+    assert later and all(r.name.startswith("manin.") and r.passed
+                         for r in later)
+    assert cli.main(["check", "all", "presymplectic-dxdy",
+                     "--trials", "1"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in out["checks"]].count("error") == 2
+
+
+def test_exception_in_the_bialgebroid1_loop_is_an_error(monkeypatch):
+    # the bialgebroid1 loop feeds the straight and the flipped sign of
+    # R_Delta; the reported straight check errors and bialgebroid2 runs
+    from algebroids import bialgebroid
+
+    def planted(D, u, v, tau):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(bialgebroid, "dorfman_curvature", planted)
+    results = cli.run("poisson-xy", "lemmas", trials=1).results
+    names = [r.name for r in results]
+    bad = results[names.index("lemmas.bialgebroid1")]
+    assert (bad.status, bad.note) == ("error", "ValueError: planted")
+    assert results[-1].name == "lemmas.bialgebroid2" and results[-1].passed
+
+
 def test_explicit_dorfman_entries_parse():
     text = ("[patch]\ncoords = x, y\n\n[dorfman.D]\nalgebroid = TM\n"
             "0,0 = 0, 0, 1, 0\n\n[subbundle.U]\nambient = TM+TM*\n"

@@ -11,6 +11,7 @@ the printer as it was written on sympy's polynomials.
 
 import contextlib
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -984,6 +985,36 @@ def test_random_scalar_deterministic():
     a = random_scalar(patch, random.Random("seed:check"), max_degree=2)
     b = random_scalar(patch, random.Random("seed:check"), max_degree=2)
     assert a == b
+
+
+def listing_random_scalar(patch, rng, max_degree=2):
+    """random_scalar as it was before its monomials were kept on the
+    patch: the sorted monomial list is rebuilt on every draw."""
+    exps = itertools.product(range(max_degree + 1), repeat=patch.dim)
+    d = {}
+    for monom in sorted(e for e in exps if sum(e) <= max_degree):
+        c = rng.choice((0, 0, 1, -1, 2, -2))
+        if c:
+            d[monom] = c
+    return ScalarField(patch, d) if d else patch.zero
+
+
+@pytest.mark.parametrize("coords", [["x"], ["x", "y"], ["x", "y", "z"]])
+def test_random_scalar_draws_like_the_listing_oracle(coords):
+    # the same values from the same rng states, and the rng left in the
+    # same state, over interleaved degrees (the kept lists are per degree)
+    patch = Patch(coords)
+    rng, oracle = random.Random(coords[-1]), random.Random(coords[-1])
+    for max_degree in [2, 1, 0, 3, 2, 1, 2, 0, 3] * 5:
+        got = random_scalar(patch, rng, max_degree)
+        want = listing_random_scalar(patch, oracle, max_degree)
+        assert got == want and str(got) == str(want)
+        assert rng.getstate() == oracle.getstate()
+    assert sorted(patch._draws) == [0, 1, 2, 3]
+    # another patch of the same dimension draws the same
+    twin = Patch(coords)
+    assert random_scalar(twin, random.Random(7), 2) == \
+        listing_random_scalar(twin, random.Random(7), 2)
 
 
 def test_patch_validation():
