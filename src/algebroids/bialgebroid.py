@@ -432,8 +432,8 @@ class QuotientCourant(GraphQuotient):
         if not inside:
             raise ValueError("bracket left the presentation: the TM + A* "
                              "part is not a section of U")
-        dC = self._dC.bundle
-        dcb = self._dC.bracket(dC.wrap(t1.components), dC.wrap(t2.components))
+        dC, wrap = self._dC, self._dC.bundle.wrap
+        dcb = dC.bracket(wrap(t1.components), wrap(t2.components))
         tau_out = self.E.wrap(dcb.components) \
             + dorfman_eval(D, u1, t2) - dorfman_eval(D, u2, t1) \
             + D.d_B(canonical_pairing(u2, t1))
