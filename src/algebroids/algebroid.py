@@ -13,7 +13,10 @@ are mostly 0 and +-1, so most products of a dense expansion are products
 with 0.  _leibniz forms a coefficient product f_i g_j only when the table
 entry [e_i, e_j] has a nonzero component, and the section kernels it adds
 with (_dot, _accumulate and _directional in scalars.py) work on the
-scalars' representations and form only nonzero products.  Skipping them
+scalars' representations and form only nonzero products.  Every term of
+_leibniz, the product f_i g_j, X1(g_j) and -X2(f_i) included, is formed
+and added on representations by those kernels, never through a
+ScalarField operator.  Skipping them
 cannot change a result: every scalar is canonical, so a sum has one
 representation whatever the order of its terms.
 
@@ -63,7 +66,7 @@ from .bundles import (Section, TrivialBundle, _apply_transpose, _recall,
 from .cartan import (apply_vf, cotangent, lie_bracket_vf,
                      lie_derivative_1form, tangent)
 from .reporting import Check, labelled
-from .scalars import _accumulate
+from .scalars import _accumulate, _directional
 
 __all__ = [
     "AnchoredBundle", "DullAlgebroid", "LinearConnection", "BasicConnections",
@@ -221,30 +224,25 @@ def _leibniz(bundle, rows, f, g, X1, X2=None, weight=None, D=None,
     The terms are summed into one component list, and only nonzero
     coefficients, frame entries and D(f_i) entries are touched: the
     product f_i g_j is formed only when T[i][j] is a nonzero entry, and
-    scalars._accumulate adds it in on the representations.  On the
-    standard basis X1(g_j) is added to component j directly."""
-    out = [bundle.patch.zero] * bundle.rank
+    scalars._accumulate forms it and adds it in on the representations,
+    as it adds X1(g_j) and subtracts X2(f_i): on the standard basis to
+    component j or i directly, otherwise times the frame section."""
+    patch = bundle.patch
+    out = [patch.zero] * bundle.rank
     fs = [(i, fi) for i, fi in enumerate(f) if fi]
     for i, fi in fs:
         for j, entry in rows[i].items():
             gj = g[j]
             if gj:
-                _accumulate(out, fi * gj, entry)
-    for j, gj in enumerate(g):
-        d = apply_vf(X1, gj)
-        if d:
+                _accumulate(out, fi, entry, gj)
+    for X, h, sign in ((X1, g, 1), (X2, f, -1)):
+        if X is not None:
+            ds = [_directional(X.components, c) for c in h]
             if frame is None:
-                out[j] = out[j] + d
+                _accumulate(out, patch.one, ds, sign=sign)
             else:
-                _accumulate(out, d, frame[j].components)
-    if X2 is not None:
-        for i, fi in enumerate(f):
-            d = apply_vf(X2, fi)
-            if d:
-                if frame is None:
-                    out[i] = out[i] - d
-                else:
-                    _accumulate(out, -d, frame[i].components)
+                for d, e in zip(ds, frame):
+                    _accumulate(out, d, e.components, sign=sign)
     if D is not None:
         for i, fi in fs:
             w = weight(i)
@@ -438,7 +436,7 @@ class LinearConnection:
                 _accumulate(out, xi, [c.diff(i) for c in s.components])
                 for sj, entry in zip(s.components, self.gamma[i]):
                     if sj and not entry.is_zero():
-                        _accumulate(out, xi * sj, entry.components)
+                        _accumulate(out, xi, entry.components, sj)
         return Section(self.bundle, out)
 
 

@@ -61,9 +61,10 @@ algebroid of an infinitesimal ideal system (phi = rho) are its two
 instances.
 
 Sparse rule: apply_matrix, its transpose _apply_transpose,
-Frame.combination, canonical_pairing, degenerate_pairing and Section.__add__
-add only nonzero terms, through the section kernels scalars._dot and
-scalars._accumulate, which sum on the scalars' representations;
+Frame.combination, canonical_pairing, degenerate_pairing, Section.__add__
+and Section.__sub__ add only nonzero terms, through the section kernels
+scalars._dot and scalars._accumulate, which sum on the scalars'
+representations;
 Section.__add__ returns the other operand when one side is all zero, and
 Section.__sub__ returns the left operand when the right one is.  Bundle
 maps and frames are mostly 0 and +-1, and canonical scalars make the
@@ -170,8 +171,10 @@ class TrivialBundle:
 class Section:
     """A section of a trivialized bundle: a tuple of scalar components."""
 
-    # _key: see _recall; _split: (quotient, (v_part, e_part)), the split
-    # of this representative kept by GraphQuotient.split
+    # _key: (constant, part), this section's memo key part kept by
+    # _recall; _split: (quotient, (v_part, e_part)), the split of this
+    # representative kept by GraphQuotient.split.  Both start None, so a
+    # fresh section is told by a test, not by a caught AttributeError
     __slots__ = ("bundle", "components", "_key", "_split")
 
     def __init__(self, bundle, components):
@@ -181,6 +184,7 @@ class Section:
                              % (bundle.rank, len(components)))
         self.bundle = bundle
         self.components = components
+        self._key = self._split = None
 
     def _check(self, other):
         if not isinstance(other, Section) or other.bundle != self.bundle:
@@ -200,8 +204,10 @@ class Section:
         self._check(other)
         if other.is_zero():
             return self
-        return Section(self.bundle, [a - b if b else a for a, b in
-                                     zip(self.components, other.components)])
+        out = list(self.components)
+        _accumulate(out, self.bundle.patch.one, other.components,
+                    sign=-1)
+        return Section(self.bundle, out)
 
     def __neg__(self):
         return Section(self.bundle, [-a for a in self.components])
@@ -219,7 +225,10 @@ class Section:
     __mul__ = __rmul__
 
     def is_zero(self):
-        return not any(c.rep for c in self.components)
+        for c in self.components:
+            if c.rep:
+                return False
+        return True
 
     def __eq__(self, other):
         if isinstance(other, Section):
@@ -597,14 +606,14 @@ def _recall(owner, bundle, sections, compute, tag=()):
     section at once, with no lookup and nothing stored."""
     key, constant = tag, True
     for s in sections:
-        try:
-            c, part = s._key
-        except AttributeError:
+        if s._key is None:
             part = _constant_key(s)
             c = part is not None
             if not c:
                 part = _value_key(s.components)
             s._key = c, part
+        else:
+            c, part = s._key
         if c and not any(part):
             return bundle.zero_section()
         constant = constant and c
@@ -788,12 +797,8 @@ class GraphQuotient:
         """(v_part(c), e_part(c)), built once per representative: c and
         the V frame are never mutated, so c keeps them in its _split slot
         with this quotient as owner, and another quotient recomputes."""
-        try:
-            owner, parts = c._split
-            if owner is self:
-                return parts
-        except AttributeError:
-            pass
+        if c._split is not None and c._split[0] is self:
+            return c._split[1]
         parts = self.v_part(c), self.e_part(c)
         c._split = self, parts
         return parts

@@ -13,8 +13,9 @@ are 0, so this leaves out most of the arithmetic.  For the same reason
 apply_vf returns 0 for a constant scalar before it scans the vector field:
 the kernels apply anchors to frame coefficients, and most are constants.
 The sums themselves are formed by the section kernels of scalars.py
-(_directional behind apply_vf, _dot behind the pairings and the interior
-product), on the scalars' representations.
+(_directional behind apply_vf and lie_bracket_vf, _accumulate for the
+bracket's difference, _dot behind the pairings and the interior product),
+on the scalars' representations.
 None of this can change a result, because every scalar is stored in
 canonical form: a sum has one representation whatever the order of its
 terms, and a skipped term is 0.
@@ -23,7 +24,7 @@ terms, and a skipped term is 0.
 from __future__ import annotations
 
 from .bundles import Section, TrivialBundle, _apply_transpose
-from .scalars import _directional, _dot
+from .scalars import _accumulate, _directional, _dot
 
 __all__ = [
     "tangent", "cotangent",
@@ -53,26 +54,14 @@ def pair_form_vf(theta, X):
 
 
 def lie_bracket_vf(X, Y):
-    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
+    """[X, Y]^i = X(Y^i) - Y(X^i) = sum_j (X^j d_j Y^i - Y^j d_j X^i)."""
     patch = X.bundle.patch
     if Y.bundle.patch != patch:
         raise ValueError("vector fields over different patches")
-    xs = [(j, c) for j, c in enumerate(X.components) if c]
-    ys = [(j, c) for j, c in enumerate(Y.components) if c]
-    comps = []
-    for i in range(patch.dim):
-        total = patch.zero
-        yi, xi = Y.components[i], X.components[i]
-        for j, c in xs:
-            d = yi.diff(j)
-            if d:
-                total = total + c * d
-        for j, c in ys:
-            d = xi.diff(j)
-            if d:
-                total = total - c * d
-        comps.append(total)
-    return Section(tangent(patch), comps)
+    xs, ys = X.components, Y.components
+    out = [_directional(xs, yi) for yi in ys]
+    _accumulate(out, patch.one, [_directional(ys, xi) for xi in xs], sign=-1)
+    return Section(tangent(patch), out)
 
 
 def d_function(f):

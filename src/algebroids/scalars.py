@@ -20,7 +20,8 @@ A value has exactly one of two representations, both built from term dicts
   already reduced, so the kernels _int_add, _int_mul and _int_diff build
   them with no gcd; negation (_neg) and powers n >= 0 (repeated _int_mul)
   likewise.  A quotient of two of them is tried by _int_quo, exact division
-  in Z[x], which succeeds exactly when the quotient is a polynomial over 1.
+  in Z[x], which succeeds exactly when the quotient is a polynomial over 1;
+  a divisor of one term divides each term in a single pass.
 * Every other value, 1/2 and x/2 included, is a pair (numer, denom) of term
   dicts in the canonical form above, whose denominator is never 1.  The
   test is "denominator == 1", not "denominator is constant": x/2 is stored
@@ -53,10 +54,14 @@ a polynomial over 1 to a pair: n/d + p = (n + p*d)/d is coprime already.
 
 Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
 operand, its negation, or 0, which are canonical already; 0 divided by
-anything is 0.
+anything is 0.  _mul tests for +-1 inline on the representation: a dict
+of one term at the zero exponent, with coefficient 1 or -1.
 
 Partial derivatives are taken once per distinct value, because the
-kernels differentiate the same components again for every vector field:
+kernels differentiate the same components again for every vector field.
+ScalarField.diff and the directional-derivative kernel _directional test
+a value for a constant once, on its representation, and then take each
+partial by one helper on representations, _partial:
 
 * A constant (the empty dict, a dict whose one key is the zero exponent,
   or a pair of such dicts such as 1/2) has derivative 0 and returns the
@@ -65,9 +70,10 @@ kernels differentiate the same components again for every vector field:
 * A polynomial over 1 is differentiated by _int_diff; it is cheap, so it
   is not memoised.
 * A pair n/d is differentiated by the quotient rule, (n'd - nd')/d^2,
-  cancelled by _reduce, and the result is memoised in a dict on the Patch
-  keyed by (key, coord), where key is the hashable form of the pair (_key:
-  the frozensets of the items of both dicts).  The key is the value, not
+  cancelled by _reduce, and its representation is memoised in a dict on
+  the Patch keyed by (key, coord), where key is the hashable form of the
+  pair (_key: the frozensets of the items of both dicts).  A zero
+  derivative is the shared patch.zero.  The key is the value, not
   the object: equal rational scalars are rebuilt as new objects all the
   time, so a slot on each object would miss where the value key hits.
   Only pairs are kept, which are few and costly; keeping the many cheap
@@ -185,7 +191,7 @@ class Patch:
         # ScalarField is ever mutated
         self.zero = ScalarField(self, {})
         self.one = ScalarField(self, {self._origin: 1})
-        # ScalarField.diff of pairs, keyed by (key, coord)
+        # the partial derivatives of pairs (_partial), keyed by (key, coord)
         self._diffs = {}
         # sums and products with a pair operand, keyed by ("+" or "*",
         # key, key)
@@ -333,8 +339,8 @@ class ScalarField:
         return bool(self.rep)
 
     def is_constant(self):
-        """Numerator and denominator both ground (0 and 1/2 included): the
-        one constant test behind diff and cartan.apply_vf."""
+        """Numerator and denominator both ground (0 and 1/2 included), as
+        as_constant tests."""
         return self.as_constant() is not None
 
     def as_constant(self):
@@ -343,15 +349,7 @@ class ScalarField:
         is constant iff it is empty or its one key is the zero exponent.
         The constant tier of every bracket and connection memo keys on it
         (bundles._constant_key)."""
-        r = self.rep
-        if type(r) is dict:
-            if not r:
-                return 0
-            return r.get(self.patch._origin) if len(r) == 1 else None
-        (n, d), origin = r, self.patch._origin
-        if len(n) == 1 and len(d) == 1 and origin in n and origin in d:
-            return Fraction(n[origin], d[origin])
-        return None
+        return _constant(self.patch, self.rep)
 
     @property
     def numer(self):
@@ -398,17 +396,10 @@ class ScalarField:
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
         patch, r = self.patch, self.rep
-        if self.is_constant():
+        if _constant(patch, r) is not None:
             return patch.zero
-        i = patch._axes[coord]
-        if type(r) is dict:
-            return ScalarField(patch, _int_diff(r, i))
-        key = (_key(r), i)
-        d = patch._diffs.get(key)
-        if d is None:
-            d = patch._diffs[key] = ScalarField(
-                patch, _quotient_rule(patch, r, i))
-        return d
+        d = _partial(patch, r, patch._axes[coord])
+        return ScalarField(patch, d) if d else patch.zero
 
     def evaluate(self, point):
         """Exact value at a point of rationals; raises PoleError on poles."""
@@ -449,6 +440,18 @@ def _value_key(components):
     """The hashable values of a component list: a section's part of a
     value-tier memo key (bundles._recall)."""
     return tuple(_key(c.rep) for c in components)
+
+
+def _constant(patch, r):
+    """as_constant on a representation."""
+    if type(r) is dict:
+        if not r:
+            return 0
+        return r.get(patch._origin) if len(r) == 1 else None
+    (n, d), origin = r, patch._origin
+    if len(n) == 1 and len(d) == 1 and origin in n and origin in d:
+        return Fraction(n[origin], d[origin])
+    return None
 
 
 def _unit(patch, r):
@@ -561,12 +564,16 @@ def _mul(patch, f, g):
         return f
     if not g:
         return g
-    u = _unit(patch, g)
-    if u is not None:
-        return f if u == 1 else _negate(f)
-    u = _unit(patch, f)
-    if u is not None:
-        return g if u == 1 else _negate(g)
+    # +-1 is a dict of one term at the origin; a pair has two parts
+    origin = patch._origin
+    if len(g) == 1:
+        u = g.get(origin)
+        if u == 1 or u == -1:
+            return f if u == 1 else _negate(f)
+    if len(f) == 1:
+        u = f.get(origin)
+        if u == 1 or u == -1:
+            return g if u == 1 else _negate(g)
     if type(f) is dict and type(g) is dict:
         return _int_mul(f, g, patch._monomial_mul)
     return _memoised(patch, "*", f, g)
@@ -601,6 +608,18 @@ def _power(patch, f, n):
     return _int_pow(f[0], n, mul), _int_pow(f[1], n, mul)
 
 
+def _partial(patch, r, i):
+    """d/dx_i of a representation r that is not constant: _int_diff of a
+    dict, and the quotient rule of a pair, once per patch by (key, i)."""
+    if type(r) is dict:
+        return _int_diff(r, i)
+    key = (_key(r), i)
+    d = patch._diffs.get(key)
+    if d is None:
+        d = patch._diffs[key] = _quotient_rule(patch, r, i)
+    return d
+
+
 def _quotient_rule(patch, r, i):
     """d/dx_i of a pair n/d: (n'd - nd')/d^2, cancelled."""
     n, d = r
@@ -615,8 +634,8 @@ def _quotient_rule(patch, r, i):
 
 # ---------------------------------------------------------------------------
 # section kernels: sums of products of ScalarFields, formed on their
-# representations by _mul and _add (called as module globals, like the
-# operators) and wrapped in one ScalarField per output entry.  Only
+# representations by _mul, _add and _sub (called as module globals, like
+# the operators) and wrapped in one ScalarField per output entry.  Only
 # nonzero products are formed; an operand of another patch raises, as the
 # operators do.
 
@@ -636,14 +655,15 @@ def _dot(patch, xs, ys):
 
 def _directional(xs, f):
     """X(f) = sum_i xs[i] * df/dx_i for the components xs of a vector
-    field, over the nonzero xs[i]; 0 at once for a constant f."""
-    patch = f.patch
-    if f.is_constant():
+    field, over the nonzero xs[i]; 0 at once for a constant f, and each
+    df/dx_i taken by _partial on the representation."""
+    patch, r = f.patch, f.rep
+    if _constant(patch, r) is not None:
         return patch.zero
     total = None
     for i, a in enumerate(xs):
         if a.rep:
-            d = f.diff(i).rep
+            d = _partial(patch, r, i)
             if d:
                 if a.patch is not patch and a.patch != patch:
                     raise ValueError("scalars from different patches")
@@ -652,17 +672,34 @@ def _directional(xs, f):
     return ScalarField(patch, total) if total else patch.zero
 
 
-def _accumulate(out, c, comps):
-    """out += c * comps in place, touching only the nonzero comps."""
+def _accumulate(out, c, comps, c2=None, sign=1):
+    """out += sign * c * c2 * comps in place, touching only the nonzero
+    comps; c2 None stands for 1.  The product c * c2 is formed once, a
+    zero factor adds nothing and a factor +-1 multiplies nothing, so each
+    nonzero comp costs at most one _mul and one _add, or _sub for sign -1
+    (none where out is 0)."""
     patch, cr = c.patch, c.rep
+    if c2 is not None:
+        if c2.patch is not patch and c2.patch != patch:
+            raise ValueError("scalars from different patches")
+        cr = _mul(patch, cr, c2.rep)
+    if not cr:
+        return
+    u = _unit(patch, cr)
+    if u is not None:
+        cr, sign = None, sign * u
     for k, v in enumerate(comps):
         if v.rep:
             o = out[k]
             if (v.patch is not patch or o.patch is not patch) \
                     and not v.patch == patch == o.patch:
                 raise ValueError("scalars from different patches")
-            t = _mul(patch, cr, v.rep)
-            out[k] = ScalarField(patch, _add(patch, o.rep, t) if o.rep else t)
+            t = v.rep if cr is None else _mul(patch, cr, v.rep)
+            if o.rep:
+                t = (_add if sign > 0 else _sub)(patch, o.rep, t)
+            elif sign < 0:
+                t = _negate(t)
+            out[k] = ScalarField(patch, t) if t else patch.zero
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +744,17 @@ def _int_quo(p, q, monomial_mul):
     else None.  Divides by the leading term of q in grlex order: if p = s*q
     with s in Z[x], the leading term of what is left is always the leading
     term of q times a term of s, so a monomial or a coefficient that does
-    not divide proves that there is no such s."""
+    not divide proves that there is no such s.  A single-term q divides
+    each term of p in one pass, with the same test."""
+    if len(q) == 1:
+        (lm, lc), = q.items()
+        out = {}
+        for m, c in p.items():
+            e = tuple(a - b for a, b in zip(m, lm))
+            if min(e) < 0 or c % lc:
+                return None
+            out[e] = c // lc
+        return out
     lm, lc = max(q.items(), key=_grlex)
     rest = [(m, c) for m, c in q.items() if m != lm]
     left = dict(p)

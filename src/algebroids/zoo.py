@@ -1199,9 +1199,8 @@ def ideal_and_bialgebra_from(db):
             comps = [patch.zero] * k
             for r in range(k):
                 for s in range(k):
-                    f = Pinv[r][a] * Pinv[s][b]
-                    if f:
-                        _accumulate(comps, f, p_table[r][s])
+                    _accumulate(comps, Pinv[r][a], p_table[r][s],
+                                Pinv[s][b])
             hstar_table[a][b] = Section(hsb, comps)
     alg_hstar = DullAlgebroid(
         AnchoredBundle(hsb, [[patch.zero] * k for _ in range(patch.dim)]),

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from algebroids import cli
+from algebroids import cli, instances
 
 # (preset, suite) -> (all_passed, sha256 of the JSON, sha256 of the text),
 # both rendered with timing=False at seed=1, trials=2
@@ -60,3 +60,38 @@ def test_golden_report(preset, suite):
     got = (report.all_passed, _sha(report.to_json(timing=False)),
            _sha(report.to_text(timing=False)))
     assert got == GOLDEN[(preset, suite)]
+
+
+# The presets are all polynomial.  This instance is genuinely rational on
+# three coordinates, so its reports pin the gcd cancelling and the exact
+# division in Z[x] as well: trials -> (all_passed, sha256 of the JSON,
+# sha256 of the text) of `check all`, rendered with timing=False at seed=1
+RATIONAL_3 = """\
+[instance]
+name = poisson-rational-3
+kind = poisson
+
+[patch]
+coords = x, y, z
+
+[pi]
+0,1 = (x^2 + 1)/y
+"""
+
+GOLDEN_RATIONAL_3 = {
+    0: (True,
+        "4f972091a265f1ff0d234b082003a4006c9b19ea06edbd0bb7c3b9897c8d8861",
+        "2346d36ebb1daa034bb84a10927684f484d933394c81bb3e17f6612f5ed23480"),
+    1: (True,
+        "bee295b0c16a8fa0fb14bfc18f6d93509b267e78f01f42b79e9f43731b782680",
+        "6ed5b384f56e3f2f5c4ca1ee2cb1518ef20cb2125361923a74826784478aa7cb"),
+}
+
+
+@pytest.mark.parametrize("trials", sorted(GOLDEN_RATIONAL_3))
+def test_golden_rational_report(trials):
+    report = cli.run(instances.ingest_text(RATIONAL_3), "all", seed=1,
+                     trials=trials)
+    got = (report.all_passed, _sha(report.to_json(timing=False)),
+           _sha(report.to_text(timing=False)))
+    assert got == GOLDEN_RATIONAL_3[trials]

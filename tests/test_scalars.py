@@ -896,6 +896,110 @@ def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
         assert_same_poly(patch, got.numer, want)
 
 
+# ---------------------------------------------------------------------------
+# division by a single term
+#
+# A divisor of one term divides every term of p on its own, so _int_quo
+# takes it in one pass.  The oracles are sympy's canonical fraction and the
+# leading-term division loop that _int_quo runs for longer divisors, kept
+# here as it stood before the one-pass branch.
+
+
+def loop_quo(p, q, monomial_mul):
+    """p / q by repeated division by the leading term of q, None when a
+    leading monomial or coefficient does not divide."""
+    def grlex(term):
+        return sum(term[0]), term[0]
+
+    lm, lc = max(q.items(), key=grlex)
+    rest = [(m, c) for m, c in q.items() if m != lm]
+    left, out = dict(p), {}
+    while left:
+        m, c = max(left.items(), key=grlex)
+        e = tuple(a - b for a, b in zip(m, lm))
+        if min(e) < 0 or c % lc:
+            return None
+        k = out[e] = c // lc
+        del left[m]
+        for m2, c2 in rest:
+            m2 = monomial_mul(e, m2)
+            s = left.get(m2, 0) - k * c2
+            if s:
+                left[m2] = s
+            else:
+                del left[m2]
+    return out
+
+
+@st.composite
+def single_term_divisions(draw):
+    """(n, p, m, c, plant): p with contents up to 2^70, the divisor c x^m,
+    and what to plant in p * c x^m: nothing, a term whose monomial m does
+    not divide, or a term whose coefficient c does not divide."""
+    n = draw(st.integers(1, 3))
+    monom = st.tuples(*[st.integers(0, 3)] * n)
+    p = draw(st.dictionaries(monom, big_coeffs, max_size=5))
+    m = draw(monom)
+    c = draw(st.sampled_from([1, -1, 2, -2, 3, -6, BIG, -BIG]))
+    plant = draw(st.sampled_from(["exact", "monomial", "coefficient"]))
+    return n, p, m, c, plant
+
+
+def assert_single_term_quotient(patch, a, q, want_exact):
+    mul = patch._monomial_mul
+    got = _int_quo(a, q, mul)
+    assert got == loop_quo(a, q, mul)
+    field = sympy_field(patch)
+    ring = field.ring
+    fe = field.new(ring.from_dict({k: QQ(v) for k, v in a.items()}),
+                   ring.from_dict({k: QQ(v) for k, v in q.items()}))
+    if fe.denom == 1:
+        assert_same_poly(patch, got, fe.numer)
+    else:
+        assert got is None
+    assert (got is not None) == want_exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_term_divisions())
+def test_single_term_divisor_matches_sympy_and_the_division_loop(case):
+    n, p, m, c, plant = case
+    patch = Patch(["x", "y", "z"][:n])
+    q = {m: c}
+    a = _int_mul(p, q, patch._monomial_mul)
+    if plant == "monomial":
+        # one exponent below m's in a variable where m is positive
+        assume(any(m))
+        i = next(k for k, e in enumerate(m) if e)
+        a = _int_add(a, {m[:i] + (m[i] - 1,) + m[i + 1:]: c}, 1)
+    elif plant == "coefficient":
+        # the term at x^m becomes c * k + 1, which c does not divide
+        assume(abs(c) > 1)
+        a = _int_add(a, {m: 1}, 1)
+    assert_single_term_quotient(patch, a, q, plant == "exact")
+
+
+@pytest.mark.parametrize("a, q, want", [
+    ({(2, 1): 3}, {(1, 1): 1}, {(1, 0): 3}),
+    ({(2, 1): -4, (1, 2): 6}, {(1, 0): -2}, {(1, 1): 2, (0, 2): -3}),
+    ({(2, 0): 1}, {(0, 1): 1}, None),                  # y does not divide
+    ({(1, 0): 3}, {(1, 0): 2}, None),                  # 2 does not divide 3
+    ({(1, 0): 4, (0, 0): 3}, {(0, 0): 2}, None),       # nor the constant 3
+    ({(1, 1): 5, (0, 0): -7}, {(0, 0): 1}, {(1, 1): 5, (0, 0): -7}),
+    ({(1, 1): 5, (0, 0): -7}, {(0, 0): -1}, {(1, 1): -5, (0, 0): 7}),
+    ({(1, 0): BIG}, {(0, 0): BIG}, {(1, 0): 1}),
+    ({(3, 0): 2 * BIG, (1, 1): -BIG}, {(1, 0): -BIG},
+     {(2, 0): -2, (0, 1): 1}),
+    ({(1, 0): BIG + 1}, {(0, 0): BIG}, None),
+], ids=["monomial", "negative-divisor", "monomial-fails",
+        "coefficient-fails", "constant-fails", "one", "minus-one",
+        "content-2^70", "negative-content-2^70", "content-2^70-fails"])
+def test_planted_single_term_divisions(a, q, want):
+    patch = Patch(["x", "y"])
+    assert _int_quo(a, q, patch._monomial_mul) == want
+    assert_single_term_quotient(patch, a, q, want is not None)
+
+
 def test_polynomial_values_run_no_gcd():
     patch = Patch(["x", "y"])
     f = parse_scalar("x^2*y - 3*x + 2", patch)

@@ -19,7 +19,7 @@ from algebroids.bundles import (Frame, FrameError, Section, TrivialBundle,
 from algebroids.cartan import (apply_vf, interior_vf_2form, lie_bracket_vf,
                                pair_form_vf, tangent)
 from algebroids.courant import CourantPresentation
-from algebroids.scalars import Patch, _accumulate, _dot
+from algebroids.scalars import Patch, _accumulate, _directional, _dot
 
 PATCH = Patch(["x", "y"])
 X, Y = PATCH.coordinate(0), PATCH.coordinate(1)
@@ -417,8 +417,37 @@ def test_leibniz_adds_the_anchor_term_over_the_given_frame():
     assert_same(got, [ZERO, 2 * X])
 
 
+@settings(max_examples=80, deadline=None)
+@given(ranks, st.sampled_from([1, -1]), st.booleans(), st.data())
+def test_accumulate(rank, sign, with_c2, data):
+    out = data.draw(entries(rank))
+    comps = data.draw(entries(rank))
+    c = data.draw(scalars)
+    c2 = data.draw(scalars) if with_c2 else None
+    factor = c if c2 is None else c * c2
+    want = [o + sign * factor * v for o, v in zip(out, comps)]
+    got = list(out)
+    _accumulate(got, c, comps, c2, sign)
+    assert_same(got, want)
+    # an entry that receives no term is the very object it was
+    for o, v, r in zip(out, comps, got):
+        if not (factor and v):
+            assert r is o
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_fields, st.sampled_from(MONOMIALS), scalars,
+       st.sampled_from(DENOMINATORS[1:]))
+def test_directional_on_dicts_and_pairs(X, m, f, den):
+    # f + m is polynomial or rational as f is, and (f + m) / den is a
+    # pair unless den divides f + m
+    for h in (f + m, (f + m) / den):
+        assert_same([_directional(X.components, h)], [dense_apply_vf(X, h)])
+
+
 OTHER = Patch(["u", "v"])
 U = OTHER.coordinate(0)
+E2 = TrivialBundle(PATCH, 2, "E")
 
 
 @pytest.mark.parametrize("kernel", [
@@ -427,8 +456,15 @@ U = OTHER.coordinate(0)
     lambda: apply_matrix([[X, ONE]], [Y, U], PATCH),
     lambda: _apply_transpose([[X], [ONE]], [Y, U], PATCH),
     lambda: apply_vf(Section(tangent(OTHER), [U, ONE]), X * Y),
+    lambda: _accumulate([X, ZERO], X, [ONE, Y], U),
+    lambda: _leibniz(E2, [{1: (ONE, X)}, {}], [X, ZERO], [ZERO, U],
+                     TM.zero_section()),
+    lambda: Section(E2, [X, ONE]) - Section(E2, [Y, U]),
+    lambda: _directional([ONE, U], X * Y),
+    lambda: _directional([ONE, U], X / (Y + 1)),
 ], ids=["_dot", "_accumulate", "apply_matrix", "_apply_transpose",
-        "apply_vf"])
+        "apply_vf", "_accumulate-second-factor", "_leibniz-product",
+        "Section.__sub__", "_directional-dict", "_directional-pair"])
 def test_kernels_refuse_a_scalar_of_another_patch(kernel):
     with pytest.raises(ValueError, match="different patches"):
         kernel()
