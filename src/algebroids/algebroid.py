@@ -256,7 +256,8 @@ def bracket_eval(alg, q1, q2):
     [f e_i, g e_j] = f g [e_i, e_j] + f rho(e_i)(g) e_j - g rho(e_j)(f) e_i,
     summed over components."""
     bundle = alg.bundle
-    if q1.bundle != bundle or q2.bundle != bundle:
+    if (q1.bundle is not bundle and q1.bundle != bundle
+            or q2.bundle is not bundle and q2.bundle != bundle):
         raise ValueError("sections do not live in the algebroid bundle")
     return _recall(alg, bundle, (q1, q2), lambda: _leibniz(
         bundle, _rows(alg, alg.bracket), q1.components, q2.components,

@@ -415,7 +415,8 @@ class QuotientCourant(GraphQuotient):
         return self.lift([patch.zero] * self.rV, self.D.d_B(f))
 
     def bracket(self, c1, c2):
-        if c1.bundle != self.bundle or c2.bundle != self.bundle:
+        if (c1.bundle is not self.bundle and c1.bundle != self.bundle
+                or c2.bundle is not self.bundle and c2.bundle != self.bundle):
             raise ValueError("sections do not live in the carrier bundle")
         return _recall(self, self.bundle, (c1, c2),
                        lambda: self._bracket(c1, c2))

@@ -187,7 +187,8 @@ class Section:
         self._key = self._split = None
 
     def _check(self, other):
-        if not isinstance(other, Section) or other.bundle != self.bundle:
+        if not isinstance(other, Section) or (other.bundle is not self.bundle
+                                              and other.bundle != self.bundle):
             raise ValueError("sections of different bundles")
 
     def __add__(self, other):
@@ -631,7 +632,7 @@ def degenerate_pairing(t1, t2, rho):
     """Symmetric pairing on A + T*M induced by the anchor:
     <(a1, th1), (a2, th2)> = th2(rho(a1)) + th1(rho(a2))."""
     patch = t1.bundle.patch
-    if t2.bundle != t1.bundle:
+    if t2.bundle is not t1.bundle and t2.bundle != t1.bundle:
         raise ValueError("pairing needs sections of the same bundle")
     dim = patch.dim
     ra = t1.bundle.rank - dim
@@ -704,7 +705,7 @@ def membership(s, U):
     Returns (True, coefficients) with s = sum c_i u_i, or (False, witness)
     where the witness covector annihilates every frame section but not s.
     """
-    if s.bundle != U.ambient:
+    if s.bundle is not U.ambient and s.bundle != U.ambient:
         raise ValueError("section and subbundle have different ambient bundles")
     status, data = U.frame.solver().solve(s.components)
     return status == "solution", data

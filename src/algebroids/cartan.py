@@ -72,11 +72,11 @@ def d_function(f):
 
 def d_oneform(theta):
     """Exterior derivative of a 1-form, as an antisymmetric matrix
-    (d theta)_{ij} = d_i theta_j - d_j theta_i."""
-    patch = theta.bundle.patch
-    n = patch.dim
-    return [[theta.components[j].diff(i) - theta.components[i].diff(j)
-             for j in range(n)] for i in range(n)]
+    (d theta)_{ij} = d_i theta_j - d_j theta_i, formed once for i < j."""
+    patch, th = theta.bundle.patch, theta.components
+    return two_form_matrix(patch, {(i, j): th[j].diff(i) - th[i].diff(j)
+                                   for j in range(patch.dim)
+                                   for i in range(j)})
 
 
 def interior_vf_2form(X, omega):

@@ -141,7 +141,8 @@ class CourantPresentation:
     def bracket(self, c1, c2):
         """Leibniz extension of the frame table (see module docstring)."""
         bundle = self.bundle
-        if c1.bundle != bundle or c2.bundle != bundle:
+        if (c1.bundle is not bundle and c1.bundle != bundle
+                or c2.bundle is not bundle and c2.bundle != bundle):
             raise ValueError("sections do not live in the carrier bundle")
         g = c2.components
 

@@ -150,9 +150,9 @@ def _pair_b_frame(j, v, dim, ra):
 def dorfman_eval(D, q, b):
     """Extend the frame table to arbitrary sections by the two laws in the
     module docstring; the expansion is componentwise and deterministic."""
-    if q.bundle != D.Q:
+    if q.bundle is not D.Q and q.bundle != D.Q:
         raise ValueError("first argument must be a section of TM + A*")
-    if b.bundle != D.B:
+    if b.bundle is not D.B and b.bundle != D.B:
         raise ValueError("second argument must be a section of A + T*M")
     dim, ra = D.dim, D.rank_A
     return _recall(D, D.B, (q, b), lambda: _leibniz(
@@ -261,9 +261,10 @@ def _check_args(D, v, sections_of_A, alg=None):
     for a in sections_of_A:
         if len(a.components) != D.rank_A:
             raise ValueError("expected a section of A")
-        if alg is not None and a.bundle != alg.bundle:
+        if alg is not None and a.bundle is not alg.bundle \
+                and a.bundle != alg.bundle:
             raise ValueError("sections do not live in the algebroid bundle")
-    if v.bundle != D.Q:
+    if v.bundle is not D.Q and v.bundle != D.Q:
         raise ValueError("expected a section of TM + A*")
 
 

@@ -12,7 +12,7 @@ terms.  No floating point anywhere, and no computer algebra system: the
 package runs on Python ints alone.
 
 A value has exactly one of two representations, both built from term dicts
-{exponent tuple: nonzero int}:
+{monomial key: nonzero int}:
 
 * A polynomial over 1 (denominator the polynomial 1) is a plain term dict;
   0 is the empty dict.  On the presets almost every value is one.  +, -, *
@@ -22,10 +22,23 @@ A value has exactly one of two representations, both built from term dicts
   likewise.  A quotient of two of them is tried by _int_quo, exact division
   in Z[x], which succeeds exactly when the quotient is a polynomial over 1;
   a divisor of one term divides each term in a single pass.
-* Every other value, 1/2 and x/2 included, is a pair (numer, denom) of term
-  dicts in the canonical form above, whose denominator is never 1.  The
-  test is "denominator == 1", not "denominator is constant": x/2 is stored
-  as x over 2, and x/2 + x/2 must cancel the 2.
+* Every other value, 1/2 and x/2 included, is a pair: a tuple (numer,
+  denom, key) of term dicts in the canonical form above, whose denominator
+  is never 1, and their hashable key, built once (_pair).  The test is
+  "denominator == 1", not "denominator is constant": x/2 is stored as x
+  over 2, and x/2 + x/2 must cancel the 2.
+
+The key of x^e on n coordinates is one int, a packed exponent vector
+(Monagan and Pearce, "Sparse polynomial multiplication and division in
+Maple 14", 2010): the degree |e| in the top field, then e_0, ..., e_{n-1},
+in fields of b = max(8, 30 // (n + 1)) bits (one 30-bit digit for n <= 2).
+Int order is sympy's grlex order, a product of monomials is a sum of keys,
+a constant's key is 0, and x^e divides x^f iff f - e sets no field's top
+bit.  That guard bit stays clear, so each degree is at most the bound
+2^(b-1) - 1 (127 for n >= 3): a parsed exponent above it is a
+ScalarParseError, and a product or power past it raises ArithmeticError
+before it is formed.  The layout is held on the Patch; ScalarField.numer
+and denom return views keyed by exponent tuples.
 
 An operation with a pair operand (or a division, unless the quotient is a
 polynomial over 1, or a negative power) forms its numerator and denominator
@@ -45,17 +58,17 @@ subresultant remainder in x_v, the variable of least degree.  (A
 primitive remainder sequence in the last variable takes the content of
 every remainder, a recursive gcd each; on three coordinates with 2^70
 contents its intermediate contents reached degree 64 in a gcd that now
-takes milliseconds.)  Both cofactors come from
-exact _int_quo, which also checks the gcd: a gcd that does not divide
-raises ArithmeticError.  A result whose denominator is 1 is the
-numerator's dict, so equal values never differ in representation.
-Inverting a pair swaps its parts and needs no gcd, and neither does adding
-a polynomial over 1 to a pair: n/d + p = (n + p*d)/d is coprime already.
+takes milliseconds.)  Both cofactors come from exact _int_quo, which
+also checks the gcd: a gcd that does not divide raises ArithmeticError.
+A result whose denominator is 1 is the numerator's dict, so equal values
+never differ in representation.  Inverting a pair swaps its parts and
+needs no gcd, and neither does adding a polynomial over 1 to a pair:
+n/d + p = (n + p*d)/d is coprime already.
 
 Adding 0, multiplying by 0 or +-1 and dividing by +-1 give the other
 operand, its negation, or 0, which are canonical already; 0 divided by
 anything is 0.  _mul tests for +-1 inline on the representation: a dict
-of one term at the zero exponent, with coefficient 1 or -1.
+of one term at the key 0, with coefficient 1 or -1.
 
 Partial derivatives are taken once per distinct value, because the
 kernels differentiate the same components again for every vector field.
@@ -63,19 +76,18 @@ ScalarField.diff and the directional-derivative kernel _directional test
 a value for a constant once, on its representation, and then take each
 partial by one helper on representations, _partial:
 
-* A constant (the empty dict, a dict whose one key is the zero exponent,
-  or a pair of such dicts such as 1/2) has derivative 0 and returns the
-  shared patch.zero without building anything.  Most diff calls are on
+* A constant (the empty dict, a dict whose one key is 0, or a pair of
+  such dicts such as 1/2) has derivative 0 and returns the shared
+  patch.zero without building anything.  Most diff calls are on
   constants, most of those on 0.
 * A polynomial over 1 is differentiated by _int_diff; it is cheap, so it
   is not memoised.
 * A pair n/d is differentiated by the quotient rule, (n'd - nd')/d^2,
   cancelled by _reduce, and its representation is memoised in a dict on
-  the Patch keyed by (key, coord), where key is the hashable form of the
-  pair (_key: the frozensets of the items of both dicts).  A zero
-  derivative is the shared patch.zero.  The key is the value, not
-  the object: equal rational scalars are rebuilt as new objects all the
-  time, so a slot on each object would miss where the value key hits.
+  the Patch keyed by (key, coord), for the key the pair keeps.  A zero
+  derivative is the shared patch.zero.  The key is the value, not the
+  object: equal rational scalars are rebuilt as new objects all the time,
+  so a slot on each object would miss where the value key hits.
   Only pairs are kept, which are few and costly; keeping the many cheap
   polynomial ones would only cost memory.  The memo lives exactly as long
   as its patch, and no value is ever mutated, so sharing a result is safe.
@@ -87,10 +99,10 @@ distinct operand pairs):
 
 * The memo is one dict on the Patch, next to the diff memo, keyed by
   ("+", f, g) or ("*", f, g) with f and g the hashable forms (_key) of the
-  operands: a dict as the frozenset of its items, a pair as the pair of
-  such frozensets.  The operator is part of the key, so a sum and a
-  product of the same pair never share an entry, and the operands are
-  values, not objects, for the reason given above.
+  operands: a dict's frozen items, or the key a pair keeps.  The
+  operator is part of the key, so a sum and a product of the same pair
+  never share an entry, and the operands are values, not objects, for the
+  reason given above.
 * Only operands that miss every fast path reach it: at least one is a
   pair, and neither is 0 (nor, for a product, +-1).  Sums and products of
   polynomials over 1 never touch it, so polynomial data pay nothing and
@@ -146,13 +158,6 @@ class PoleError(ZeroDivisionError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-def _monomial_mul(n):
-    """The exponent-wise sum of two n-tuples, unrolled for speed as sympy
-    unrolls its own monomial_mul; the source holds only indices."""
-    terms = ", ".join("a[%d] + b[%d]" % (i, i) for i in range(n))
-    return eval("lambda a, b: (%s,)" % terms)
-
-
 class Patch:
     """An ordered coordinate chart.
 
@@ -161,9 +166,9 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "_gens", "_axes", "_origin",
-                 "_monomial_mul", "zero", "one", "_diffs", "_ops",
-                 "_draws")
+    __slots__ = ("coords", "_gens", "_axes", "_top", "_shifts", "_units",
+                 "_mask", "_bound", "_limit", "_guards", "zero", "one",
+                 "_diffs", "_ops", "_draws")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -178,19 +183,23 @@ class Patch:
         n = len(coords)
         # _axes[i] is coordinate i as a non-negative int, with list
         # semantics (negative i counts from the end, an out-of-range i
-        # raises IndexError), for the exponent slicing of _int_diff
+        # raises IndexError), for the diff memo's keys
         self._axes = tuple(range(n))
-        # the exponent tuple of a constant
-        self._origin = (0,) * n
-        self._monomial_mul = _monomial_mul(n)
-        self._gens = tuple(
-            ScalarField(self, {self._origin[:i] + (1,) + self._origin[i + 1:]: 1})
-            for i in range(n))
+        # monomial keys (module docstring): degree field at bit _top, x_i's
+        # at _shifts[i]; _units[i] is x_i's key, _limit the least over _bound
+        b = max(8, 30 // (n + 1))
+        self._top = b * n
+        self._shifts = tuple(b * (n - 1 - i) for i in range(n))
+        self._units = tuple((1 << s) + (1 << self._top) for s in self._shifts)
+        self._mask, self._bound = (1 << b) - 1, (1 << b - 1) - 1
+        self._limit = (self._bound + 1) << self._top
+        self._guards = sum(1 << b * k + b - 1 for k in range(n + 1))
+        self._gens = tuple(ScalarField(self, {u: 1}) for u in self._units)
         # the kernels read zero and one as the start of every sum and in
         # every basis section; one shared object each is safe because no
         # ScalarField is ever mutated
         self.zero = ScalarField(self, {})
-        self.one = ScalarField(self, {self._origin: 1})
+        self.one = ScalarField(self, {0: 1})
         # the partial derivatives of pairs (_partial), keyed by (key, coord)
         self._diffs = {}
         # sums and products with a pair operand, keyed by ("+" or "*",
@@ -225,10 +234,23 @@ class Patch:
         with a positive denominator."""
         if isinstance(value, Fraction):
             if value.denominator != 1:
-                return ({self._origin: value.numerator},
-                        {self._origin: value.denominator})
+                return _pair({0: value.numerator}, {0: value.denominator})
             value = value.numerator
-        return {self._origin: int(value)} if value else {}
+        return {0: int(value)} if value else {}
+
+    def _pack(self, e):
+        """The key of the exponent tuple e, checked against the bound."""
+        if sum(e) > self._bound:
+            raise _over(self, sum(e))
+        return sum(k * u for k, u in zip(e, self._units))
+
+    def _unpack(self, m):
+        """The exponent tuple of the monomial key m."""
+        return tuple(m >> s & self._mask for s in self._shifts)
+
+    def _tuples(self, p):
+        """The term dict p keyed by exponent tuples."""
+        return {self._unpack(m): c for m, c in p.items()}
 
     def __eq__(self, other):
         if isinstance(other, Patch):
@@ -245,8 +267,8 @@ class Patch:
 class ScalarField:
     """A rational function of the patch coordinates in canonical form.
 
-    `rep` is a term dict {exponent tuple: int} for a polynomial over 1 and
-    a pair (numer, denom) of term dicts otherwise (see the module
+    `rep` is a term dict {monomial key: int} for a polynomial over 1 and
+    a pair (numer, denom, key) of term dicts otherwise (see the module
     docstring).  Every operation returns the canonical form, so equality
     and is_zero() are tests on the stored terms.  Polynomial operands take
     the integer-coefficient kernels and 0/+-1 operands a short cut, both
@@ -349,20 +371,20 @@ class ScalarField:
         is constant iff it is empty or its one key is the zero exponent.
         The constant tier of every bracket and connection memo keys on it
         (bundles._constant_key)."""
-        return _constant(self.patch, self.rep)
+        return _constant(self.rep)
 
     @property
     def numer(self):
-        """The canonical numerator as a term dict {exponent tuple: int}.
-        Read only: it may be the stored dict itself."""
+        """The canonical numerator as a new term dict {exponent tuple: int},
+        unpacked from the stored monomial keys."""
         r = self.rep
-        return r if type(r) is dict else r[0]
+        return self.patch._tuples(r if type(r) is dict else r[0])
 
     @property
     def denom(self):
         """The canonical denominator as a term dict, like numer."""
         r = self.rep
-        return self.patch.one.rep if type(r) is dict else r[1]
+        return self.patch._tuples({0: 1} if type(r) is dict else r[1])
 
     @property
     def fe(self):
@@ -396,7 +418,7 @@ class ScalarField:
     def diff(self, coord):
         """Exact partial derivative with respect to coordinate index."""
         patch, r = self.patch, self.rep
-        if _constant(patch, r) is not None:
+        if _constant(r) is not None:
             return patch.zero
         d = _partial(patch, r, patch._axes[coord])
         return ScalarField(patch, d) if d else patch.zero
@@ -425,15 +447,18 @@ class ScalarField:
 # arithmetic on canonical representations
 #
 # The arguments are canonical representations (dicts or pairs) of one
-# patch; the patch supplies the monomial product, the zero exponent and the
-# memo of sums and products (see the module docstring).
+# patch; the patch supplies the monomial-key layout and the memo of sums
+# and products (see the module docstring).
 
 
 def _key(r):
     """The hashable form of a representation, for the memos and hashes."""
-    if type(r) is dict:
-        return frozenset(r.items())
-    return frozenset(r[0].items()), frozenset(r[1].items())
+    return frozenset(r.items()) if type(r) is dict else r[2]
+
+
+def _pair(n, d):
+    """n / d as a pair (n, d, key) that keeps its _key from the start."""
+    return n, d, (frozenset(n.items()), frozenset(d.items()))
 
 
 def _value_key(components):
@@ -442,44 +467,44 @@ def _value_key(components):
     return tuple(_key(c.rep) for c in components)
 
 
-def _constant(patch, r):
-    """as_constant on a representation."""
+def _constant(r):
+    """as_constant on a representation; the key of a constant is 0."""
     if type(r) is dict:
         if not r:
             return 0
-        return r.get(patch._origin) if len(r) == 1 else None
-    (n, d), origin = r, patch._origin
-    if len(n) == 1 and len(d) == 1 and origin in n and origin in d:
-        return Fraction(n[origin], d[origin])
+        return r.get(0) if len(r) == 1 else None
+    n, d = r[0], r[1]
+    if len(n) == 1 and len(d) == 1 and 0 in n and 0 in d:
+        return Fraction(n[0], d[0])
     return None
 
 
-def _unit(patch, r):
+def _unit(r):
     """1 or -1 when r is that constant, else None."""
     if type(r) is dict and len(r) == 1:
-        c = r.get(patch._origin)
+        c = r.get(0)
         if c == 1 or c == -1:
             return c
     return None
 
 
 def _negate(r):
-    return _neg(r) if type(r) is dict else (_neg(r[0]), r[1])
+    return _neg(r) if type(r) is dict else _pair(_neg(r[0]), r[1])
 
 
 def _parts(r):
     """(numerator, denominator) of a representation; the denominator of a
     dict is None, which _times reads as 1."""
-    return (r, None) if type(r) is dict else r
+    return (r, None) if type(r) is dict else r[:2]
 
 
-def _times(p, q, monomial_mul):
+def _times(p, q, patch):
     """p * q for term dicts p and q, either of which may be None for 1."""
     if p is None:
         return q
     if q is None:
         return p
-    return _int_mul(p, q, monomial_mul)
+    return _int_mul(p, q, patch)
 
 
 def _signed(n, d):
@@ -488,7 +513,7 @@ def _signed(n, d):
     numerator alone when the denominator is 1."""
     if _lc(d) < 0:
         n, d = _neg(n), _neg(d)
-    return n if _is_one(d) else (n, d)
+    return n if _is_one(d) else _pair(n, d)
 
 
 def _reduce(patch, n, d):
@@ -496,10 +521,9 @@ def _reduce(patch, n, d):
     by their gcd."""
     if not n:
         return n
-    mul = patch._monomial_mul
-    g = _int_gcd(n, d, mul)
+    g = _int_gcd(n, d, patch)
     if not _is_one(g):
-        n, d = _exact_quo(n, g, mul), _exact_quo(d, g, mul)
+        n, d = _exact_quo(n, g, patch), _exact_quo(d, g, patch)
     return _signed(n, d)
 
 
@@ -516,25 +540,23 @@ def _memoised(patch, op, f, g):
 
 def _sum(patch, f, g, sign):
     """f + sign * g for sign = 1 or -1, f or g a pair."""
-    mul = patch._monomial_mul
     (fn, fd), (gn, gd) = _parts(f), _parts(g)
     if fd is None or gd is None:
         # n/d + p = (n + p*d)/d needs no gcd: a factor of d and of n + p*d
         # would divide n, and d is already signed and other than 1
-        return (_int_add(_times(fn, gd, mul), _times(gn, fd, mul), sign),
-                fd or gd)
+        return _pair(_int_add(_times(fn, gd, patch), _times(gn, fd, patch),
+                              sign), fd or gd)
     if fd == gd:
         return _reduce(patch, _int_add(fn, gn, sign), fd)
-    return _reduce(patch, _int_add(_int_mul(fn, gd, mul),
-                                   _int_mul(gn, fd, mul), sign),
-                   _int_mul(fd, gd, mul))
+    return _reduce(patch, _int_add(_int_mul(fn, gd, patch),
+                                   _int_mul(gn, fd, patch), sign),
+                   _int_mul(fd, gd, patch))
 
 
 def _product(patch, f, g):
     """f * g, f or g a pair."""
-    mul = patch._monomial_mul
     (fn, fd), (gn, gd) = _parts(f), _parts(g)
-    return _reduce(patch, _int_mul(fn, gn, mul), _times(fd, gd, mul))
+    return _reduce(patch, _int_mul(fn, gn, patch), _times(fd, gd, patch))
 
 
 def _add(patch, f, g):
@@ -564,34 +586,32 @@ def _mul(patch, f, g):
         return f
     if not g:
         return g
-    # +-1 is a dict of one term at the origin; a pair has two parts
-    origin = patch._origin
+    # +-1 is a dict of one term at the key 0; a pair has three parts
     if len(g) == 1:
-        u = g.get(origin)
+        u = g.get(0)
         if u == 1 or u == -1:
             return f if u == 1 else _negate(f)
     if len(f) == 1:
-        u = f.get(origin)
+        u = f.get(0)
         if u == 1 or u == -1:
             return g if u == 1 else _negate(g)
     if type(f) is dict and type(g) is dict:
-        return _int_mul(f, g, patch._monomial_mul)
+        return _int_mul(f, g, patch)
     return _memoised(patch, "*", f, g)
 
 
 def _div(patch, f, g):
-    u = _unit(patch, g)
+    u = _unit(g)
     if u is not None:
         return f if u == 1 else _negate(f)
     if not f:
         return f
-    mul = patch._monomial_mul
     if type(f) is dict and type(g) is dict:
-        q = _int_quo(f, g, mul)
+        q = _int_quo(f, g, patch)
         if q is not None:
             return q
     (fn, fd), (gn, gd) = _parts(f), _parts(g)
-    return _reduce(patch, _times(fn, gd, mul), _times(fd, gn, mul))
+    return _reduce(patch, _times(fn, gd, patch), _times(fd, gn, patch))
 
 
 def _power(patch, f, n):
@@ -600,20 +620,19 @@ def _power(patch, f, n):
         # 1/(p/q) = q/p is coprime already; only the sign moves
         num, den = _parts(f)
         f, n = _signed(patch.one.rep if den is None else den, num), -n
-    mul = patch._monomial_mul
     if type(f) is dict:
-        return _int_pow(f, n, mul)
+        return _int_pow(f, n, patch)
     # coprime parts stay coprime, and the denominator keeps a positive
     # leading coefficient and stays other than 1
-    return _int_pow(f[0], n, mul), _int_pow(f[1], n, mul)
+    return _pair(_int_pow(f[0], n, patch), _int_pow(f[1], n, patch))
 
 
 def _partial(patch, r, i):
     """d/dx_i of a representation r that is not constant: _int_diff of a
     dict, and the quotient rule of a pair, once per patch by (key, i)."""
     if type(r) is dict:
-        return _int_diff(r, i)
-    key = (_key(r), i)
+        return _int_diff(r, i, patch)
+    key = (r[2], i)
     d = patch._diffs.get(key)
     if d is None:
         d = patch._diffs[key] = _quotient_rule(patch, r, i)
@@ -622,14 +641,13 @@ def _partial(patch, r, i):
 
 def _quotient_rule(patch, r, i):
     """d/dx_i of a pair n/d: (n'd - nd')/d^2, cancelled."""
-    n, d = r
-    mul = patch._monomial_mul
-    dn, dd = _int_diff(n, i), _int_diff(d, i)
+    n, d = r[0], r[1]
+    dn, dd = _int_diff(n, i, patch), _int_diff(d, i, patch)
     if not dd:
         return _reduce(patch, dn, d)
-    return _reduce(patch, _int_add(_int_mul(dn, d, mul), _int_mul(n, dd, mul),
-                                   -1),
-                   _int_mul(d, d, mul))
+    return _reduce(patch, _int_add(_int_mul(dn, d, patch),
+                                   _int_mul(n, dd, patch), -1),
+                   _int_mul(d, d, patch))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +676,7 @@ def _directional(xs, f):
     field, over the nonzero xs[i]; 0 at once for a constant f, and each
     df/dx_i taken by _partial on the representation."""
     patch, r = f.patch, f.rep
-    if _constant(patch, r) is not None:
+    if _constant(r) is not None:
         return patch.zero
     total = None
     for i, a in enumerate(xs):
@@ -685,7 +703,7 @@ def _accumulate(out, c, comps, c2=None, sign=1):
         cr = _mul(patch, cr, c2.rep)
     if not cr:
         return
-    u = _unit(patch, cr)
+    u = _unit(cr)
     if u is not None:
         cr, sign = None, sign * u
     for k, v in enumerate(comps):
@@ -703,8 +721,13 @@ def _accumulate(out, c, comps, c2=None, sign=1):
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient kernels on term dicts {exponent tuple: nonzero int};
+# integer-coefficient kernels on term dicts {monomial key: nonzero int};
 # they never mutate an argument
+
+
+def _over(patch, degree):
+    return ArithmeticError("degree %d is over the bound %d of %r"
+                           % (degree, patch._bound, patch))
 
 
 def _int_add(p, q, sign):
@@ -720,54 +743,61 @@ def _int_add(p, q, sign):
     return acc
 
 
-def _int_mul(p, q, monomial_mul):
+def _int_mul(p, q, patch):
+    """p * q, checked against the bound before any product."""
+    if p and q and max(p) + max(q) >= patch._limit:
+        raise _over(patch, max(p) + max(q) >> patch._top)
     qs = list(q.items())
     acc = {}
     get = acc.get
     for m1, a in p.items():
         for m2, b in qs:
-            m = monomial_mul(m1, m2)
+            m = m1 + m2
             acc[m] = get(m, 0) + a * b
     return {m: c for m, c in acc.items() if c}
 
 
-def _int_pow(p, n, monomial_mul):
-    """p^n for n >= 1."""
+def _int_pow(p, n, patch):
+    """p^n for n >= 1, checked against the bound before any product."""
+    if p and max(p) * n >= patch._limit:
+        raise _over(patch, (max(p) >> patch._top) * n)
     result = p
     for _ in range(n - 1):
-        result = _int_mul(result, p, monomial_mul)
+        result = _int_mul(result, p, patch)
     return result
 
 
-def _int_quo(p, q, monomial_mul):
+def _int_quo(p, q, patch):
     """p / q when the quotient is a polynomial with integer coefficients,
-    else None.  Divides by the leading term of q in grlex order: if p = s*q
-    with s in Z[x], the leading term of what is left is always the leading
-    term of q times a term of s, so a monomial or a coefficient that does
-    not divide proves that there is no such s.  A single-term q divides
-    each term of p in one pass, with the same test."""
+    else None.  Divides by the leading term of q in grlex order, the
+    largest key: if p = s*q with s in Z[x], the leading term of what is
+    left is always the leading term of q times a term of s, so a monomial
+    or a coefficient that does not divide proves that there is no such s.
+    x^e divides x^f exactly when f - e sets no guard bit.  A single-term q
+    divides each term of p in one pass, with the same test."""
+    guards = patch._guards
     if len(q) == 1:
         (lm, lc), = q.items()
         out = {}
         for m, c in p.items():
-            e = tuple(a - b for a, b in zip(m, lm))
-            if min(e) < 0 or c % lc:
+            e = m - lm
+            if e & guards or c % lc:
                 return None
             out[e] = c // lc
         return out
-    lm, lc = max(q.items(), key=_grlex)
+    lm, lc = max(q.items())     # keys are distinct: the largest key
     rest = [(m, c) for m, c in q.items() if m != lm]
     left = dict(p)
     out = {}
     while left:
-        m, c = max(left.items(), key=_grlex)
-        e = tuple(a - b for a, b in zip(m, lm))
-        if min(e) < 0 or c % lc:
+        m = max(left)
+        c = left.pop(m)
+        e = m - lm
+        if e & guards or c % lc:
             return None
         k = out[e] = c // lc
-        del left[m]
         for m2, c2 in rest:
-            m2 = monomial_mul(e, m2)
+            m2 += e
             s = left.get(m2, 0) - k * c2
             if s:
                 left[m2] = s
@@ -776,22 +806,23 @@ def _int_quo(p, q, monomial_mul):
     return out
 
 
-def _exact_quo(p, q, monomial_mul):
+def _exact_quo(p, q, patch):
     """p / q where q is a gcd of p and more: _int_quo, which returns None
     exactly when q does not divide p, so a wrong gcd cannot pass."""
-    out = _int_quo(p, q, monomial_mul)
+    out = _int_quo(p, q, patch)
     if out is None:
         raise ArithmeticError("gcd does not divide its argument")
     return out
 
 
-def _int_diff(p, i):
+def _int_diff(p, i, patch):
     """d/dx_i of p; the exponents stay natural numbers, so no term cancels."""
+    s, u, mask = patch._shifts[i], patch._units[i], patch._mask
     out = {}
     for m, c in p.items():
-        e = m[i]
+        e = m >> s & mask
         if e:
-            out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+            out[m - u] = c * e
     return out
 
 
@@ -801,21 +832,18 @@ def _neg(p):
 
 def _lc(p):
     """The leading coefficient of a nonzero term dict in grlex order."""
-    return max(p.items(), key=_grlex)[1]
+    return p[max(p)]
 
 
 def _is_one(p):
-    if len(p) != 1:
-        return False
-    (m, c), = p.items()
-    return c == 1 and not any(m)
+    return len(p) == 1 and p.get(0) == 1
 
 
 # ---------------------------------------------------------------------------
 # gcd in Z[x] on term dicts
 
 
-def _int_gcd(p, q, monomial_mul):
+def _int_gcd(p, q, patch):
     """The gcd in Z[x] of two nonzero term dicts, with a positive leading
     coefficient in grlex order.
 
@@ -827,22 +855,29 @@ def _int_gcd(p, q, monomial_mul):
     division of one by the other first (a divisor that divides is the gcd
     up to sign), then the subresultant remainder sequence."""
     c = math.gcd(*p.values(), *q.values())
-    e = tuple(map(min, zip(*p, *q)))
+    e = patch._pack(_exponents(patch, (p, q), min))
     if len(p) > 1 and len(q) > 1:
-        h = _prs_gcd(_primitive(p), _primitive(q), monomial_mul)
+        h = _prs_gcd(_primitive(p, patch), _primitive(q, patch), patch)
         if not _is_one(h):
-            return {monomial_mul(m, e): c * v for m, v in h.items()}
+            return {m + e: c * v for m, v in h.items()}
     return {e: c}
 
 
-def _primitive(p):
+def _exponents(patch, polys, least_or_most):
+    """min or max of each variable's exponent over the terms of polys."""
+    mask = patch._mask
+    return [least_or_most(m >> s & mask for p in polys for m in p)
+            for s in patch._shifts]
+
+
+def _primitive(p, patch):
     """p divided by its integer content and its monomial factor."""
     c = math.gcd(*p.values())
-    e = tuple(map(min, zip(*p)))
-    return {tuple(a - b for a, b in zip(m, e)): v // c for m, v in p.items()}
+    e = patch._pack(_exponents(patch, (p,), min))
+    return {m - e: v // c for m, v in p.items()}
 
 
-def _prs_gcd(p, q, monomial_mul):
+def _prs_gcd(p, q, patch):
     """The gcd, with a positive leading coefficient, of two term dicts of
     content 1 without a monomial factor.
 
@@ -859,94 +894,96 @@ def _prs_gcd(p, q, monomial_mul):
     variable whose lower degree in p and q is least, ties going to the
     lower higher degree: when it occurs in only one of them, the gcd is
     free of it and the contents settle it with no remainder sequence."""
-    lo, hi = sorted((p, q), key=lambda t: (max(map(sum, t)), len(t)))
-    if _int_quo(hi, lo, monomial_mul) is not None:
+    top = patch._top
+    lo, hi = sorted((p, q), key=lambda t: (max(t) >> top, len(t)))
+    if _int_quo(hi, lo, patch) is not None:
         return lo if _lc(lo) > 0 else _neg(lo)
-    dp, dq = tuple(map(max, zip(*p))), tuple(map(max, zip(*q)))
+    dp, dq = _exponents(patch, (p,), max), _exponents(patch, (q,), max)
     v = min((i for i in range(len(dp)) if dp[i] or dq[i]),
             key=lambda i: (min(dp[i], dq[i]), max(dp[i], dq[i])))
-    cp, a = _split_content(p, v, monomial_mul)
-    cq, b = _split_content(q, v, monomial_mul)
-    g = _int_gcd(cp, cq, monomial_mul)
+    cp, a = _split_content(p, v, patch)
+    cq, b = _split_content(q, v, patch)
+    g = _int_gcd(cp, cq, patch)
     if not (dp[v] and dq[v]):
         return g
     if dp[v] < dq[v]:
         a, b = b, a
-    r = _last_subresultant(a, b, v, monomial_mul)
-    if not _lead(r, v)[0]:
+    r = _last_subresultant(a, b, v, patch)
+    if not _lead(r, v, patch)[0]:
         return g    # the primitive parts are coprime
-    h = _int_mul(g, _split_content(r, v, monomial_mul)[1], monomial_mul)
+    h = _int_mul(g, _split_content(r, v, patch)[1], patch)
     return h if _lc(h) > 0 else _neg(h)
 
 
-def _last_subresultant(a, b, v, monomial_mul):
+def _last_subresultant(a, b, v, patch):
     """The last nonzero polynomial of the subresultant remainder sequence
     of a and b in x_v (deg a >= deg b >= 1), or its first remainder free of
     x_v.  Each pseudo-remainder is divided exactly by a known factor of its
     content, so the coefficients grow only linearly along the sequence and
     no content is taken before the end (Brown and Traub's subresultant PRS,
     as in Geddes, Czapor and Labahn, section 7.3)."""
-    one = {(0,) * len(next(iter(a))): 1}
-    da, (db, lc) = _lead(a, v)[0], _lead(b, v)
+    da, (db, lc) = _lead(a, v, patch)[0], _lead(b, v, patch)
     d = da - db
-    r = _prem(a, b, v, monomial_mul)
+    r = _prem(a, b, v, patch)
     if d % 2 == 0:
         r = _neg(r)                          # times (-1)^(d + 1)
-    c = _neg(_int_pow(lc, d, monomial_mul) if d else one)
+    c = _neg(_int_pow(lc, d, patch) if d else {0: 1})
     while r:
-        k = _lead(r, v)[0]
+        k = _lead(r, v, patch)[0]
         if not k:
             return r
         a, b, d, db = b, r, db - k, k
-        beta = _neg(_int_mul(lc, _int_pow(c, d, monomial_mul), monomial_mul))
-        r = _exact_quo(_prem(a, b, v, monomial_mul), beta, monomial_mul)
-        lc = _lead(b, v)[1]
+        beta = _neg(_int_mul(lc, _int_pow(c, d, patch), patch))
+        r = _exact_quo(_prem(a, b, v, patch), beta, patch)
+        lc = _lead(b, v, patch)[1]
         if d > 1:
-            c = _exact_quo(_int_pow(_neg(lc), d, monomial_mul),
-                           _int_pow(c, d - 1, monomial_mul), monomial_mul)
+            c = _exact_quo(_int_pow(_neg(lc), d, patch),
+                           _int_pow(c, d - 1, patch), patch)
         else:
             c = _neg(lc)
     return b
 
 
-def _lead(p, v):
+def _lead(p, v, patch):
     """(degree, leading coefficient) of a nonzero term dict in x_v; the
     coefficient is a term dict whose exponents of x_v are 0."""
-    d = max(m[v] for m in p)
-    return d, {m[:v] + (0,) + m[v + 1:]: c for m, c in p.items() if m[v] == d}
+    s, u, mask = patch._shifts[v], patch._units[v], patch._mask
+    d = max(m >> s & mask for m in p)
+    return d, {m - d * u: c for m, c in p.items() if m >> s & mask == d}
 
 
-def _split_content(p, v, monomial_mul):
+def _split_content(p, v, patch):
     """(c, p / c) for c the content of p in x_v: the gcd, with a positive
     leading coefficient, of its coefficients in Z[rest]."""
+    s, u, mask = patch._shifts[v], patch._units[v], patch._mask
     coeffs = {}
     for m, c in p.items():
-        coeffs.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+        k = m >> s & mask
+        coeffs.setdefault(k, {})[m - k * u] = c
     first, *others = coeffs.values()
     c = first if _lc(first) > 0 else _neg(first)
     for k in others:
         if _is_one(c):
             break
-        c = _int_gcd(c, k, monomial_mul)
+        c = _int_gcd(c, k, patch)
     if _is_one(c):
         return c, p
-    return c, _exact_quo(p, c, monomial_mul)
+    return c, _exact_quo(p, c, patch)
 
 
-def _prem(a, b, v, monomial_mul):
+def _prem(a, b, v, patch):
     """The pseudo-remainder of a by b in x_v: l^(deg a - deg b + 1) * a
     modulo b, for l the leading coefficient of b in x_v."""
-    db, lb = _lead(b, v)
-    r, n = a, _lead(a, v)[0] - db + 1
+    db, lb = _lead(b, v, patch)
+    r, n = a, _lead(a, v, patch)[0] - db + 1
     while r:
-        dr, lr = _lead(r, v)
+        dr, lr = _lead(r, v, patch)
         if dr < db:
             break
-        t = {m[:v] + (dr - db,) + m[v + 1:]: c for m, c in lr.items()}
-        r = _int_add(_int_mul(r, lb, monomial_mul),
-                     _int_mul(t, b, monomial_mul), -1)
+        t = {m + (dr - db) * patch._units[v]: c for m, c in lr.items()}
+        r = _int_add(_int_mul(r, lb, patch), _int_mul(t, b, patch), -1)
         n -= 1
-    return _int_mul(r, _int_pow(lb, n, monomial_mul), monomial_mul) if n else r
+    return _int_mul(r, _int_pow(lb, n, patch), patch) if n else r
 
 
 # ---------------------------------------------------------------------------
@@ -1069,6 +1106,9 @@ class _Parser:
             kind, val, pos = self.advance()
         if kind != "int":
             raise ScalarParseError("expected an integer exponent", pos)
+        if int(val) > self.patch._bound:
+            raise ScalarParseError("exponent over the degree bound %d"
+                                   % self.patch._bound, pos)
         return sign * int(val)
 
 
@@ -1086,20 +1126,13 @@ def parse_scalar(text, patch):
 # printing
 
 
-def _grlex(term):
-    """Sort key of a (monomial, coefficient) pair in sympy's grlex order:
-    total degree, then the exponents."""
-    return sum(term[0]), term[0]
-
-
-def _print_poly(terms, coords, scale=1):
+def _print_poly(terms, patch, scale=1):
     parts = []
-    for monom, coeff in sorted(terms.items(), key=_grlex,
-                               reverse=True):
-        c = coeff * scale
+    for monom in sorted(terms, reverse=True):     # sympy's grlex order
+        c = terms[monom] * scale
         vars_part = "*".join(
             name if e == 1 else "%s^%d" % (name, e)
-            for name, e in zip(coords, monom) if e)
+            for name, e in zip(patch.coords, patch._unpack(monom)) if e)
         mag = abs(c)
         if vars_part:
             body = vars_part if mag == 1 else "%s*%s" % (mag, vars_part)
@@ -1113,15 +1146,14 @@ def _print_poly(terms, coords, scale=1):
 
 
 def _print_scalar(f):
-    r = f.rep
-    coords = f.patch.coords
+    r, patch = f.rep, f.patch
     if type(r) is dict:
-        return _print_poly(r, coords)
-    num, den = r
-    if len(den) == 1 and f.patch._origin in den:
+        return _print_poly(r, patch)
+    num, den = r[0], r[1]
+    if len(den) == 1 and 0 in den:
         # fold the constant denominator into the coefficients
-        return _print_poly(num, coords, Fraction(1, den[f.patch._origin]))
-    return "(%s)/(%s)" % (_print_poly(num, coords), _print_poly(den, coords))
+        return _print_poly(num, patch, Fraction(1, den[0]))
+    return "(%s)/(%s)" % (_print_poly(num, patch), _print_poly(den, patch))
 
 
 # ---------------------------------------------------------------------------
@@ -1166,8 +1198,10 @@ def random_scalar(patch, rng, max_degree=2):
     """
     monomials = patch._draws.get(max_degree)
     if monomials is None:
+        if max_degree > patch._bound:
+            raise _over(patch, max_degree)
         monomials = patch._draws[max_degree] = tuple(
-            _monomials(patch.dim, max_degree))
+            map(patch._pack, _monomials(patch.dim, max_degree)))
     d = {}
     for monom in monomials:
         c = rng.choice(_COEFF_POOL)

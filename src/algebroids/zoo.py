@@ -860,7 +860,8 @@ class AbarAlgebroid(GraphQuotient):
     def bracket(self, c1, c2):
         """[X1 (+) a1, X2 (+) a2] = ([X1, X2] + nabla^bas_{a1} X2
         - nabla^bas_{a2} X1) (+) ([a1, a2] + nabla_{X1} a2 - nabla_{X2} a1)."""
-        if c1.bundle != self.bundle or c2.bundle != self.bundle:
+        if (c1.bundle is not self.bundle and c1.bundle != self.bundle
+                or c2.bundle is not self.bundle and c2.bundle != self.bundle):
             raise ValueError("sections do not live in the quotient bundle")
         return _recall(self, self.bundle, (c1, c2),
                        lambda: self._bracket(c1, c2))

@@ -29,7 +29,7 @@ from algebroids.scalars import (
     evaluate, parse_scalar, partial_derivative, random_scalar,
 )
 from algebroids.scalars import (
-    _int_add, _int_diff, _int_gcd, _int_mul, _int_quo, _neg,
+    _int_add, _int_diff, _int_gcd, _int_mul, _int_quo, _neg, _pair,
 )
 
 
@@ -308,12 +308,21 @@ def terms(poly):
     return {m: int(c.numerator) for m, c in poly.items()}
 
 
+def packed(patch, poly):
+    """The term dict of the patch's representations: a dict {exponent
+    tuple: int} or a sympy polynomial with integer coefficients, keyed by
+    the patch's monomial keys.  Every representation a test builds or
+    compares goes through here."""
+    return {patch._pack(m): c for m, c in terms(poly).items()}
+
+
 def from_sympy(patch, fe):
     """The ScalarField of a canonical FracElement, built from its parts
     and not by ScalarField arithmetic."""
     if fe.denom == 1:
-        return ScalarField(patch, terms(fe.numer))
-    return ScalarField(patch, (terms(fe.numer), terms(fe.denom)))
+        return ScalarField(patch, packed(patch, fe.numer))
+    return ScalarField(patch, _pair(packed(patch, fe.numer),
+                                    packed(patch, fe.denom)))
 
 
 def assert_same(got, want):
@@ -322,6 +331,9 @@ def assert_same(got, want):
     assert type(got.rep) is (dict if want.denom == 1 else tuple)
     assert all(type(c) is int and c
                for c in (*got.numer.values(), *got.denom.values()))
+    if type(got.rep) is tuple:    # the pair keeps the key of its parts
+        n, d, key = got.rep
+        assert key == (frozenset(n.items()), frozenset(d.items()))
 
 
 small_ints = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-4, 4))
@@ -524,8 +536,9 @@ def _unkey(patch, key):
     the pair of frozen terms of a numerator and a denominator."""
     field = sympy_field(patch)
     num, den = (key, ()) if isinstance(key, frozenset) else key
-    return field.new(field.ring.from_dict({m: QQ(c) for m, c in num}),
-                     field.ring.from_dict({m: QQ(c) for m, c in den})
+    ring, unpack = field.ring, patch._unpack
+    return field.new(ring.from_dict({unpack(m): QQ(c) for m, c in num}),
+                     ring.from_dict({unpack(m): QQ(c) for m, c in den})
                      or field.ring.one)
 
 
@@ -637,7 +650,8 @@ def planted_operand(patch, a, b, h):
     ring = field.ring
     hp = ring.from_dict(parse_scalar(h, patch).numer)
     num, den = ring.from_dict(a) * hp, ring.from_dict(b) * hp
-    got = ScalarField(patch, terms(num)) / ScalarField(patch, terms(den))
+    got = ScalarField(patch, packed(patch, num)) / \
+        ScalarField(patch, packed(patch, den))
     want = field.new(num, den)
     assert_same(got, want)
     return got, want
@@ -671,19 +685,20 @@ def test_int_gcd_matches_sympy(case):
     n, specs = case
     patch = PLANTED_PATCHES[n]
     ring = PolyRing(list(patch.coords), ZZ, order="grlex")
-    mul = patch._monomial_mul
     (a, b, h), (c, _, _) = specs
     hp = ring.from_dict(parse_scalar(h, patch).numer)
     for p, q in [(ring.from_dict(a) * hp, ring.from_dict(b) * hp),
                  (ring.from_dict(a) * hp, ring.from_dict(c)),
                  (hp, hp), (hp, -hp * ring.from_dict(a))]:
-        g = _int_gcd(terms(p), terms(q), mul)
-        want = terms(p.gcd(q))
+        g = _int_gcd(packed(patch, p), packed(patch, q), patch)
+        want = packed(patch, p.gcd(q))
         assert g in (want, _neg(want))
-        assert _lead_coeff(g) > 0
-        cp, cq = _int_quo(terms(p), g, mul), _int_quo(terms(q), g, mul)
+        assert _lead_coeff(patch._tuples(g)) > 0
+        cp = _int_quo(packed(patch, p), g, patch)
+        cq = _int_quo(packed(patch, q), g, patch)
         assert cp is not None and cq is not None
-        assert ring.from_dict(cp).gcd(ring.from_dict(cq)) in (1, -1)
+        assert ring.from_dict(patch._tuples(cp)).gcd(
+            ring.from_dict(patch._tuples(cq))) in (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +800,7 @@ def int_poly_pairs(draw):
 
 
 def assert_same_poly(patch, got, want):
-    assert type(got) is dict and got == terms(want)
+    assert type(got) is dict and got == packed(patch, want)
     assert all(type(c) is int and c for c in got.values())
     field = sympy_field(patch)
     assert str(ScalarField(patch, got)) == sympy_str(field.new(want),
@@ -823,18 +838,19 @@ def counting_calls(name):
 def test_integer_kernels_match_sympy(case):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    ring, mul = sympy_field(patch).ring, patch._monomial_mul
+    ring = sympy_field(patch).ring
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
     for a, b in [(p, q), (q, p), (p, p), (p, -p), (p + q, -q),
                  (p, ring.zero), (ring.zero, q)]:
-        ta, tb = terms(a), terms(b)
+        ta, tb = packed(patch, a), packed(patch, b)
         assert_same_poly(patch, _int_add(ta, tb, 1), a + b)
         assert_same_poly(patch, _int_add(ta, tb, -1), a - b)
-        assert_same_poly(patch, _int_mul(ta, tb, mul), a * b)
-        assert (ta, tb) == (terms(a), terms(b))   # arguments untouched
+        assert_same_poly(patch, _int_mul(ta, tb, patch), a * b)
+        assert (ta, tb) == (packed(patch, a), packed(patch, b))  # untouched
     for i, x in enumerate(ring.gens):
-        assert_same_poly(patch, _int_diff(terms(p), i), p.diff(x))
-    assert_same_poly(patch, _neg(terms(p)), -p)
+        assert_same_poly(patch, _int_diff(packed(patch, p), i, patch),
+                         p.diff(x))
+    assert_same_poly(patch, _neg(packed(patch, p)), -p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -842,23 +858,24 @@ def test_integer_kernels_match_sympy(case):
 def test_exact_quotient_kernel_matches_sympy(case, c):
     n, d1, d2 = case
     patch = Patch(["x", "y", "z"][:n])
-    field, mul = sympy_field(patch), patch._monomial_mul
+    field = sympy_field(patch)
     ring = field.ring
     p, q = (ring.from_dict({m: QQ(v) for m, v in d.items()}) for d in (d1, d2))
     const = ring(c)
     if q:
-        assert _int_quo(terms(p * q), terms(q), mul) == terms(p)
+        assert _int_quo(packed(patch, p * q), packed(patch, q), patch) == \
+            packed(patch, p)
     for a, b in [(p * q, q), (p * q, p), (p * const, const), (p, const),
                  (p, q), (q, p), (p * q + 1, q), (p * q, q * const)]:
         if not b:
             continue
-        got = _int_quo(terms(a), terms(b), mul)
+        got = _int_quo(packed(patch, a), packed(patch, b), patch)
         want = field.new(a, b)
         if want.denom == 1:
             assert_same_poly(patch, got, want.numer)
         else:
             assert got is None
-        f, g = ScalarField(patch, terms(a)), ScalarField(patch, terms(b))
+        f, g = (ScalarField(patch, packed(patch, t)) for t in (a, b))
         assert_same(f / g, want)
         assert (type(f.rep), type(g.rep)) == (dict, dict)   # untouched
 
@@ -869,11 +886,11 @@ def test_exact_quotients_make_no_rational_coefficient_ops(case):
     n, d1, d2 = case
     assume(d2)
     patch = Patch(["x", "y", "z"][:n])
-    f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
+    f, g = (ScalarField(patch, packed(patch, d)) for d in (d1, d2))
     prod = f * g
     with counting_sympy_ops() as calls, counting_calls("_int_gcd") as gcds:
         back = prod / g
-    assert calls == [] and back.rep == d1
+    assert calls == [] and back.rep == packed(patch, d1)
     assert gcds == []   # an exact quotient in Z[x] needs no gcd
 
 
@@ -884,7 +901,7 @@ def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
     patch = Patch(["x", "y", "z"][:n])
     ring = sympy_field(patch).ring
     p, q = (ring.from_dict({m: QQ(c) for m, c in d.items()}) for d in (d1, d2))
-    f, g = ScalarField(patch, dict(d1)), ScalarField(patch, dict(d2))
+    f, g = (ScalarField(patch, packed(patch, d)) for d in (d1, d2))
     with counting_sympy_ops() as calls:
         results = [f + g, f - g, f * g, -f, f - f, f + (-f), f ** 3]
         results += [f.diff(i) for i in range(n)]
@@ -893,7 +910,107 @@ def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
     wants += [p.diff(x) for x in ring.gens]
     for got, want in zip(results, wants):
         assert got.denom == {(0,) * n: 1}
-        assert_same_poly(patch, got.numer, want)
+        assert_same_poly(patch, got.rep, want)
+
+
+# ---------------------------------------------------------------------------
+# monomial keys
+#
+# A term dict is keyed by one int per monomial: the total degree in the top
+# field, then the exponents, each field b bits wide with its top bit clear
+# (see the scalars module docstring).  The kernels rely on these properties
+# on every dimension up to the 8 coordinates of an iis auxiliary patch, and
+# on the bound failing fast.
+
+KEY_PATCHES = {n: Patch(["x%d" % i for i in range(n)]) for n in range(1, 9)}
+
+
+@st.composite
+def exponents(draw, n, degree):
+    """An exponent tuple of n entries and total degree `degree`."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1,
+                                max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
+def exponent_pairs(draw, total=True):
+    """(patch, a, b) on 1 to 8 coordinates: a and b each of degree at most
+    the bound, and their sum too when total is set."""
+    patch = KEY_PATCHES[draw(st.integers(1, 8))]
+    bound = patch._bound
+    da = draw(st.integers(0, bound))
+    db = draw(st.integers(0, bound - da if total else bound))
+    return (patch, draw(exponents(patch.dim, da)),
+            draw(exponents(patch.dim, db)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_pairs())
+def test_key_sum_is_the_monomial_product(case):
+    patch, a, b = case
+    assert patch._unpack(patch._pack(a)) == a
+    assert patch._unpack(patch._pack(b)) == b
+    ab = tuple(i + j for i, j in zip(a, b))
+    assert patch._pack(a) + patch._pack(b) == patch._pack(ab)
+    # x^a divides x^(a + b), and x^a divides x^b exactly when a <= b
+    pa, pb, pab = (patch._pack(e) for e in (a, b, ab))
+    assert _int_quo({pab: 3}, {pa: -1}, patch) == {pb: -3}
+    want = None if any(i > j for i, j in zip(a, b)) else \
+        {patch._pack(tuple(j - i for i, j in zip(a, b))): 1}
+    assert _int_quo({pb: 2}, {pa: 2}, patch) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_pairs(total=False))
+def test_key_order_is_grlex(case):
+    patch, a, b = case
+    ka, kb = patch._pack(a), patch._pack(b)
+    assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+    assert (ka == kb) == (a == b)
+
+
+@pytest.mark.parametrize("n", sorted(KEY_PATCHES))
+def test_exponent_over_the_bound_fails_at_its_position(n):
+    patch = KEY_PATCHES[n]
+    bound = patch._bound
+    assert bound >= 127
+    x = patch.coordinate(0)
+    assert parse_scalar("x0^%d" % bound, patch) == x ** bound
+    for text in ("x0 + x0^%d" % (bound + 1), "1 / x0^-%d" % (bound + 1),
+                 "2^%d" % (bound + 1)):
+        with pytest.raises(ScalarParseError) as err:
+            parse_scalar(text, patch)
+        assert err.value.pos == text.rindex("^") + 1 + ("-" in text)
+        assert "bound %d" % bound in str(err.value)
+
+
+@pytest.mark.parametrize("n", sorted(KEY_PATCHES))
+def test_product_over_the_bound_raises_before_it_is_formed(n, monkeypatch):
+    patch = KEY_PATCHES[n]
+    bound = patch._bound
+    x, y = patch.coordinate(0), patch.coordinate(n - 1)
+    f, g = x ** bound, y + 1
+    assert len((x ** (bound - 1) * g).rep) == 2     # at the bound
+    products = _count_calls(monkeypatch, "_int_mul")
+    over = "degree %d is over the bound %d" % (bound + 1, bound)
+    for power in (lambda: f * g, lambda: g * f, lambda: x ** (bound + 1),
+                  lambda: (x / (y + 2)) ** (bound + 1),
+                  lambda: random_scalar(patch, random.Random(0), bound + 1)):
+        with pytest.raises(ArithmeticError, match=over):
+            power()
+    # the two products got as far as their degree test, the powers not
+    assert len(products) == 2
+
+
+def test_product_over_the_bound_is_an_error_result():
+    from algebroids.reporting import Check
+    patch = KEY_PATCHES[3]
+    x = patch.coordinate(0)
+    result = Check("c").run([("f", x ** 64)], lambda f: f * f)
+    assert result.status == "error"
+    assert result.note == ("ArithmeticError: degree 128 is over the bound "
+                           "127 of Patch(x0, x1, x2)")
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +1022,9 @@ def test_polynomial_scalars_make_no_rational_coefficient_ops(case):
 # here as it stood before the one-pass branch.
 
 
-def loop_quo(p, q, monomial_mul):
+def loop_quo(p, q):
     """p / q by repeated division by the leading term of q, None when a
-    leading monomial or coefficient does not divide."""
+    leading monomial or coefficient does not divide; on exponent tuples."""
     def grlex(term):
         return sum(term[0]), term[0]
 
@@ -922,7 +1039,7 @@ def loop_quo(p, q, monomial_mul):
         k = out[e] = c // lc
         del left[m]
         for m2, c2 in rest:
-            m2 = monomial_mul(e, m2)
+            m2 = tuple(a + b for a, b in zip(e, m2))
             s = left.get(m2, 0) - k * c2
             if s:
                 left[m2] = s
@@ -946,9 +1063,9 @@ def single_term_divisions(draw):
 
 
 def assert_single_term_quotient(patch, a, q, want_exact):
-    mul = patch._monomial_mul
-    got = _int_quo(a, q, mul)
-    assert got == loop_quo(a, q, mul)
+    got = _int_quo(packed(patch, a), packed(patch, q), patch)
+    loop = loop_quo(a, q)
+    assert got == (None if loop is None else packed(patch, loop))
     field = sympy_field(patch)
     ring = field.ring
     fe = field.new(ring.from_dict({k: QQ(v) for k, v in a.items()}),
@@ -966,7 +1083,7 @@ def test_single_term_divisor_matches_sympy_and_the_division_loop(case):
     n, p, m, c, plant = case
     patch = Patch(["x", "y", "z"][:n])
     q = {m: c}
-    a = _int_mul(p, q, patch._monomial_mul)
+    a = patch._tuples(_int_mul(packed(patch, p), packed(patch, q), patch))
     if plant == "monomial":
         # one exponent below m's in a variable where m is positive
         assume(any(m))
@@ -996,7 +1113,8 @@ def test_single_term_divisor_matches_sympy_and_the_division_loop(case):
         "content-2^70", "negative-content-2^70", "content-2^70-fails"])
 def test_planted_single_term_divisions(a, q, want):
     patch = Patch(["x", "y"])
-    assert _int_quo(a, q, patch._monomial_mul) == want
+    assert _int_quo(packed(patch, a), packed(patch, q), patch) == \
+        (None if want is None else packed(patch, want))
     assert_single_term_quotient(patch, a, q, want is not None)
 
 
@@ -1011,7 +1129,8 @@ def test_polynomial_values_run_no_gcd():
             assert type(h.rep) is dict
         assert gcds == []
         half = f / 2       # a genuinely rational value is a pair
-    assert len(gcds) == 1 and half.rep == (f.rep, {(0, 0): 2})
+    assert len(gcds) == 1
+    assert half.rep == _pair(f.rep, packed(patch, {(0, 0): 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -1049,15 +1168,14 @@ def test_planted_divisor_is_the_gcd_without_a_remainder_sequence(case, k):
     n, q, r = case
     patch = PLANTED_PATCHES[n]
     ring = PolyRing(list(patch.coords), ZZ, order="grlex")
-    mul = patch._monomial_mul
     Q = ring.from_dict(q)
     P = Q * ring.from_dict(r)
     with counting_calls("_last_subresultant") as sequences:
         for a, b in [(P, Q), (Q, P), (P, Q * k), (Q * k, P)]:
-            g = _int_gcd(terms(a), terms(b), mul)
-            want = terms(a.gcd(b))
+            g = _int_gcd(packed(patch, a), packed(patch, b), patch)
+            want = packed(patch, a.gcd(b))
             assert g in (want, _neg(want))
-            assert _lead_coeff(g) > 0
+            assert _lead_coeff(patch._tuples(g)) > 0
     assert sequences == []
 
 
@@ -1069,15 +1187,14 @@ def test_planted_divisor_is_the_gcd_without_a_remainder_sequence(case, k):
 def test_proper_common_factor_runs_the_remainder_sequence(n, h, a, b):
     patch = PLANTED_PATCHES[n]
     ring = PolyRing(list(patch.coords), ZZ, order="grlex")
-    mul = patch._monomial_mul
     H, A, B = (ring.from_dict(parse_scalar(t, patch).numer)
                for t in (h, a, b))
     for p, q in [(H * A, H * B), (H * B, H * A)]:
         with counting_calls("_last_subresultant") as sequences:
-            g = _int_gcd(terms(p), terms(q), mul)
-        want = terms(p.gcd(q))
+            g = _int_gcd(packed(patch, p), packed(patch, q), patch)
+        want = packed(patch, p.gcd(q))
         assert g in (want, _neg(want))
-        assert _lead_coeff(g) > 0
+        assert _lead_coeff(patch._tuples(g)) > 0
         assert sequences
 
 
@@ -1100,7 +1217,7 @@ def listing_random_scalar(patch, rng, max_degree=2):
         c = rng.choice((0, 0, 1, -1, 2, -2))
         if c:
             d[monom] = c
-    return ScalarField(patch, d) if d else patch.zero
+    return ScalarField(patch, packed(patch, d)) if d else patch.zero
 
 
 @pytest.mark.parametrize("coords", [["x"], ["x", "y"], ["x", "y", "z"]])
