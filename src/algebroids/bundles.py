@@ -5,14 +5,33 @@ constant-rank frames.  All linear algebra happens over the field of
 rational functions, with deterministic lowest-index pivoting so that rank
 certificates, annihilator frames and membership witnesses are reproducible.
 
-Pivots, ranks and determinants (Frame's certificate, matrix_rank, det and
-the greedy extension behind complement) come from one fraction-free
-(Bareiss) forward elimination over Z[x], _bareiss: each of its divisions is
-exact, so integer polynomial entries stay polynomials over 1 and no
-fraction is ever formed.  rref divides by its pivots and is kept only for
-what needs the reduced matrix R or the transform T, whose entries are
-genuinely rational: nullspace, Solver and zoo's elimination of P.  Entries
-of both need only be exact field values with +, -, *, / and truthiness
+Every elimination runs one pivot loop, _eliminate, with lowest-index
+pivoting: the pivot of a column is its first nonzero entry at or below the
+current row, swapped up.  It has two row-update rules, with p the pivot, f
+a row's entry in the pivot column and b the pivot row's entry:
+
+* the fraction-free (Bareiss) rule of _bareiss replaces each entry a of a
+  lower row by (p*a - f*b) / prev, prev the previous pivot.  By
+  Sylvester's identity each entry is then a minor of the row-swapped
+  matrix, so the division is exact and integer polynomial entries stay
+  polynomials over 1.  It gives pivots, ranks and determinants: Frame's
+  certificate, matrix_rank, det and the greedy extension behind
+  complement;
+* the dividing (Gauss-Jordan) rule of rref scales the pivot row by 1/p
+  and takes f times it from every other row.  It gives the reduced matrix
+  R and, eliminating [M | I], the transform T: nullspace, Solver and
+  zoo's elimination of P.  R and T keep this rule because their entries
+  are genuinely rational (a Solver transform holds entries such as
+  y/(x^2 + 1)); fraction-free back-substitution would carry the growing
+  pivots through every entry and divide once more at the end.
+
+A lower row changes only by a nonzero factor and multiples of the pivot
+row, so both rules see the same zeros and pick the same pivots.  No step
+that changes nothing is taken: a row whose f is 0 is left alone, unless
+the fraction-free rule must scale it by p/prev != 1; no product is formed
+with a factor 0 or 1, and nothing is divided by 1.  Each value is then the
+full formula's, and scalars are canonical, so the results are too.
+Entries need only be exact field values with +, -, *, / and truthiness
 (false iff zero).  Two types are in use: ScalarField, and Fraction for the
 constant linear systems of zoo.parallel_frame_search.
 
@@ -366,68 +385,40 @@ class Subbundle:
 
 
 def rref(rows, patch, track=False):
-    """Reduced row echelon form with lowest-index pivoting.
+    """Reduced row echelon form: the one pivot loop with its dividing rule
+    (module docstring).
 
     Returns (R, T, pivots) where R is the echelon matrix, pivots the list
-    of pivot column indices, and T (if track) the transform with T*M = R.
+    of pivot column indices, and T (if track) the transform with T*M = R,
+    the right block of [M | I] eliminated by the same row updates.
     Entries are exact field values tested by truthiness (ScalarField or
-    Fraction, see the module docstring); patch supplies the 1 and 0 of T.
+    Fraction); patch supplies the 1 and 0 of T.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    T = None
-    if track:
-        T = [[patch.one if i == j else patch.zero for j in range(nrows)]
-             for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            if track:
-                T[r], T[piv] = T[piv], T[r]
-        inv = 1 / m[r][c]
-        m[r] = [inv * v for v in m[r]]
-        if track:
-            T[r] = [inv * v for v in T[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                if track:
-                    T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-        pivots.append(c)
-        r += 1
-    return m, T, pivots
+    n = len(rows)
+    ncols = len(rows[0]) if n else 0
+    eye = ([[patch.one if i == j else patch.zero for j in range(n)]
+            for i in range(n)] if track else [[]] * n)
+    m = [list(r) + e for r, e in zip(rows, eye)]
+    pivots = _eliminate(m, ncols, True)[0]
+    if not track:
+        return m, None, pivots
+    return [r[:ncols] for r in m], [r[ncols:] for r in m], pivots
 
 
 def _bareiss(rows):
-    """Fraction-free forward elimination with rref's lowest-index pivots and
-    row swaps; returns (pivots, sign, last) with the pivot columns, the sign
-    of the row permutation and the last pivot (1 if there is none).
+    """Fraction-free forward elimination: the one pivot loop with its
+    fraction-free rule (module docstring).  Returns (pivots, sign, last)
+    with the pivot columns, the sign of the row permutation and the last
+    pivot (1 if there is none), which for a square matrix of full rank is
+    sign * det."""
+    return _eliminate([list(r) for r in rows], len(rows[0]) if rows else 0,
+                      False)
 
-    Each step replaces an entry a of a lower row by (p*a - f*b) / prev, with
-    p the pivot, f the row's entry in the pivot column, b the pivot row's
-    entry and prev the previous pivot (1 at the first step).  By Sylvester's
-    identity every entry is then a minor of the row-swapped matrix, so the
-    division is exact and integer polynomial entries never leave Z[x].  A
-    lower row only changes by the nonzero factor p / prev and multiples of
-    the pivot row, so its zeros, and with them the pivots, are rref's; the
-    last pivot of a square matrix of full rank is sign * det.
-    """
-    m = [list(r) for r in rows]
+
+def _eliminate(m, ncols, dividing):
+    """The one pivot loop (module docstring), on the rows m in place, with
+    the dividing rule or the fraction-free one; returns as _bareiss."""
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     pivots = []
     sign = 1
     prev = 1
@@ -445,15 +436,40 @@ def _bareiss(rows):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        p, tail = m[r][c], m[r][c + 1:]
-        for i in range(r + 1, nrows):
-            f = m[i][c]
-            m[i][c + 1:] = [(p * a - f * b) / prev
-                            for a, b in zip(m[i][c + 1:], tail)]
+        p, start = m[r][c], c + 1
+        if dividing:
+            if p != 1:
+                inv = 1 / p
+                m[r][c:] = [b and _times(inv, b) for b in m[r][c:]]
+            p, start = 1, c
+        tail = m[r][start:]
+        for i in range(0 if dividing else r + 1, nrows):
+            if i != r and (m[i][c] or p != prev):
+                m[i][start:] = _combine(p, m[i][start:], m[i][c], tail, prev)
         pivots.append(c)
         prev = p
         r += 1
     return pivots, sign, prev
+
+
+def _times(f, a):
+    """f * a for nonzero f and a, with no product by 1."""
+    return a if f == 1 else f if a == 1 else f * a
+
+
+def _combine(p, row, f, tail, prev):
+    """(p*a - f*b) / prev over a, b in zip(row, tail), taking no step that
+    changes nothing: no product with a factor 0 or 1, no difference with 0
+    and no division of 0 or by 1."""
+    out = []
+    for a, b in zip(row, tail):
+        if a:
+            a = _times(p, a)
+        if f and b:
+            b = _times(f, b)
+            a = a - b if a else -b
+        out.append(a / prev if a and prev != 1 else a)
+    return out
 
 
 def matrix_rank(rows, patch):

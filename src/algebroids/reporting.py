@@ -25,7 +25,9 @@ zero-tests it and witnesses the ones that fail.  An exception raised
 there, or in either of the two loops, does not end the suite: each check
 the loop feeds records status "error" with the note
 "<ExceptionType>: <message>" (Check.error), and the checks after it
-still run.
+still run.  So does a --max-degree over the patch's degree bound, which
+random_scalar rejects before it lists a monomial, while Check.tuples
+draws: the check's result is that error.
 
 Settled rule: a check keeps at most MAX_WITNESSES witnesses, and the next
 failure only sets the "further witnesses truncated" note.  From then on
@@ -143,6 +145,7 @@ class Check:
         self.note = ""
         self._t0 = time.perf_counter()
         self._truncated = False
+        self._failure = None    # the exception that ended the draws
 
     def rng(self):
         return self.config.rng_for(self.name)
@@ -151,13 +154,18 @@ class Check:
         """The test set: the fixed labelled tuples, then for each trial t
         one tuple drawn slot by slot from a fresh rng(), where a slot
         (label, draw) contributes (label % t, draw(rng, max_degree)).
-        With a single slot, entries are bare (label, value) pairs."""
+        With a single slot, entries are bare (label, value) pairs.  A
+        degree over the patch's bound ends the draws, and result() is then
+        the "error" result naming it."""
         out = list(fixed)
         rng = self.rng()
-        for t in range(self.config.trials):
-            drawn = tuple((label % t, draw(rng, self.config.max_degree))
-                          for label, draw in slots)
-            out.append(drawn if len(slots) > 1 else drawn[0])
+        try:
+            for t in range(self.config.trials):
+                drawn = tuple((label % t, draw(rng, self.config.max_degree))
+                              for label, draw in slots)
+                out.append(drawn if len(slots) > 1 else drawn[0])
+        except ArithmeticError as exc:
+            self._failure = exc
         return out
 
     def run(self, items, residual, zero=None, inputs=dict):
@@ -206,6 +214,8 @@ class Check:
 
     def result(self, status=None, note=None):
         if status is None:
+            if self._failure is not None:
+                return self.error(self._failure)
             status = "fail" if self.witnesses else "pass"
         n = note if note is not None else self.note
         if self._truncated:

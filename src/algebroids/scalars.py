@@ -37,8 +37,13 @@ a constant's key is 0, and x^e divides x^f iff f - e sets no field's top
 bit.  That guard bit stays clear, so each degree is at most the bound
 2^(b-1) - 1 (127 for n >= 3): a parsed exponent above it is a
 ScalarParseError, and a product or power past it raises ArithmeticError
-before it is formed.  The layout is held on the Patch; ScalarField.numer
-and denom return views keyed by exponent tuples.
+before it is formed.  The bound limits values, not the gcd: once trial
+division fails, _prs_gcd repacks both primitive parts into a layout of
+2b-bit fields, built once per patch, runs the content split and the
+remainder sequence there, whose pseudo-remainders pass the bound, and
+packs the gcd back, which fits because it divides both.  The layouts are
+held on the Patch; ScalarField.numer and denom return views keyed by
+exponent tuples.
 
 An operation with a pair operand (or a division, unless the quotient is a
 polynomial over 1, or a negative power) forms its numerator and denominator
@@ -158,7 +163,37 @@ class PoleError(ZeroDivisionError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
-class Patch:
+class _Layout:
+    """The monomial keys of n coordinates in fields of b bits (module
+    docstring): degree field at bit _top, x_i's at _shifts[i]; _units[i] is
+    x_i's key, _limit the least key over _bound.  _wide is the layout of
+    2b-bit fields that the remainder sequence runs in; a wide layout is
+    its own."""
+
+    __slots__ = ("_top", "_shifts", "_units", "_mask", "_bound", "_limit",
+                 "_guards", "_wide")
+
+    def __init__(self, n, b, wide=None):
+        self._top = b * n
+        self._shifts = tuple(b * (n - 1 - i) for i in range(n))
+        self._units = tuple((1 << s) + (1 << self._top) for s in self._shifts)
+        self._mask, self._bound = (1 << b) - 1, (1 << b - 1) - 1
+        self._limit = (self._bound + 1) << self._top
+        self._guards = sum(1 << b * k + b - 1 for k in range(n + 1))
+        self._wide = wide or self
+
+    def _pack(self, e):
+        """The key of the exponent tuple e, checked against the bound."""
+        if sum(e) > self._bound:
+            raise _over(self, sum(e))
+        return sum(k * u for k, u in zip(e, self._units))
+
+    def _unpack(self, m):
+        """The exponent tuple of the monomial key m."""
+        return tuple(m >> s & self._mask for s in self._shifts)
+
+
+class Patch(_Layout):
     """An ordered coordinate chart.
 
     Scalars, bundles and sections all point back at the patch that owns
@@ -166,9 +201,8 @@ class Patch:
     interchangeable (equality is structural).
     """
 
-    __slots__ = ("coords", "_gens", "_axes", "_top", "_shifts", "_units",
-                 "_mask", "_bound", "_limit", "_guards", "zero", "one",
-                 "_diffs", "_ops", "_draws")
+    __slots__ = ("coords", "_gens", "_axes", "zero", "one", "_diffs", "_ops",
+                 "_draws")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -185,15 +219,8 @@ class Patch:
         # semantics (negative i counts from the end, an out-of-range i
         # raises IndexError), for the diff memo's keys
         self._axes = tuple(range(n))
-        # monomial keys (module docstring): degree field at bit _top, x_i's
-        # at _shifts[i]; _units[i] is x_i's key, _limit the least over _bound
         b = max(8, 30 // (n + 1))
-        self._top = b * n
-        self._shifts = tuple(b * (n - 1 - i) for i in range(n))
-        self._units = tuple((1 << s) + (1 << self._top) for s in self._shifts)
-        self._mask, self._bound = (1 << b) - 1, (1 << b - 1) - 1
-        self._limit = (self._bound + 1) << self._top
-        self._guards = sum(1 << b * k + b - 1 for k in range(n + 1))
+        super().__init__(n, b, _Layout(n, 2 * b))
         self._gens = tuple(ScalarField(self, {u: 1}) for u in self._units)
         # the kernels read zero and one as the start of every sum and in
         # every basis section; one shared object each is safe because no
@@ -237,16 +264,6 @@ class Patch:
                 return _pair({0: value.numerator}, {0: value.denominator})
             value = value.numerator
         return {0: int(value)} if value else {}
-
-    def _pack(self, e):
-        """The key of the exponent tuple e, checked against the bound."""
-        if sum(e) > self._bound:
-            raise _over(self, sum(e))
-        return sum(k * u for k, u in zip(e, self._units))
-
-    def _unpack(self, m):
-        """The exponent tuple of the monomial key m."""
-        return tuple(m >> s & self._mask for s in self._shifts)
 
     def _tuples(self, p):
         """The term dict p keyed by exponent tuples."""
@@ -885,19 +902,37 @@ def _prs_gcd(p, q, patch):
     fewer terms on a tie, is divided into the other by _int_quo.  If it
     divides, it is the gcd up to the units +-1 of Z[x] (it divides both,
     and every common divisor divides it), and only its sign is set.
-    Otherwise they are read as polynomials in one variable x_v, with
-    coefficients in Z[rest].  The gcd is the gcd of their contents in x_v,
-    taken recursively by _int_gcd in one variable fewer (with the same
-    trial first), times the primitive part of the last nonzero remainder
-    of the subresultant pseudo-remainder sequence of their primitive parts
-    (_last_subresultant).  x_v is the
-    variable whose lower degree in p and q is least, ties going to the
-    lower higher degree: when it occurs in only one of them, the gcd is
-    free of it and the contents settle it with no remainder sequence."""
+    Otherwise _content_gcd runs on both, repacked into the patch's wide
+    layout: its pseudo-remainders multiply by powers of a leading
+    coefficient and pass the degree bound of values, but the gcd divides
+    both inputs, so it packs back."""
     top = patch._top
     lo, hi = sorted((p, q), key=lambda t: (max(t) >> top, len(t)))
     if _int_quo(hi, lo, patch) is not None:
         return lo if _lc(lo) > 0 else _neg(lo)
+    wide = patch._wide
+    return _repack(_content_gcd(_repack(p, patch, wide),
+                                _repack(q, patch, wide), wide), wide, patch)
+
+
+def _repack(p, layout, other):
+    """The term dict p keyed in layout, keyed in the other layout."""
+    if other is layout:
+        return p
+    return {other._pack(layout._unpack(m)): c for m, c in p.items()}
+
+
+def _content_gcd(p, q, patch):
+    """_prs_gcd past its trial division, in a wide layout.  p and q are
+    read as polynomials in one variable x_v, with coefficients in Z[rest].
+    The gcd is the gcd of their contents in x_v, taken recursively by
+    _int_gcd in one variable fewer (with the same trial first), times the
+    primitive part of the last nonzero remainder of the subresultant
+    pseudo-remainder sequence of their primitive parts
+    (_last_subresultant).  x_v is the variable whose lower degree in p and
+    q is least, ties going to the lower higher degree: when it occurs in
+    only one of them, the gcd is free of it and the contents settle it
+    with no remainder sequence."""
     dp, dq = _exponents(patch, (p,), max), _exponents(patch, (q,), max)
     v = min((i for i in range(len(dp)) if dp[i] or dq[i]),
             key=lambda i: (min(dp[i], dq[i]), max(dp[i], dq[i])))
@@ -1179,8 +1214,12 @@ def _eval_poly(terms, vals):
     return total
 
 
-def _monomials(dim, max_degree):
-    exps = itertools.product(range(max_degree + 1), repeat=dim)
+def _monomials(patch, max_degree):
+    """The sorted exponent tuples of degree at most max_degree on the
+    patch; a degree over its bound raises before any is listed."""
+    if max_degree > patch._bound:
+        raise _over(patch, max_degree)
+    exps = itertools.product(range(max_degree + 1), repeat=patch.dim)
     return sorted(e for e in exps if sum(e) <= max_degree)
 
 
@@ -1198,10 +1237,8 @@ def random_scalar(patch, rng, max_degree=2):
     """
     monomials = patch._draws.get(max_degree)
     if monomials is None:
-        if max_degree > patch._bound:
-            raise _over(patch, max_degree)
         monomials = patch._draws[max_degree] = tuple(
-            map(patch._pack, _monomials(patch.dim, max_degree)))
+            map(patch._pack, _monomials(patch, max_degree)))
     d = {}
     for monom in monomials:
         c = rng.choice(_COEFF_POOL)

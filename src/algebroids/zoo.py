@@ -359,9 +359,10 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
     check = Check(prefix + ".transpose_intertwine", config)
     rng = check.rng()
     ct = cotangent(patch)
-    draws = [(("a", random_section(A.bundle, rng, config.max_degree)),
+    # drawn lazily, inside the guarded loop
+    draws = ((("a", random_section(A.bundle, rng, config.max_degree)),
               ("theta", random_section(ct, rng, config.max_degree)),
-              ("trial", t)) for t in range(max(config.trials, 1))]
+              ("trial", t)) for t in range(max(config.trials, 1)))
     results.append(check.run(draws, transpose_intertwine))
     return results
 
@@ -621,7 +622,7 @@ def parallel_frame_search(iis, degree=2):
         return []
     proj = adapted.solver().T[J.rank:]
 
-    monos = _monomials(dim, degree)
+    monos = _monomials(patch, degree)
     nunk = t * len(monos)
     stem = "uc"
     while any(name.startswith(stem) for name in patch.coords):
@@ -749,18 +750,24 @@ def check_iis(iis, config=None, prefix="iis"):
 
     t = alg.rank - J.rank
     pf = Check(prefix + ".def.parallel_frame", config)
-    frame = parallel_frame_search(iis, degree=config.max_degree)
-    if len(frame) < t:
-        pf.witness("degree <= %d ansatz" % config.max_degree,
-                   found=len(frame), needed=t)
-        results.append(pf.result(
-            note="no full parallel frame of A/J with polynomial coefficients "
-                 "of degree <= %d" % config.max_degree))
+    try:
+        frame = parallel_frame_search(iis, degree=config.max_degree)
+    except ArithmeticError as exc:
+        # a degree over the patch's bound, before any monomial is listed
+        frame = None
+        results.append(pf.error(exc))
     else:
-        results.append(pf.result(
-            note="parallel frame of A/J found at degree <= %d"
-                 % config.max_degree))
-    have_frame = len(frame) >= t
+        if len(frame) < t:
+            pf.witness("degree <= %d ansatz" % config.max_degree,
+                       found=len(frame), needed=t)
+            results.append(pf.result(
+                note="no full parallel frame of A/J with polynomial "
+                     "coefficients of degree <= %d" % config.max_degree))
+        else:
+            results.append(pf.result(
+                note="parallel frame of A/J found at degree <= %d"
+                     % config.max_degree))
+    have_frame = frame is not None and len(frame) >= t
 
     if have_frame:
         check = Check(prefix + ".def.ideal", config)
@@ -796,6 +803,9 @@ def check_iis(iis, config=None, prefix="iis"):
         def_ok = False
 
     check = Check(prefix + ".cross_agree", config)
+    if frame is None:
+        results.append(check.skipped("the definition route errored"))
+        return results
     if alt_ok != def_ok:
         check.witness("flatness route says %s, definition route says %s"
                       % ("pass" if alt_ok else "fail",

@@ -813,3 +813,120 @@ def test_nullspace_on_rational_entries(rows):
             assert sum((a * b for a, b in zip(row, v)), patch.zero).is_zero()
     # the basis vectors are independent
     assert matrix_rank(basis, patch) == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# the one pivot loop against the two loops it replaced, kept here verbatim
+# as oracles: rref's dividing loop with its own bookkeeping of T, and the
+# fraction-free loop that took every step through the scalar operators
+
+def two_loop_rref(rows, patch, track=False):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    T = None
+    if track:
+        T = [[patch.one if i == j else patch.zero for j in range(nrows)]
+             for i in range(nrows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            if track:
+                T[r], T[piv] = T[piv], T[r]
+        inv = 1 / m[r][c]
+        m[r] = [inv * v for v in m[r]]
+        if track:
+            T[r] = [inv * v for v in T[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                if track:
+                    T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+        pivots.append(c)
+        r += 1
+    return m, T, pivots
+
+
+def two_loop_bareiss(rows):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p, tail = m[r][c], m[r][c + 1:]
+        for i in range(r + 1, nrows):
+            f = m[i][c]
+            m[i][c + 1:] = [(p * a - f * b) / prev
+                            for a, b in zip(m[i][c + 1:], tail)]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, sign, prev
+
+
+@st.composite
+def planted_matrices(draw):
+    """Fraction, polynomial or genuinely rational matrices with planted 0
+    and +-1 entries, so that pivots are units and non-units, rows meet a
+    pivot column at 0, 1 or -1, and consecutive pivots are equal or not."""
+    kind = draw(st.sampled_from(["fraction", "polynomial", "rational"]))
+    if kind == "fraction":
+        entry, unit = fractions, Fraction
+    else:
+        pool = POLY_ENTRIES if kind == "polynomial" else \
+            RATIONAL_ENTRIES + NON_POLYNOMIAL
+        entry = st.sampled_from(pool).map(
+            lambda e: parse_scalar(e, SOLVER_PATCH))
+        unit = SOLVER_PATCH.scalar
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    plant = st.sampled_from([None, 0, 1, -1]).map(
+        lambda v: None if v is None else unit(v))
+    for i in range(nrows):
+        for j in range(ncols):
+            v = draw(plant)
+            if v is not None:
+                rows[i][j] = v
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_matrices())
+def test_one_pivot_loop_matches_the_two_loops_it_replaced(rows):
+    patch = SOLVER_PATCH
+    pivots, sign, last = bundles._bareiss(rows)
+    want = two_loop_bareiss(rows)
+    assert (pivots, sign, last) == want
+    assert type(last) is type(want[2])
+    for track in (False, True):
+        got, want = rref(rows, patch, track), two_loop_rref(rows, patch, track)
+        assert got == want
+        assert [[type(v) for v in row] for row in got[0]] == \
+            [[type(v) for v in row] for row in want[0]]

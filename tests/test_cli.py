@@ -358,6 +358,39 @@ NO_SCRIPT = pytest.mark.skipif(shutil.which("algebroids") is None,
                                reason="console script not installed")
 
 
+# the checks that list monomials at trials 0 as well: transpose_intertwine
+# draws max(trials, 1) tuples, and the parallel frame ansatz has degree
+# --max-degree
+LISTS_AT_TRIALS_0 = {"poisson.transpose_intertwine", "iis.def.parallel_frame"}
+
+
+@pytest.mark.parametrize("preset", sorted(zoo.ZOO_PRESETS))
+def test_max_degree_over_the_patch_bound_is_an_error_result(preset, capsys):
+    # each check that draws at that degree reports error naming the bound,
+    # raised before any monomial is listed; the exit code is 1, not the 2
+    # of ill-formed input
+    patch = instances.instance_from_preset(zoo.zoo_preset(preset)).patch
+    bound = patch._bound
+    over = "ArithmeticError: degree %d is over the bound %d of Patch(" \
+        % (bound + 1, bound)
+    flags = ["--max-degree", str(bound + 1), "--trials"]
+    assert cli.main(["zoo", preset] + flags + ["1"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    errors = [c for c in checks if c["status"] == "error"]
+    assert errors and all(c["note"].startswith(over) for c in errors)
+    # at trials 0 only the checks that list monomials anyway error; every
+    # other check keeps its status at degree 2, unless it is skipped or
+    # left out after the error
+    before = {r.name: r.status
+              for r in cli.run(preset, "all", trials=0).results}
+    after = cli.run(preset, "all", trials=0, max_degree=bound + 1).results
+    for r in after:
+        if r.name in LISTS_AT_TRIALS_0:
+            assert (r.status, r.note[:len(over)]) == ("error", over)
+        elif r.status != "skipped":
+            assert r.status == before[r.name], r.name
+
+
 # the module form needs no install, so the subprocess path and its exit
 # codes run everywhere
 @pytest.mark.parametrize("command", [

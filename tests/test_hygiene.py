@@ -11,7 +11,9 @@ top-level function counts as used when its module's __all__ exports it,
 or when any file under src/, demos/ or perfbench/ loads its name, bare
 or as an attribute; ORPHANS_ALLOWED names the few kept on purpose.
 Exact elimination lives in bundles.py alone: no other module defines a
-top-level function whose name contains "rref" or "nullspace".
+top-level function whose name contains "rref" or "nullspace", and one
+function in src/ swaps two rows (a tuple assignment that exchanges two
+subscripts of one list), the one pivot loop.
 
 No module under src/ imports sympy, at the top or inside a function:
 the package computes on Python ints alone, and sympy is only the tests'
@@ -304,6 +306,25 @@ def elimination_functions(modules):
             and ("rref" in stmt.name or "nullspace" in stmt.name)]
 
 
+def row_swaps(tree):
+    """(enclosing function, line) of every tuple assignment that exchanges
+    two subscripts of one list, a[i], a[j] = a[j], a[i]."""
+    def swap(node):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.value, ast.Tuple)):
+            return False
+        left, right = node.targets[0].elts, node.value.elts
+        if not (len(left) == len(right) == 2 and all(
+                isinstance(e, ast.Subscript) for e in left + right)):
+            return False
+        lists = {ast.dump(e.value) for e in left + right}
+        (i, j), (k, l) = ([ast.dump(e.slice) for e in side]
+                          for side in (left, right))
+        return len(lists) == 1 and i != j and (i, j) == (l, k)
+    return _scoped(tree, swap)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -361,6 +382,26 @@ def test_one_exact_elimination():
     modules = [(p.name, _tree(p)) for p in MODULES]
     assert "bundles.py" in dict(modules)
     assert elimination_functions(modules) == []
+    swapping = {(str(p.relative_to(REPO)), scope)
+                for p in sorted((REPO / "src").rglob("*.py"))
+                for scope, _ in row_swaps(_tree(p))}
+    assert swapping == {("src/algebroids/bundles.py", "_eliminate")}
+
+
+def test_swap_scan_catches_a_planted_second_swap():
+    tree = ast.parse(
+        "def _eliminate(m, r, piv):\n"
+        "    m[r], m[piv] = m[piv], m[r]\n"
+        "class K:\n"
+        "    def solve(self, T, i, j):\n"
+        "        T[i], T[j] = T[j], T[i]\n"
+        "def not_swaps(a, b, i, j):\n"
+        "    a[i], b[j] = b[j], a[i]\n"
+        "    a[i], a[j] = a[i], a[j]\n"
+        "    a[i], a[i] = a[i], a[i]\n"
+        "    i, j = j, i\n"
+        "    a[i] = a[j]\n")
+    assert row_swaps(tree) == [("_eliminate", 2), ("K.solve", 5)]
 
 
 def test_elimination_scan_catches_planted_solvers():

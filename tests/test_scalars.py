@@ -1198,6 +1198,25 @@ def test_proper_common_factor_runs_the_remainder_sequence(n, h, a, b):
         assert sequences
 
 
+def test_remainder_sequence_passes_the_bound_of_values_in_a_wide_layout():
+    # inputs of degree 16 and 10 on three coordinates, where values stop at
+    # degree 127, whose pseudo-remainders reach degree 140: the content
+    # split and the sequence run in 2b-bit fields, and the gcd packs back
+    patch = PLANTED_PATCHES[3]
+    ring = PolyRing(list(patch.coords), ZZ, order="grlex")
+    H, A, B = (ring.from_dict(parse_scalar(t, patch).numer) for t in (
+        "x + y*z + 2", "x^12*y + z^2 + 3",
+        "(y^5*z^4 + y^2 + 1)*x^2 + x*z + y"))
+    for p, q in [(H * A, H * B), (H * B, H * A)]:
+        with counting_calls("_int_mul") as products:
+            g = _int_gcd(packed(patch, p), packed(patch, q), patch)
+        assert max((max(a) + max(b)) >> layout._top
+                   for a, b, layout in products if a and b) > patch._bound
+        want = packed(patch, p.gcd(q))
+        assert g in (want, _neg(want))
+        assert _lead_coeff(patch._tuples(g)) > 0
+
+
 # ---------------------------------------------------------------------------
 # misc
 
