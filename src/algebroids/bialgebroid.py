@@ -120,7 +120,6 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     consequences (Delta preserves K; quotient connection flat), each as an
     exact membership or residual check with witnesses."""
     alg, U, K, D = triple.alg, triple.U, triple.K, triple.D
-    ra = alg.rank
     Q, B = D.Q, D.B
     results = []
 
@@ -135,9 +134,9 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
     results.append(check.result())
 
     check = Check("%s.rho_rhot_into_U" % prefix, config)
-    for m, k in enumerate(K.frame):
-        check.witness_outside(rho_rhot(alg, k, target=Q), U, k="k%d" % m)
-    results.append(check.result())
+    results.append(check.run(
+        labelled("k", K.frame), lambda k: rho_rhot(alg, k, target=Q),
+        zero=lambda v: membership(v, U)[0], inputs=named("k")))
 
     check = Check("%s.bracket_closed" % prefix, config)
     alg_U, outside = triple.induced
@@ -153,31 +152,24 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
         results.append(Check("%s.induced" % prefix, config).skipped(
             "bracket does not close on U"))
 
+    frames_A = labelled("e", alg.bundle.basis_sections())
+    frames_U = labelled("u", U.frame)
     check = Check("%s.basic_preserves_U" % prefix, config)
-    for i in range(ra):
-        a = alg.bundle.basis_section(i)
-        for p in range(U.rank):
-            check.witness_outside(nabla_bas_TMAs(D, alg, a, U.frame[p]), U,
-                                  a="e%d" % i, u="u%d" % p)
-    results.append(check.result())
+    results.append(check.run(
+        product(frames_A, frames_U), partial(nabla_bas_TMAs, D, alg),
+        zero=lambda v: membership(v, U)[0], inputs=named("a", "u")))
 
     check = Check("%s.basic_curvature_into_K" % prefix, config)
-    for i in range(ra):
-        for j in range(i + 1, ra):
-            a1 = alg.bundle.basis_section(i)
-            a2 = alg.bundle.basis_section(j)
-            for p in range(U.rank):
-                check.witness_outside(
-                    basic_curvature(D, alg, a1, a2, U.frame[p]), K,
-                    a1="e%d" % i, a2="e%d" % j, u="u%d" % p)
-    results.append(check.result())
+    results.append(check.run(
+        (pair + (u,) for pair, u in product(combinations(frames_A, 2),
+                                            frames_U)),
+        partial(basic_curvature, D, alg), zero=lambda v: membership(v, K)[0],
+        inputs=named("a1", "a2", "u")))
 
     check = Check("%s.delta_preserves_K" % prefix, config)
-    for p in range(U.rank):
-        for m, k in enumerate(K.frame):
-            check.witness_outside(dorfman_eval(D, U.frame[p], k), K,
-                                  u="u%d" % p, k="k%d" % m)
-    results.append(check.result())
+    results.append(check.run(
+        product(frames_U, labelled("k", K.frame)), partial(dorfman_eval, D),
+        zero=lambda v: membership(v, K)[0], inputs=named("u", "k")))
 
     check = Check("%s.quotient_flat" % prefix, config)
     if closed:
@@ -185,7 +177,7 @@ def check_la_dirac(triple, config=None, prefix="la_dirac"):
         taus = labelled("e", B.basis_sections())
         results.append(check.run(
             (pair + (t,) for pair, t in product(check.tuples(
-                combinations(labelled("u", U.frame), 2),
+                combinations(frames_U, 2),
                 ("random#%d.1", draw), ("random#%d.2", draw)), taus)),
             partial(dorfman_curvature, D),
             zero=lambda v: membership(v, K)[0]))
@@ -201,15 +193,11 @@ def verify_phi_skew(triple, a, config=None, prefix="phi_skew"):
     from .dorfman import omega_map
     U, D = triple.U, triple.D
     check = Check(prefix, config)
-    for p in range(U.rank):
-        om_p = omega_map(D, U.frame[p], a)
-        for q in range(U.rank):
-            om_q = omega_map(D, U.frame[q], a)
-            residual = canonical_pairing(U.frame[q], om_p) \
-                + canonical_pairing(U.frame[p], om_q)
-            if not residual.is_zero():
-                check.witness(residual, u1="u%d" % p, u2="u%d" % q, a=a)
-    return [check.result()]
+    return [check.run(
+        product(labelled("u", U.frame), repeat=2),
+        lambda u1, u2: canonical_pairing(u2, omega_map(D, u1, a))
+        + canonical_pairing(u1, omega_map(D, u2, a)),
+        inputs=lambda e: {"u1": e[0][0], "u2": e[1][0], "a": a})]
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +509,8 @@ def check_manin_pair(mp, config=None, prefix="manin"):
     usolver = Solver([[u[i] for u in ucoords] for i in range(n)], patch)
 
     check = Check("%s.isotropic" % prefix, config)
-    for p, u1 in enumerate(U_in_C.frame):
-        for q, u2 in enumerate(U_in_C.frame):
-            residual = C.pairing(u1, u2)
-            if not residual.is_zero():
-                check.witness(residual, u1="u%d" % p, u2="u%d" % q)
-    results.append(check.result())
+    results.append(check.run(product(labelled("u", U_in_C.frame), repeat=2),
+                             C.pairing, inputs=named("u1", "u2")))
 
     check = Check("%s.half_rank" % prefix, config)
     if getattr(C, "degenerate", False):
@@ -544,10 +528,10 @@ def check_manin_pair(mp, config=None, prefix="manin"):
     else:
         frames = C.frame_sections()
         rows = [[C.pairing(u, fj) for fj in frames] for u in U_in_C.frame]
-        for v in nullspace(rows, patch, ncols=n):
-            if usolver.solve(v)[0] != "solution":
-                check.witness(v, perp="basis vector")
-        results.append(check.result())
+        results.append(check.run(
+            labelled("", nullspace(rows, patch, ncols=n)), lambda v: v,
+            zero=lambda v: usolver.solve(v)[0] == "solution",
+            inputs=lambda e: {"perp": "basis vector"}))
 
     closed = Check("%s.closed" % prefix, config)
     induced = Check("%s.induced_bracket" % prefix, config)
@@ -697,17 +681,13 @@ def bialgebroids_equivalent(db1, db2, config=None, prefix="equivalence"):
     if not span.passed:
         results.append(check.skipped("spans differ"))
         return results
-    transported = []
-    for col in db1.columns:
-        _, coeffs = membership(col, U2)
-        transported.append(Section(db2.alg_U.bundle, coeffs))
-    for p in range(U1.rank):
-        for q in range(U1.rank):
-            lhs = U1.frame.combination(db1.alg_U.bracket[p][q].components)
-            value = bracket_eval(db2.alg_U, transported[p], transported[q])
-            rhs = U2.frame.combination(value.components)
-            residual = lhs - rhs
-            if not residual.is_zero():
-                check.witness(residual, u1="u%d" % p, u2="u%d" % q)
-    results.append(check.result())
+    transported = [Section(db2.alg_U.bundle, membership(col, U2)[1])
+                   for col in db1.columns]
+
+    def residual(p, q):
+        lhs = U1.frame.combination(db1.alg_U.bracket[p][q].components)
+        value = bracket_eval(db2.alg_U, transported[p], transported[q])
+        return lhs - U2.frame.combination(value.components)
+    results.append(check.run(product(labelled("u", range(U1.rank)), repeat=2),
+                             residual, inputs=named("u1", "u2")))
     return results

@@ -296,13 +296,10 @@ def check_dirac(C, D, config=None, prefix="dirac"):
             check.witness("rank %d != %d" % (D.rank, n // 2))
         results.append(check.result())
 
+    frames = labelled("d", D.frame)
     check = Check("%s.isotropic" % prefix, config)
-    for i, d1 in enumerate(D.frame):
-        for j, d2 in enumerate(D.frame):
-            residual = C.pairing(d1, d2)
-            if not residual.is_zero():
-                check.witness(residual, d1="d%d" % i, d2="d%d" % j)
-    results.append(check.result())
+    results.append(check.run(product(frames, repeat=2), C.pairing,
+                             inputs=named("d1", "d2")))
 
     check = Check("%s.self_perp" % prefix, config)
     if C.degenerate:
@@ -311,14 +308,15 @@ def check_dirac(C, D, config=None, prefix="dirac"):
     else:
         rows = [_apply_transpose(C.gram, d.components, patch)
                 for d in D.frame]
-        for v in nullspace(rows, patch, ncols=n):
-            check.witness_outside(Section(C.bundle, v), D, perp="basis vector")
-        results.append(check.result())
+        results.append(check.run(
+            labelled("", nullspace(rows, patch, ncols=n)),
+            partial(Section, C.bundle), zero=lambda v: membership(v, D)[0],
+            inputs=lambda e: {"perp": "basis vector"}))
 
     check = Check("%s.closed" % prefix, config)
     draw = partial(random_combination, D)
     results.append(check.run(
-        check.tuples(product(labelled("d", D.frame), repeat=2),
+        check.tuples(product(frames, repeat=2),
                      ("random#%d.1", draw), ("random#%d.2", draw)),
         C.bracket, zero=lambda v: membership(v, D)[0]))
     return results

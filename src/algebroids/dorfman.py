@@ -50,9 +50,10 @@ from .algebroid import (AnchoredBundle, DullAlgebroid, _leibniz,
                         _nonzero_rows, _rows, bracket_eval,
                         check_anchor_compat, lie_derivative_ATM,
                         lie_derivative_TMAs, rho_rhot)
-from .bundles import Section, _recall, annihilator, canonical_pairing
+from .bundles import (Section, _recall, annihilator, canonical_pairing,
+                      membership)
 from .cartan import apply_vf, lie_bracket_vf, tangent
-from .reporting import Check, labelled
+from .reporting import Check, labelled, named
 from .scalars import _dot, random_scalar
 
 __all__ = [
@@ -172,13 +173,12 @@ def check_dorfman_axioms(D, config=None, prefix="dorfman"):
     results = []
 
     check = Check("%s.table_consistency" % prefix, config)
-    for i in range(D.Q.rank):
-        qi = D.Q.basis_section(i)
-        for j in range(D.B.rank):
-            residual = dorfman_eval(D, qi, D.B.basis_section(j)) - D.table[i][j]
-            if not residual.is_zero():
-                check.witness(residual, q="e%d" % i, b="e%d" % j)
-    results.append(check.result())
+    results.append(check.run(
+        product(labelled("e", range(D.Q.rank)),
+                labelled("e", range(D.B.rank))),
+        lambda i, j: dorfman_eval(D, D.Q.basis_section(i),
+                                  D.B.basis_section(j)) - D.table[i][j],
+        inputs=named("q", "b")))
 
     check = Check("%s.differential_compat" % prefix, config)
     patch = D.patch
@@ -404,28 +404,22 @@ def extend_lie_bracket_to_dull(U, U_alg, B, config=None):
                                   name="extension.anchor_compat")]
 
     K = annihilator(U, twin=B, side="TM+A*")
+    frames_U = labelled("u", range(ru))
     check = Check("extension.preserves_annihilator", config)
-    for p in range(ru):
-        for m, tau in enumerate(K.frame):
-            check.witness_outside(dorfman_eval(D, U.frame[p], tau), K,
-                                  u="u%d" % p, tau="k%d" % m)
-    checks.append(check.result())
+    checks.append(check.run(
+        product(frames_U, labelled("k", K.frame)),
+        lambda p, tau: dorfman_eval(D, U.frame[p], tau),
+        zero=lambda v: membership(v, K)[0], inputs=named("u", "tau")))
+
+    def connection_defect(p, q, m):
+        up, uq, bm = U.frame[p], U.frame[q], B.basis_section(m)
+        lhs = D.pairing(uq, dorfman_eval(D, up, bm))
+        return lhs - (apply_vf(pr(up), D.pairing(uq, bm))
+                      - D.pairing(lift_u(U_alg.bracket[p][q]), bm))
 
     check = Check("extension.quotient_connection", config)
-    for p in range(ru):
-        up = U.frame[p]
-        Xp = pr(up)
-        for q in range(ru):
-            uq = U.frame[q]
-            for m in range(n):
-                bm = B.basis_section(m)
-                lhs = D.pairing(uq, dorfman_eval(D, up, bm))
-                rhs = apply_vf(Xp, D.pairing(uq, bm)) \
-                    - D.pairing(lift_u(U_alg.bracket[p][q]), bm)
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    check.witness(residual, u1="u%d" % p, u2="u%d" % q,
-                                  b="e%d" % m)
-    checks.append(check.result())
+    checks.append(check.run(
+        product(frames_U, frames_U, labelled("e", range(n))),
+        connection_defect, inputs=named("u1", "u2", "b")))
 
     return ExtensionResult(dull, D, checks)

@@ -15,15 +15,21 @@ stream.  Frame entries are labelled by a tag and an index (e0, u1, q2,
 with slot 0/1/2, 1/2 or a letter, "random#<t>" for a single slot, or
 "random<t>" in the zoo checks.  Function slots print the function itself.
 
-A membership verdict is recorded in one place, Check.witness_outside: it
-witnesses a value that is not a section of a subbundle and returns the
-membership coefficients of one that is.
+A membership verdict is the zero test of Check.run, or, in a loop written
+out by hand, Check.witness_outside: it witnesses a value that is not a
+section of a subbundle and returns the membership coefficients of one
+that is.
 
-Every test set goes through one loop, Check.run, except in the two loops
-that feed two checks at once: it evaluates the residual on each tuple,
-zero-tests it and witnesses the ones that fail.  An exception raised
-there, or in either of the two loops, does not end the suite: each check
-the loop feeds records status "error" with the note
+Every test set goes through one loop, Check.run: it evaluates the
+residual on each tuple, zero-tests it and witnesses the ones that fail.
+The frame tuples of a tensorial check are built from labelled lists with
+itertools (product, combinations for i < j, combinations_with_replacement
+for j >= i), and a membership test is passed as the zero test.  Written
+out by hand are only the two test-set loops that feed two checks at once
+and the few frame loops that fit no single residual with one zero test
+(tests/test_hygiene.py names each).  An exception raised in Check.run,
+or in either of the two test-set loops, does not end the suite: each
+check the loop feeds records status "error" with the note
 "<ExceptionType>: <message>" (Check.error), and the checks after it
 still run.  So does a --max-degree over the patch's degree bound, which
 random_scalar rejects before it lists a monomial, while Check.tuples
@@ -131,11 +137,14 @@ class CheckResult:
 class Check:
     """Accumulator for one named check.
 
-    Usage: c = Check("courant.axiom_2", config); then either
-    c.run(c.tuples(...), residual), or record witnesses with
-    c.witness(residual, c1=..., c2=...) and finish with c.result().  Once
-    c.settled is True no further witness can change the result, and the
-    loop over the test set stops (see the module docstring).
+    Usage: c = Check("courant.axiom_2", config); then
+    c.run(c.tuples(...), residual) on a test set, or
+    c.run(product(labelled("u", frame), repeat=2), residual, zero=...,
+    inputs=named("u1", "u2")) on frame tuples.  The loops that run by hand
+    record witnesses with c.witness(residual, c1=..., c2=...) and finish
+    with c.result().  Once c.settled is True no further witness can change
+    the result, and the loop over the test set stops (see the module
+    docstring).
     """
 
     def __init__(self, name, config=None):

@@ -163,6 +163,12 @@ class PoleError(ZeroDivisionError):
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
+def _field_bits(n):
+    """b, the width of each exponent field of a patch on n coordinates; its
+    degree bound is 2^(b-1) - 1 (module docstring)."""
+    return max(8, 30 // (n + 1))
+
+
 class _Layout:
     """The monomial keys of n coordinates in fields of b bits (module
     docstring): degree field at bit _top, x_i's at _shifts[i]; _units[i] is
@@ -219,7 +225,7 @@ class Patch(_Layout):
         # semantics (negative i counts from the end, an out-of-range i
         # raises IndexError), for the diff memo's keys
         self._axes = tuple(range(n))
-        b = max(8, 30 // (n + 1))
+        b = _field_bits(n)
         super().__init__(n, b, _Layout(n, 2 * b))
         self._gens = tuple(ScalarField(self, {u: 1}) for u in self._units)
         # the kernels read zero and one as the start of every sum and in

@@ -43,7 +43,8 @@ from .courant import (CourantPresentation, check_courant_axioms, check_dirac,
                       dirac_from_2form, dirac_from_poisson, standard_courant)
 from .dorfman import DorfmanConnection, check_dorfman_axioms, dual_dull_bracket
 from .reporting import Check, CheckConfig, labelled, named
-from .scalars import Patch, _accumulate, _dot, _monomials, parse_scalar
+from .scalars import (Patch, _accumulate, _dot, _field_bits, _monomials,
+                      parse_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,9 @@ def check_poisson_extras(lb, config=None, prefix="poisson", dorfman=None):
 
     check = Check(prefix + ".anchor_anomaly", config)
     anomaly = anchor_anomaly(lb)
-    for k in range(dim):
-        for l in range(dim):
-            if not anomaly[k][l].is_zero():
-                check.witness(anomaly[k][l], row=k, col=l)
-    results.append(check.result())
+    results.append(check.run(
+        itertools.product(labelled("", range(dim)), repeat=2),
+        lambda k, l: anomaly[k][l], inputs=named("row", "col")))
 
     check = Check(prefix + ".dual_restriction", config)
     D = dorfman if dorfman is not None else adapted_dorfman_poisson(lb)
@@ -624,6 +623,11 @@ def parallel_frame_search(iis, degree=2):
 
     monos = _monomials(patch, degree)
     nunk = t * len(monos)
+    # the ansatz terms are an unknown times a monomial of the base
+    bound = (1 << _field_bits(dim + nunk) - 1) - 1
+    if degree + 1 > bound:
+        raise ArithmeticError("ansatz degree %d is over the bound %d of its "
+                              "auxiliary patch" % (degree + 1, bound))
     stem = "uc"
     while any(name.startswith(stem) for name in patch.coords):
         stem = stem + "u"
@@ -711,41 +715,34 @@ def check_iis(iis, config=None, prefix="iis"):
     bas = BasicConnections(alg, conn)
     results = []
 
+    frames_A = labelled("e", alg.bundle.basis_sections())
+    frames_F = labelled("F", F.frame)
+
     check = Check(prefix + ".alt.flat", config)
-    for p in range(F.rank):
-        for q in range(p + 1, F.rank):
-            for m in range(alg.rank):
-                R = _conn_curvature(conn, F.frame[p], F.frame[q],
-                                    alg.bundle.basis_section(m))
-                check.witness_outside(R, J, X1="F%d" % p, X2="F%d" % q,
-                                      a="e%d" % m)
-    results.append(check.result())
+    results.append(check.run(
+        (pair + (a,) for pair, a in itertools.product(
+            itertools.combinations(frames_F, 2), frames_A)),
+        partial(_conn_curvature, conn), zero=lambda v: membership(v, J)[0],
+        inputs=named("X1", "X2", "a")))
 
     check = Check(prefix + ".alt.basic_vector", config)
-    for m in range(alg.rank):
-        em = alg.bundle.basis_section(m)
-        for p in range(F.rank):
-            check.witness_outside(bas.on_vector_fields(em, F.frame[p]), F,
-                                  a="e%d" % m, X="F%d" % p)
-    results.append(check.result())
+    results.append(check.run(
+        itertools.product(frames_A, frames_F), bas.on_vector_fields,
+        zero=lambda v: membership(v, F)[0], inputs=named("a", "X")))
 
     check = Check(prefix + ".alt.basic_section", config)
-    for m in range(alg.rank):
-        em = alg.bundle.basis_section(m)
-        for q in range(J.rank):
-            check.witness_outside(bas.on_sections(J.frame[q], em), J,
-                                  j="J%d" % q, a="e%d" % m)
-    results.append(check.result())
+    results.append(check.run(
+        itertools.product(frames_A, labelled("J", J.frame)),
+        lambda a, j: bas.on_sections(j, a),
+        zero=lambda v: membership(v, J)[0],
+        inputs=lambda e: {"j": e[1][0], "a": e[0][0]}))
 
     check = Check(prefix + ".alt.basic_curvature", config)
-    for m in range(alg.rank):
-        for n in range(m + 1, alg.rank):
-            for p in range(F.rank):
-                R = bas.curvature(alg.bundle.basis_section(m),
-                                  alg.bundle.basis_section(n), F.frame[p])
-                check.witness_outside(R, J, a1="e%d" % m, a2="e%d" % n,
-                                      X="F%d" % p)
-    results.append(check.result())
+    results.append(check.run(
+        (pair + (X,) for pair, X in itertools.product(
+            itertools.combinations(frames_A, 2), frames_F)),
+        bas.curvature, zero=lambda v: membership(v, J)[0],
+        inputs=named("a1", "a2", "X")))
     alt_ok = all(r.status == "pass" for r in results)
 
     t = alg.rank - J.rank
@@ -770,30 +767,26 @@ def check_iis(iis, config=None, prefix="iis"):
     have_frame = frame is not None and len(frame) >= t
 
     if have_frame:
+        frames_s = labelled("s", frame)
         check = Check(prefix + ".def.ideal", config)
-        for r_i, s in enumerate(frame):
-            for q in range(J.rank):
-                check.witness_outside(bracket_eval(alg, s, J.frame[q]), J,
-                                      parallel="s%d" % r_i, j="J%d" % q)
-        results.append(check.result())
+        results.append(check.run(
+            itertools.product(frames_s, labelled("J", J.frame)),
+            partial(bracket_eval, alg), zero=lambda v: membership(v, J)[0],
+            inputs=named("parallel", "j")))
 
         check = Check(prefix + ".def.bracket_parallel", config)
-        for r_i, s1 in enumerate(frame):
-            for r_j in range(r_i + 1, len(frame)):
-                br = bracket_eval(alg, s1, frame[r_j])
-                for p in range(F.rank):
-                    check.witness_outside(conn.eval(F.frame[p], br), J,
-                                          s1="s%d" % r_i, s2="s%d" % r_j,
-                                          X="F%d" % p)
-        results.append(check.result())
+        results.append(check.run(
+            (pair + (X,) for pair, X in itertools.product(
+                itertools.combinations(frames_s, 2), frames_F)),
+            lambda s1, s2, X: conn.eval(X, bracket_eval(alg, s1, s2)),
+            zero=lambda v: membership(v, J)[0],
+            inputs=named("s1", "s2", "X")))
 
         check = Check(prefix + ".def.anchor_parallel", config)
-        for r_i, s in enumerate(frame):
-            rs = alg.anchor_vf(s)
-            for p in range(F.rank):
-                check.witness_outside(lie_bracket_vf(F.frame[p], rs), F,
-                                      s="s%d" % r_i, X="F%d" % p)
-        results.append(check.result())
+        results.append(check.run(
+            itertools.product(frames_s, frames_F),
+            lambda s, X: lie_bracket_vf(X, alg.anchor_vf(s)),
+            zero=lambda v: membership(v, F)[0], inputs=named("s", "X")))
         def_ok = all(r.status == "pass" for r in results[-4:])
     else:
         why = "needs a parallel frame of A/J"
@@ -1285,19 +1278,19 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     # entry (i, j) of A_a D_b + D_b A_a^t pairs row i of A_a and D_b with
     # column j of D_b and row j of A_a
     D_cols = [[list(col) for col in zip(*m)] for m in D_mats]
-    for a in range(k):
-        for b in range(a + 1, k):
-            coeffs = red.alg_h.bracket[a][b].components
-            for i in range(k):
-                for j in range(k):
-                    lhs = _dot(patch, coeffs, [m[i][j] for m in D_mats])
-                    rhs = (_dot(patch, A_mats[a][i] + D_mats[b][i],
-                                D_cols[b][j] + A_mats[a][j])
-                           - _dot(patch, A_mats[b][i] + D_mats[a][i],
-                                  D_cols[a][j] + A_mats[b][j]))
-                    if not (lhs - rhs).is_zero():
-                        check.witness(lhs - rhs, a=a, b=b, row=i, col=j)
-    results.append(check.result())
+
+    def cocycle(a, b, i, j):
+        lhs = _dot(patch, red.alg_h.bracket[a][b].components,
+                   [m[i][j] for m in D_mats])
+        return lhs - (_dot(patch, A_mats[a][i] + D_mats[b][i],
+                           D_cols[b][j] + A_mats[a][j])
+                      - _dot(patch, A_mats[b][i] + D_mats[a][i],
+                             D_cols[a][j] + A_mats[b][j]))
+    ks = labelled("", range(k))
+    results.append(check.run(
+        (pair + (i, j) for pair, i, j in itertools.product(
+            itertools.combinations(ks, 2), ks, ks)),
+        cocycle, inputs=named("a", "b", "row", "col")))
 
     results += check_courant_axioms(red.double, config,
                                     prefix=prefix + ".double")
@@ -1306,25 +1299,22 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
     p_cols = [Section(red.double.bundle, col)
               for col in zip(*red.p_in_double)]
 
+    def phi_defect(i, j):
+        want_g = bracket_eval(g, g.bundle.basis_section(i),
+                              g.bundle.basis_section(j))
+        want = Section(red.double.bundle,
+                       apply_matrix(red.phi, want_g.components, patch))
+        return red.double.bracket(phi_cols[i], phi_cols[j]) - want
+    es = labelled("e", range(n))
     check = Check(prefix + ".phi_morphism", config)
-    for i in range(n):
-        for j in range(n):
-            want_g = bracket_eval(g, g.bundle.basis_section(i),
-                                  g.bundle.basis_section(j))
-            want = Section(red.double.bundle,
-                           apply_matrix(red.phi, want_g.components, patch))
-            got = red.double.bracket(phi_cols[i], phi_cols[j])
-            if not red.double.is_zero(got - want):
-                check.witness(got - want, e1="e%d" % i, e2="e%d" % j)
-    results.append(check.result())
+    results.append(check.run(itertools.product(es, repeat=2), phi_defect,
+                             zero=red.double.is_zero,
+                             inputs=named("e1", "e2")))
 
     check = Check(prefix + ".phi_isotropic", config)
-    for i in range(n):
-        for j in range(i, n):
-            val = red.double.pairing(phi_cols[i], phi_cols[j])
-            if not val.is_zero():
-                check.witness(val, e1="e%d" % i, e2="e%d" % j)
-    results.append(check.result())
+    results.append(check.run(
+        itertools.combinations_with_replacement(labelled("e", phi_cols), 2),
+        red.double.pairing, inputs=named("e1", "e2")))
 
     check = Check(prefix + ".p_lagrangian", config)
     psub = Subbundle(red.double.bundle, Frame(red.double.bundle, p_cols))
@@ -1349,12 +1339,10 @@ def check_dirac_bialgebra(db, config=None, prefix="bialgebra"):
                                 % (k, red.double.rank)))
 
     check = Check(prefix + ".pairing_compat", config)
-    for i in range(n):
-        for r in range(k):
-            val = red.double.pairing(phi_cols[i], p_cols[r]) - db.iota[i][r]
-            if not val.is_zero():
-                check.witness(val, e="e%d" % i, xi="xi%d" % r)
-    results.append(check.result())
+    results.append(check.run(
+        itertools.product(es, labelled("xi", range(k))),
+        lambda i, r: red.double.pairing(phi_cols[i], p_cols[r])
+        - db.iota[i][r], inputs=named("e", "xi")))
 
     check = Check(prefix + ".spanning", config)
     rank = matrix_rank([c.components for c in phi_cols + p_cols], patch)

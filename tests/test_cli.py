@@ -319,6 +319,172 @@ def test_exception_in_the_bialgebroid1_loop_is_an_error(monkeypatch):
     assert results[-1].name == "lemmas.bialgebroid2" and results[-1].passed
 
 
+# ---- suites fed by [subbundle], [sigma] and [bialgebroid] sections ----------
+
+DIRAC_FILE = """\
+[patch]
+coords = x, y
+
+[subbundle.L]
+ambient = TM+T*M
+0 = 1, 0, 0, 0
+1 = 0, 0, 0, 1
+
+[pi]
+0,1 = x
+
+[omega]
+0,1 = 1
+"""
+
+# L is not isotropic, and z dx^dy is not closed
+DIRAC_FAILING = """\
+[patch]
+coords = x, y, z
+
+[subbundle.L]
+ambient = TM+T*M
+0 = 1, 0, 0, 1, 0, 0
+1 = 0, 1, 0, 0, 0, 0
+2 = 0, 0, 1, 0, 0, 0
+
+[pi]
+0,1 = z
+1,2 = x
+
+[omega]
+0,1 = z
+"""
+
+SIGMA_FILE = """\
+[patch]
+coords = x, y
+
+[sigma]
+algebroid = TM
+0 = 0, -1
+1 = 1, 0
+"""
+
+# not skew, and z dx^dy in it is not closed
+SIGMA_FAILING = """\
+[patch]
+coords = x, y, z
+
+[sigma]
+algebroid = TM
+0 = 0, -z, y
+1 = z, 0, 0
+2 = 0, 0, 0
+"""
+
+# TM inside TM + T*M
+BIALGEBROID_FILE = """\
+[patch]
+coords = x, y
+
+[bialgebroid]
+algebroid = TM
+u_algebroid = TM
+iota.0 = 1, 0
+iota.1 = 0, 1
+iota.2 = 0, 0
+iota.3 = 0, 0
+"""
+
+# the graph of z dx^dy, which is not closed
+BIALGEBROID_FAILING = """\
+[patch]
+coords = x, y, z
+
+[bialgebroid]
+algebroid = TM
+u_algebroid = TM
+iota.0 = 1, 0, 0
+iota.1 = 0, 1, 0
+iota.2 = 0, 0, 1
+iota.3 = 0, z, 0
+iota.4 = -z, 0, 0
+iota.5 = 0, 0, 0
+"""
+
+# suite -> (passing file, failing file, the failing file's failures at
+# trials 0: check -> (note, witnesses as "inputs in order -> residual"))
+SECTION_SUITES = {
+    "dirac": (DIRAC_FILE, DIRAC_FAILING, {
+        "dirac.L.isotropic": ("", ["d1=d0 d2=d0 -> 2"]),
+        "dirac.L.self_perp": ("", [
+            "perp=basis vector -> (-1, 0, 0, 1, 0, 0)"]),
+        "dirac.omega.closed": ("further witnesses truncated", [
+            "d0=(1, 0, 0, 0, z, 0) d1=(0, 1, 0, -z, 0, 0)"
+            " -> (0, 0, 0, 0, 0, 1)",
+            "d0=(1, 0, 0, 0, z, 0) d2=(0, 0, 1, 0, 0, 0)"
+            " -> (0, 0, 0, 0, -1, 0)",
+            "d1=(0, 1, 0, -z, 0, 0) d0=(1, 0, 0, 0, z, 0)"
+            " -> (0, 0, 0, 0, 0, -1)",
+            "d1=(0, 1, 0, -z, 0, 0) d2=(0, 0, 1, 0, 0, 0)"
+            " -> (0, 0, 0, 1, 0, 0)",
+            "d2=(0, 0, 1, 0, 0, 0) d0=(1, 0, 0, 0, z, 0)"
+            " -> (0, 0, 0, 0, 1, 0)"]),
+    }),
+    "im2form": (SIGMA_FILE, SIGMA_FAILING, {
+        "im2form.antisymmetry": (
+            "IM condition (1): <sigma a1, rho a2> + <sigma a2, rho a1> = 0",
+            ["a1=e0 a2=e2 -> y"]),
+        "im2form.bracket": (
+            "IM condition (2): sigma[a1,a2] = L_{rho a1} sigma(a2) "
+            "- i_{rho a2} d(sigma a1)",
+            ["a1=e0 a2=e1 -> (0, 0, -1)", "a1=e0 a2=e2 -> (0, 1, 0)",
+             "a1=e1 a2=e2 -> (-2, 0, 0)"]),
+    }),
+    "bialgebroid": (BIALGEBROID_FILE, BIALGEBROID_FAILING, {
+        "bialgebroid.la_dirac.basic_curvature_into_K": ("", [
+            "a1=e0 a2=e2 u=u1 -> (0, 0, 0, 0, 0, (-1)/(z))",
+            "a1=e0 a2=e2 u=u2 -> ((1)/(z^2), 0, 0, 0, 0, 0)",
+            "a1=e1 a2=e2 u=u0 -> (0, 0, 0, 0, 0, (1)/(z))",
+            "a1=e1 a2=e2 u=u2 -> (0, (1)/(z^2), 0, 0, 0, 0)"]),
+        "bialgebroid.la_dirac.basic_preserves_U": (
+            "further witnesses truncated", [
+                "a=e0 u=u1 -> (0, 0, 0, 0, 0, -1)",
+                "a=e0 u=u2 -> ((1)/(z), 0, 0, 0, 0, 0)",
+                "a=e1 u=u0 -> (0, 0, 0, 0, 0, 1)",
+                "a=e1 u=u2 -> (0, (1)/(z), 0, 0, 0, 0)",
+                "a=e2 u=u0 -> (0, 0, 0, 0, -1, 0)"]),
+    }),
+}
+
+
+def _check_file(suite, text, tmp_path):
+    """(exit code, checks) of `check <suite>` on text at trials 0."""
+    src, out = tmp_path / "instance.txt", tmp_path / "report.json"
+    src.write_text(text)
+    code = cli.main(["check", suite, str(src), "--trials", "0",
+                     "--out", str(out)])
+    return code, json.loads(out.read_text())["checks"]
+
+
+@pytest.mark.parametrize("suite", sorted(SECTION_SUITES))
+def test_suite_fed_by_its_own_section(suite, tmp_path):
+    passing, failing, failures = SECTION_SUITES[suite]
+    code, checks = _check_file(suite, passing, tmp_path)
+    assert code == 0 and checks
+    assert all(c["status"] == "pass" for c in checks)
+    code, checks = _check_file(suite, failing, tmp_path)
+    assert code == 1
+    got = {c["name"]: (c.get("note", ""), [
+        " ".join("%s=%s" % kv for kv in w["inputs"].items())
+        + " -> " + w["residual"] for w in c["witnesses"]])
+        for c in checks if c["status"] != "pass"}
+    assert got == failures
+
+
+def test_dirac_suite_prefixes_each_candidate(tmp_path):
+    # a TM+T*M subbundle, [pi] and [omega] are three candidates
+    _, checks = _check_file("dirac", DIRAC_FILE, tmp_path)
+    assert sorted({c["name"].rsplit(".", 1)[0] for c in checks}) == [
+        "dirac.L", "dirac.omega", "dirac.pi"]
+
+
 def test_explicit_dorfman_entries_parse():
     text = ("[patch]\ncoords = x, y\n\n[dorfman.D]\nalgebroid = TM\n"
             "0,0 = 0, 0, 1, 0\n\n[subbundle.U]\nambient = TM+TM*\n"

@@ -27,13 +27,16 @@ Every bracket and connection memo goes through one path: memo keys are
 built only in bundles._recall, the one caller of _constant_key and
 scalars._value_key.
 
-Every identity check runs its test set through one loop, Check.run.  No
-other for loop iterates a test set (its iterable calls X.tuples(...) or
-reads a name bound to a value that does), and no other for or while loop
-reads X.settled in its own body, except at the sites HAND_LOOPS names,
-each with its reason.  Each of those witnesses on several checks and
-stops, in its own body and not in a nested loop, only once all of them
-are settled (`if X.settled and Y.settled: break`)."""
+Every check runs its test set through one loop, Check.run, frame tuples
+included.  No other for loop iterates a test set (its iterable calls
+X.tuples(...) or reads a name bound to a value that does), no other for
+or while loop reads X.settled in its own body, and no other outermost
+for or while loop calls X.witness(...) or X.witness_outside(...), except
+at the sites HAND_LOOPS and FRAME_LOOPS name, each with its reason.  Each
+HAND_LOOPS site witnesses on several checks and stops, in its own body
+and not in a nested loop, only once all of them are settled
+(`if X.settled and Y.settled: break`).  Each FRAME_LOOPS site runs a
+frame loop that fits no single residual with one zero test."""
 
 import ast
 from pathlib import Path
@@ -75,6 +78,29 @@ HAND_LOOPS = {
     ("zoo.py", "check_im2form"): (
         ("anti", "brk"),
         "one im2form_defects call gives both IM conditions, two checks"),
+}
+
+
+# (module, enclosing function, check) of the frame loops left outside
+# Check.run: how many outermost loops witness for the check, and why they
+# fit no single residual with one zero test
+FRAME_LOOPS = {
+    ("bialgebroid.py", "check_la_dirac", "la_dirac.annihilator"): (
+        2, "K inside ann(U) and ann(U) inside K: memberships in two "
+           "different subbundles"),
+    ("bialgebroid.py", "check_la_dirac", "la_dirac.bracket_closed"): (
+        1, "only records the U-frame pairs whose bracket left U, which "
+           "triple.induced already computed"),
+    ("bialgebroid.py", "check_manin_pair",
+     "manin.closed, manin.induced_bracket"): (
+        1, "one bracket and one solve per frame pair feed two checks: "
+           "closure, then the coefficients of the pairs that close"),
+    ("bialgebroid.py", "bialgebroids_equivalent", "equivalence.span"): (
+        2, "the columns of each iota in the span of the other: memberships "
+           "in two different subbundles"),
+    ("zoo.py", "check_dirac_bialgebra", "bialgebra.p_lagrangian"): (
+        2, "pairing residuals, then bracket memberships whose coefficients "
+           "are compared: two residual kinds in one check"),
 }
 
 
@@ -282,14 +308,34 @@ def settled_loops(tree):
     return sorted(out, key=lambda r: r[1])
 
 
+def _witnesses(node):
+    """Whether node calls X.witness(...) or X.witness_outside(...)."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr in ("witness", "witness_outside")
+               for n in ast.walk(node))
+
+
+def _witness_loops(fn):
+    """The outermost for and while loops in fn's own body that witness."""
+    stack = list(fn.body)
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.For, ast.While)) and _witnesses(n):
+            yield n
+        elif not isinstance(n, SCOPES):
+            stack.extend(ast.iter_child_nodes(n))
+
+
 def hand_loops(tree):
-    """(enclosing function, line) of every for loop over a test set and
-    every for or while loop whose own body, nested loops aside, reads a
-    .settled attribute, in line order."""
+    """(enclosing function, line) of every for loop over a test set, every
+    for or while loop whose own body, nested loops aside, reads a .settled
+    attribute, and every outermost for or while loop that witnesses, in
+    line order."""
     out = []
     for scope, fn in _functions(tree):
+        witnessing = set(_witness_loops(fn))
         for loop, over_set in _test_set_loops(fn):
-            if over_set or any(
+            if over_set or loop in witnessing or any(
                     isinstance(n, ast.Attribute) and n.attr == "settled"
                     for n in _own_nodes(loop.body, SCOPES + (ast.For,
                                                              ast.While))):
@@ -487,9 +533,13 @@ def test_test_set_loops_stop_once_settled():
     found = sorted((p.name, scope) for p in MODULES
                    for scope, _ in hand_loops(_tree(p)))
     # Check.run is the one loop; an allowed site that no longer holds its
-    # loop leaves the list
-    assert found == sorted([("reporting.py", "Check.run"), *HAND_LOOPS])
+    # loops leaves the list
+    frame_loops = [(module, scope) for (module, scope, _), (count, _)
+                   in FRAME_LOOPS.items() for _ in range(count)]
+    assert found == sorted([("reporting.py", "Check.run"), *HAND_LOOPS,
+                            *frame_loops])
     assert all(reason for _, reason in HAND_LOOPS.values())
+    assert all(reason for _, reason in FRAME_LOOPS.values())
     stops = {(p.name, scope): (checks, stop) for p in MODULES
              for scope, _, checks, stop in settled_loops(_tree(p))}
     assert {site: stops.get(site) for site in HAND_LOOPS} == {
@@ -524,6 +574,31 @@ def test_hand_loop_scan_catches_planted_loops():
         "                break\n")
     assert hand_loops(tree) == [("f", 2), ("f", 5), ("f", 8), ("f", 11),
                                 ("f", 18), ("Check.run", 22)]
+
+
+def test_hand_loop_scan_catches_planted_frame_loops():
+    tree = ast.parse(
+        "def f(check, frame, sub):\n"
+        "    for i, a in enumerate(frame):\n"
+        "        for j in range(i + 1, len(frame)):\n"
+        "            check.witness_outside(a, sub, a=i, b=j)\n"
+        "    k = 0\n"
+        "    while k < len(frame):\n"
+        "        if not frame[k].is_zero():\n"
+        "            check.witness(frame[k], k=k)\n"
+        "        k += 1\n"
+        "    for a in frame:\n"
+        "        check.note = str(a)\n"
+        "    if frame:\n"
+        "        for a in frame:\n"
+        "            check.witness(a)\n"
+        "    return [check.witness(a) for a in frame]\n"
+        "class Check:\n"
+        "    def run(self, items):\n"
+        "        for item in items:\n"
+        "            self.witness(item)\n")
+    assert hand_loops(tree) == [("f", 2), ("f", 6), ("f", 13),
+                                ("Check.run", 18)]
 
 
 def test_settled_scan_catches_planted_loops():

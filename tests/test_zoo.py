@@ -338,6 +338,24 @@ def test_parallel_frame_search_on_presets(name, want):
     assert [[str(v) for v in s.components] for s in frame] == want
 
 
+def test_parallel_frame_ansatz_over_the_aux_bound_fails_at_once(monkeypatch):
+    # the ansatz terms are an unknown times a monomial of degree <= d, and
+    # the auxiliary patch has three or more coordinates, so its bound 127
+    # is passed from d = 127 on: the error comes before the patch is built
+    iis = zoo.zoo_preset("foliation-x")["iis"]
+    built, real = [], zoo.Patch
+    monkeypatch.setattr(zoo, "Patch",
+                        lambda coords: built.append(coords) or real(coords))
+    over = "ansatz degree 128 is over the bound 127 of its auxiliary patch"
+    with pytest.raises(ArithmeticError, match=over):
+        zoo.parallel_frame_search(iis, degree=127)
+    res = zoo.check_iis(iis, CheckConfig(trials=0, max_degree=127))
+    pf = next(r for r in res if r.name == "iis.def.parallel_frame")
+    assert (pf.status, pf.note) == ("error", "ArithmeticError: " + over)
+    assert len(pf.note) < 200
+    assert built == []
+
+
 def test_parallel_frame_search_skips_dependent_solutions():
     # J = 0 and nabla_{d/dx} e_1 = e_2: the solutions of degree <= 2 are
     # spanned by e_2, y e_2, y^2 e_2, -e_1 + x e_2 and y(-e_1 + x e_2);
