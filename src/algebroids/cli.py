@@ -18,11 +18,16 @@ whose [courant.C] section can be re-checked with `check courant`.
 Exit codes: 0 every check passed (skips allowed), 1 at least one check
 failed or errored, 2 ill-formed input.  Reports are deterministic for a fixed
 (instance, suite, seed, trials, max degree) up to the timing fields.
+
+The argument parser is built once per process, on the first `main` call,
+and reused by every later one: `parse_args` returns a new Namespace each
+time and keeps no state in the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -291,7 +296,12 @@ def _add_flags(p, with_out=True):
                    help="report format (default json)")
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every verb, built on the first call and shared by all
+    later ones.  Sharing it is safe: parse_args keeps no state in the
+    parser, and argparse makes a new formatter for each usage or help
+    message."""
     parser = argparse.ArgumentParser(
         prog="algebroids",
         description="exact checks for Courant algebroids, Dirac "

@@ -78,7 +78,9 @@ whole file is read).  All expressions use the scalar grammar from
     checks = courant, dirac    # optional; restricts `check all`
 
 Errors carry the source line, and for expression syntax errors the
-column, of the offending text.
+column, of the offending text.  A declared rank is at most 64; a larger
+one is rejected, at the line and column of its value, before any
+table of that size is allocated.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ _SIDE_Q_RE = re.compile(r"^TM\+([A-Za-z_][A-Za-z0-9_]*)\*$")
 _SIDE_B_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\+T\*M$")
 
 KINDS = ("poisson", "presymplectic", "iis", "bialgebra")
+
+# the largest rank a [bundle.X] or [courant.X] section may declare: each
+# builds rank x rank tables, and no preset or build-manin file declares
+# more than 4
+_MAX_RANK = 64
 
 
 class InstanceError(ValueError):
@@ -257,6 +264,19 @@ class _Builder:
             out.append(self.scalar(body, line, vcol + off + lead))
             off += len(part) + 1
         return out
+
+    def rank(self, value, line, vcol, what):
+        """The rank a [what] section declares: a positive integer, at most
+        _MAX_RANK."""
+        digits = value.lstrip("0") if value.isdecimal() else ""
+        if not digits:
+            raise InstanceError("[%s] rank must be a positive integer"
+                                % what, line)
+        # compare lengths first: int() refuses strings of over 4300 digits
+        if len(digits) > len(str(_MAX_RANK)) or int(digits) > _MAX_RANK:
+            raise InstanceError("[%s] rank %s is over the limit %d"
+                                % (what, digits, _MAX_RANK), line, vcol)
+        return int(digits)
 
     def int_key(self, key, bound, line, what):
         if not key.isdigit():
@@ -423,12 +443,8 @@ class _Builder:
 
     def _bundle(self, name, entries, line):
         got = self.fields("bundle.%s" % name, entries, line, ["rank"])
-        value, ln, _ = got["rank"]
-        if not value.isdigit() or int(value) < 1:
-            raise InstanceError("[bundle.%s] rank must be a positive "
-                                "integer" % name, ln)
-        self.data.bundles[name] = TrivialBundle(self.data.patch,
-                                                int(value), name)
+        rank = self.rank(*got["rank"], "bundle.%s" % name)
+        self.data.bundles[name] = TrivialBundle(self.data.patch, rank, name)
 
     def _anchor(self, name, entries, line):
         self._anchors[name] = (entries, line)
@@ -573,10 +589,7 @@ class _Builder:
         anchors, grams, dmats, pairs = [], [], [], []
         for key, value, ln, vcol in entries:
             if key == "rank":
-                if not value.isdigit() or int(value) < 1:
-                    raise InstanceError("[%s] rank must be a positive "
-                                        "integer" % what, ln)
-                rank = int(value)
+                rank = self.rank(value, ln, vcol, what)
             elif key == "degenerate":
                 if value not in ("true", "false"):
                     raise InstanceError("[%s] degenerate is true or false"

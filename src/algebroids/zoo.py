@@ -592,6 +592,12 @@ class IISData:
         return self.alg.patch
 
 
+# the most unknown coefficients parallel_frame_search lists: each one is a
+# coordinate of the auxiliary patch, so its time and memory grow with the
+# count (595 at degree 33 on two coordinates with one frame vector)
+_ANSATZ_UNKNOWNS = 600
+
+
 def parallel_frame_search(iis, degree=2):
     """Sections of a complement of J whose classes in A/J are parallel
     along every F_M frame, found exactly by a polynomial coefficient
@@ -610,7 +616,11 @@ def parallel_frame_search(iis, degree=2):
 
     The selection is one greedy elimination: each nullspace vector of the
     Fraction system gives a candidate, and the candidates whose columns are
-    pivots after J's frame are kept (at most t, the corank of J)."""
+    pivots after J's frame are kept (at most t, the corank of J).
+
+    A degree over the patch's bound, an ansatz over its auxiliary patch's
+    bound, or one of more than _ANSATZ_UNKNOWNS unknowns raises
+    ArithmeticError before the auxiliary patch is built."""
     alg, F, J, conn = iis.alg, iis.F_M, iis.J, iis.conn
     patch = alg.patch
     dim, ra = patch.dim, alg.rank
@@ -628,6 +638,9 @@ def parallel_frame_search(iis, degree=2):
     if degree + 1 > bound:
         raise ArithmeticError("ansatz degree %d is over the bound %d of its "
                               "auxiliary patch" % (degree + 1, bound))
+    if nunk > _ANSATZ_UNKNOWNS:
+        raise ArithmeticError("ansatz of degree %d has %d unknowns, over the "
+                              "limit %d" % (degree, nunk, _ANSATZ_UNKNOWNS))
     stem = "uc"
     while any(name.startswith(stem) for name in patch.coords):
         stem = stem + "u"
@@ -750,7 +763,8 @@ def check_iis(iis, config=None, prefix="iis"):
     try:
         frame = parallel_frame_search(iis, degree=config.max_degree)
     except ArithmeticError as exc:
-        # a degree over the patch's bound, before any monomial is listed
+        # a degree over a bound or an ansatz over the unknown limit, raised
+        # before the auxiliary patch is built
         frame = None
         results.append(pf.error(exc))
     else:

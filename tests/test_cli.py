@@ -1,15 +1,20 @@
 """Instance-file ingestion and the command line front end."""
 
+import argparse
+import itertools
 import json
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import cli, instances, zoo
+from algebroids.algebroid import DullAlgebroid, LinearConnection
 from algebroids.bundles import Section
 from algebroids.instances import InstanceError
 from algebroids.reporting import Check, CheckConfig, Report
@@ -62,6 +67,90 @@ def test_round_trip_detects_mutations():
     assert not ok and "pi" in why
 
 
+# a mutant adds small polynomials to a few table entries of a preset, as
+# tests/test_mutants.py does, keeping each structure well formed: a Lie
+# algebra's coefficients and iota stay constant, and a connection bump lies
+# along J, or on a column outside J's support, so J stays parallel along F
+BUMP_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def bumps(draw, patch, top=2):
+    """One to three terms c x^e of degree at most top on patch."""
+    monomials = [e for e in itertools.product(range(top + 1),
+                                              repeat=patch.dim)
+                 if sum(e) <= top]
+    out = patch.zero
+    for c, e in draw(st.lists(st.tuples(st.sampled_from(BUMP_COEFFS),
+                                        st.sampled_from(monomials)),
+                              min_size=1, max_size=3)):
+        term = patch.scalar(c)
+        for i, k in enumerate(e):
+            term = term * patch.coordinate(i) ** k
+        out = out + term
+    return out
+
+
+@st.composite
+def mutants(draw):
+    """A preset of any kind with one to three of its entries bumped."""
+    preset = zoo.zoo_preset(draw(st.sampled_from(sorted(zoo.ZOO_PRESETS))))
+    patch, kind = preset["patch"], preset["kind"]
+    edits = range(draw(st.integers(1, 3)))
+    if kind in ("poisson", "presymplectic"):
+        m = preset["pi" if kind == "poisson" else "omega"]
+        pairs = list(itertools.combinations(range(patch.dim), 2))
+        for _ in edits:
+            i, j = draw(st.sampled_from(pairs))
+            m[i][j] = m[i][j] + draw(bumps(patch))
+            m[j][i] = -m[i][j]
+    elif kind == "iis":
+        iis = preset["iis"]
+        bundle = iis.alg.bundle
+        gamma = [list(row) for row in iis.conn.gamma]
+        support = {k for s in iis.J.frame
+                   for k, c in enumerate(s.components) if c}
+        for _ in edits:
+            i = draw(st.integers(0, patch.dim - 1))
+            j = draw(st.integers(0, bundle.rank - 1))
+            along = list(iis.J.frame)
+            if j not in support:
+                along += bundle.basis_sections()
+            gamma[i][j] = (gamma[i][j]
+                           + draw(bumps(patch)) * draw(st.sampled_from(along)))
+        preset["iis"] = zoo.IISData(iis.alg, iis.F_M, iis.J,
+                                    LinearConnection(bundle, gamma))
+    else:
+        data = preset["data"]
+        g, iota = data.alg_g, [list(row) for row in data.iota]
+        table = [list(row) for row in g.bracket]
+        for _ in edits:
+            c = draw(bumps(patch, top=0))
+            if draw(st.booleans()):
+                r = draw(st.integers(0, len(iota) - 1))
+                k = draw(st.integers(0, len(iota[r]) - 1))
+                iota[r][k] = iota[r][k] + c
+            else:
+                i, j = draw(st.sampled_from(list(
+                    itertools.combinations(range(g.rank), 2))))
+                k = draw(st.integers(0, g.rank - 1))
+                table[i][j] = table[i][j] + c * g.bundle.basis_section(k)
+                table[j][i] = -table[i][j]
+        preset["data"] = zoo.DiracBialgebraData(
+            DullAlgebroid(g.anchored, table), data.alg_p, iota)
+    return preset
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutants())
+def test_mutant_emit_ingest_round_trip(preset):
+    text = instances.emit_instance(preset)
+    back = instances.ingest_text(text)
+    ok, why = instances.same_object_graph(preset, back)
+    assert ok, why
+    assert instances.emit_instance(back) == text
+
+
 def test_zoo_emit_writes_parseable_file(tmp_path):
     path = tmp_path / "foliation.txt"
     assert cli.main(["zoo", "foliation-x", "--emit", str(path)]) == 0
@@ -79,6 +168,24 @@ def test_rank_mismatch_names_the_declaration():
         instances.ingest_text(text)
     assert "anchor.A" in str(ei.value) and "expected 2" in str(ei.value)
     assert ei.value.line == 8
+
+
+@pytest.mark.parametrize("over", [str(instances._MAX_RANK + 1), "9" * 5000])
+@pytest.mark.parametrize("section", ["bundle.A", "courant.C"])
+def test_rank_over_the_limit_is_rejected_at_its_value(section, over, tmp_path,
+                                                      capsys):
+    # one over the limit, so no table of that size is ever allocated, and
+    # a rank too long for int()
+    text = "[patch]\ncoords = x\n\n[%s]\nrank =  %s\n" % (section, over)
+    with pytest.raises(InstanceError) as ei:
+        instances.ingest_text(text)
+    assert (ei.value.line, ei.value.column) == (5, 9)
+    assert str(ei.value) == "line 5, column 9: [%s] rank %s is over the " \
+        "limit %d" % (section, over, instances._MAX_RANK)
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    assert cli.main(["check", "courant", str(path)]) == 2
+    assert "line 5, column 9" in capsys.readouterr().err
 
 
 def test_syntax_error_carries_position():
@@ -493,6 +600,30 @@ def test_explicit_dorfman_entries_parse():
     D = data.dorfmans["D"]
     assert D.table[0][0].components[2] == data.patch.one
     assert data.subbundles["U"].ambient.name == "TM+TM*"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # three main calls build the top parser and its four verbs once; a
+    # usage error in between leaves no state that changes the next report
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._build_parser.cache_clear()
+    argv = ["check", "courant", "aff1-bialgebra", "--trials", "0"]
+    code = cli.main(argv)
+    report = _strip_timing(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv[:-1] + ["-1"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    assert _strip_timing(capsys.readouterr().out) == report
+    assert len(built) == 5
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--max-degree"])

@@ -27,6 +27,11 @@ Every bracket and connection memo goes through one path: memo keys are
 built only in bundles._recall, the one caller of _constant_key and
 scalars._value_key.
 
+The command line parser is built in one place, once per process: no
+module under src/ calls argparse's ArgumentParser or add_subparsers
+outside cli._build_parser, and cli.main is the one caller of
+_build_parser.
+
 Every check runs its test set through one loop, Check.run, frame tuples
 included.  No other for loop iterates a test set (its iterable calls
 X.tuples(...) or reads a name bound to a value that does), no other for
@@ -215,20 +220,34 @@ def rep_reads(tree):
                    and n.attr == "rep" and isinstance(n.ctx, ast.Load))
 
 
+def _call_name(n):
+    """The name a call node calls, bare or as an attribute; None for any
+    other node."""
+    if not isinstance(n, ast.Call):
+        return None
+    f = n.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 KEY_FUNCTIONS = {"_constant_key", "_value_key"}
 
 
 def key_builds(tree):
     """(enclosing function, line) of every call of a memo-key function,
     bare or as an attribute."""
-    def match(n):
-        if not isinstance(n, ast.Call):
-            return False
-        f = n.func
-        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        return name in KEY_FUNCTIONS
+    return _scoped(tree, lambda n: _call_name(n) in KEY_FUNCTIONS)
 
-    return _scoped(tree, match)
+
+PARSER_BUILDS = ("ArgumentParser", "add_subparsers", "_build_parser")
+
+
+def parser_builds(tree):
+    """(called name, enclosing function, line) of every call of
+    ArgumentParser, add_subparsers or _build_parser, bare or as an
+    attribute, in PARSER_BUILDS order and then line order."""
+    return [(name, scope, line) for name in PARSER_BUILDS
+            for scope, line in _scoped(tree,
+                                       lambda n: _call_name(n) == name)]
 
 
 def _functions(node, scope=()):
@@ -527,6 +546,38 @@ def test_key_scan_catches_planted_builds():
     assert key_builds(tree) == [("_recall", 2), ("bracket_eval", 4),
                                 ("bracket_eval", 4), ("bracket_eval", 5),
                                 ("C.bracket", 8)]
+
+
+def test_parser_built_once_in_build_parser():
+    found = {(p.name, name, scope) for p in MODULES
+             for name, scope, _ in parser_builds(_tree(p))}
+    assert found == {("cli.py", "ArgumentParser", "_build_parser"),
+                     ("cli.py", "add_subparsers", "_build_parser"),
+                     ("cli.py", "_build_parser", "main")}
+
+
+def test_parser_scan_catches_planted_builds():
+    tree = ast.parse(
+        "import argparse\n"
+        "from argparse import ArgumentParser\n"
+        "def _build_parser():\n"
+        "    p = argparse.ArgumentParser(prog='x')\n"
+        "    p.add_subparsers(dest='verb')\n"
+        "    return p\n"
+        "def main(argv=None):\n"
+        "    return _build_parser().parse_args(argv)\n"
+        "def helper(argv):\n"
+        "    q = ArgumentParser()\n"
+        "    q.add_subparsers().add_parser('x')\n"
+        "    return cli._build_parser(), _build_parser, q.parse_args(argv)\n"
+        "class K:\n"
+        "    parser = argparse.ArgumentParser()\n")
+    assert parser_builds(tree) == [
+        ("ArgumentParser", "_build_parser", 4),
+        ("ArgumentParser", "helper", 10), ("ArgumentParser", "K", 14),
+        ("add_subparsers", "_build_parser", 5),
+        ("add_subparsers", "helper", 11),
+        ("_build_parser", "main", 8), ("_build_parser", "helper", 12)]
 
 
 def test_test_set_loops_stop_once_settled():

@@ -356,6 +356,24 @@ def test_parallel_frame_ansatz_over_the_aux_bound_fails_at_once(monkeypatch):
     assert built == []
 
 
+def test_parallel_frame_ansatz_over_the_unknown_limit_fails_at_once(
+        monkeypatch):
+    # one frame vector of A/J on two coordinates: C(d + 2, 2) unknowns, so
+    # d = 33 lists 595, under the limit 600, and d = 34 would list 630
+    iis = zoo.zoo_preset("foliation-x")["iis"]
+    built, real = [], zoo.Patch
+    monkeypatch.setattr(zoo, "Patch",
+                        lambda coords: built.append(coords) or real(coords))
+    over = "ansatz of degree 34 has 630 unknowns, over the limit 600"
+    with pytest.raises(ArithmeticError, match=over):
+        zoo.parallel_frame_search(iis, degree=34)
+    res = zoo.check_iis(iis, CheckConfig(trials=0, max_degree=34))
+    pf = next(r for r in res if r.name == "iis.def.parallel_frame")
+    assert (pf.status, pf.note) == ("error", "ArithmeticError: " + over)
+    assert len(pf.note) < 200
+    assert built == []
+
+
 def test_parallel_frame_search_skips_dependent_solutions():
     # J = 0 and nabla_{d/dx} e_1 = e_2: the solutions of degree <= 2 are
     # spanned by e_2, y e_2, y^2 e_2, -e_1 + x e_2 and y(-e_1 + x e_2);
